@@ -87,6 +87,8 @@ def _parse_grid(text):
             raise CliError(f"--c-grid: non-numeric entry in {text!r}") from exc
     if grid.size == 0:
         raise CliError("--c-grid: empty grid")
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise CliError(f"--c-grid: values must lie in [0, 1], got {text!r}")
     return grid
 
 
@@ -183,6 +185,8 @@ def _cmd_simulate(args):
     lam = _check_lambda(args.lam)
     if args.reps < 1:
         raise CliError(f"--reps must be a positive integer, got {args.reps}")
+    if args.workers < 1:
+        raise CliError(f"--workers must be a positive integer, got {args.workers}")
     spec = _model_spec(args)
     grid = _parse_grid(args.c_grid)
     try:
@@ -204,16 +208,17 @@ def _cmd_simulate(args):
 def _cmd_curves(args):
     lam = _check_lambda(args.lam)
     spec = _model_spec(args)
-    if args.quantity == "h":
-        grid = _parse_grid(args.c_grid)
-        if np.any(np.diff(grid) <= 0.0):
-            raise CliError("--c-grid must be strictly increasing")
-        table = h_curve(spec.population(), lam, grid)
-    else:
-        cs = _parse_grid(args.c_grid if args.c_grid != _DEFAULT_GRID else "0,0.25,0.5,0.75,1")
-        t = np.linspace(0.0, 1.0, args.t_points)
-        law = spec.marginal_law(args.theta_null)
-        table = cdf_curves(law, cs, t)
+    if args.quantity == "cdf" and args.t_points < 1:
+        raise CliError(f"--t-points must be a positive integer, got {args.t_points}")
+    try:
+        if args.quantity == "h":
+            table = h_curve(spec.population(), lam, _parse_grid(args.c_grid))
+        else:
+            cs = _parse_grid(args.c_grid if args.c_grid != _DEFAULT_GRID else "0,0.25,0.5,0.75,1")
+            t = np.linspace(0.0, 1.0, args.t_points)
+            table = cdf_curves(spec.marginal_law(args.theta_null), cs, t)
+    except ValueError as exc:
+        raise CliError(f"--c-grid: {exc}") from exc
     _write_text(args.out, table.to_csv_string())
     return 0
 

@@ -152,15 +152,20 @@ def ecdf(p, t) -> float:
     return float(np.count_nonzero(values <= float(t)) / values.size)
 
 
+def _estimate_from_count(k, m, lam, variant):
+    """Estimator value when k of m p-values (k may be expected, or an array) are <= lambda."""
+    est = (1.0 - k / m) / (1.0 - lam)
+    if variant == "storey_plus":
+        est += 1.0 / (m * (1.0 - lam))
+    return est
+
+
 def schweder_spjotvoll(p, cfg: EstimatorConfig) -> float:
     """Estimate the proportion of true nulls from marginal p-values."""
     values = _pvalue_array(p)
     if values.size < 2:
         raise ValueError("the estimator needs m >= 2 p-values")
-    est = (1.0 - ecdf(values, cfg.lam)) / (1.0 - cfg.lam)
-    if cfg.variant == "storey_plus":
-        est += 1.0 / (values.size * (1.0 - cfg.lam))
-    return est
+    return _estimate_from_count(int(np.count_nonzero(values <= cfg.lam)), values.size, cfg.lam, cfg.variant)
 
 
 def _check_lambda_c(lam, c):

@@ -7,30 +7,25 @@ the p-value level: copula uniforms are pushed through the exact marginal
 quantiles, which preserves the marginals while installing the copula.
 
 ``run_mc`` replays the estimator across a grid of randomization thresholds
-with a fixed replicate budget. Each replicate owns the derived stream
-``(seed, r * 2**16)`` for data generation and ``(seed, r * 2**16 + 1 + k)``
-for the randomization at grid point k, so results are bitwise identical for
-any worker count.
+with a fixed replicate budget. Given the LFC vector p, the estimator sees the
+randomized vector only through N = #{p_rand <= lambda}, and exactly
+N = #{p <= lambda*c} + Binomial(#{p >= c}, lambda) (first term 0 at c = 0),
+so each replicate sorts p once and draws one binomial per grid point.
+Replicate r owns the streams ``(seed, 2r)`` for data and ``(seed, 2r + 1)``
+for the binomials, so results are bitwise identical for any worker count.
 """
 
 from __future__ import annotations
 
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, schweder_spjotvoll
-from .pvalues import (
-    MarginalLaw,
-    PValueVector,
-    RandomizationRule,
-    TwoSampleTLaw,
-    ZTestLaw,
-    randomize_vector,
-    randomized_cdf,
-)
+from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _estimate_from_count
+from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, randomized_cdf
 from .statdist import RngStream, positive_stable_sample, std_normal_cdf, student_t_cdf
 
 __all__ = [
@@ -45,10 +40,6 @@ __all__ = [
 
 MODELS = ("z", "two_sample")
 DEPENDENCE = ("independent", "gumbel")
-
-# Sub-stream slots per replicate: slot 0 generates data, slot 1+k randomizes
-# at c_grid[k].
-_STREAM_STRIDE = 2**16
 
 
 @dataclass(frozen=True)
@@ -142,13 +133,11 @@ class SimulationPlan:
             raise ValueError("c_grid must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("c_grid must be strictly increasing")
-        if len(grid) >= _STREAM_STRIDE:
-            raise ValueError(f"c_grid is limited to {_STREAM_STRIDE - 1} points")
         object.__setattr__(self, "c_grid", grid)
         if int(self.replicates) != self.replicates or self.replicates < 1:
             raise ValueError("replicates must be a positive integer")
         object.__setattr__(self, "replicates", int(self.replicates))
-        if self.replicates * _STREAM_STRIDE >= 2**64:
+        if 2 * (self.replicates - 1) + 1 >= 2**64:  # last randomization stream id
             raise ValueError("replicate budget exceeds the stream id space")
         EstimatorConfig(self.lam, self.estimator_variant)  # reuse its validation
 
@@ -192,11 +181,8 @@ def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
         raise ValueError("m must be a positive integer")
     if not nu >= 1.0:
         raise ValueError("nu must be >= 1")
-    if nu == 1.0:
-        # Stable index 1 is the point mass at one, so V_j = exp(-E_j).
-        e = rng.generator.standard_exponential(int(m))
-        return np.exp(-e)
-    s = positive_stable_sample(1.0 / nu, rng)
+    # Stable index 1 is the point mass at one, so nu = 1 gives V_j = exp(-E_j).
+    s = 1.0 if nu == 1.0 else positive_stable_sample(1.0 / nu, rng)
     e = rng.generator.standard_exponential(int(m))
     return np.exp(-((e / s) ** (1.0 / nu)))
 
@@ -230,43 +216,50 @@ def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> PValueVector:
     return PValueVector(p, kind="lfc")
 
 
+def _grid_counts(p_sorted: np.ndarray, lam: float, c: np.ndarray):
+    """Per threshold, ``#{p <= lambda*c}`` (zero at c = 0) and ``#{p >= c}``."""
+    n_low = np.where(c > 0.0, np.searchsorted(p_sorted, lam * c, side="right"), 0)
+    n_up_trials = p_sorted.size - np.searchsorted(p_sorted, c, side="left")
+    return n_low, n_up_trials
+
+
 def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
-    cfg = EstimatorConfig(plan.lam, plan.estimator_variant)
-    out = np.empty((stop - start, len(plan.c_grid)))
+    c = np.asarray(plan.c_grid)
+    out = np.empty((stop - start, c.size))
     for r in range(start, stop):
-        data_rng = RngStream(plan.seed, r * _STREAM_STRIDE)
-        p = gen_lfc_pvalues(plan.spec, data_rng)
-        for k, c in enumerate(plan.c_grid):
-            u_rng = RngStream(plan.seed, r * _STREAM_STRIDE + 1 + k)
-            prand = randomize_vector(p, RandomizationRule.constant(c), u_rng)
-            out[r - start, k] = schweder_spjotvoll(prand, cfg)
+        p = np.sort(gen_lfc_pvalues(plan.spec, RngStream(plan.seed, 2 * r)).values)
+        n_low, n_up_trials = _grid_counts(p, plan.lam, c)
+        n_up = RngStream(plan.seed, 2 * r + 1).generator.binomial(n_up_trials, plan.lam)
+        out[r - start] = _estimate_from_count(n_low + n_up, p.size, plan.lam, plan.estimator_variant)
     return out
+
+
+def _blocks(reps: int, workers: int) -> list:
+    """Contiguous non-empty replicate ranges, one per worker and at most one per CPU."""
+    n = min(workers, reps, os.cpu_count() or 1)
+    bounds = np.linspace(0, reps, n + 1).astype(int)
+    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     """Replay the estimator across the threshold grid.
 
-    Every replicate generates one LFC p-value vector and re-randomizes it
-    with a fresh uniform sub-stream per grid point. The per-replicate
-    estimates land in a preallocated matrix indexed by (replicate, grid
-    point), so the aggregation (and hence the summary) does not depend on
-    how replicates were scheduled across workers.
+    Every replicate generates one LFC p-value vector and draws the count of
+    randomized p-values at or below lambda for each grid point. The
+    per-replicate estimates land in a matrix indexed by (replicate, grid
+    point) in replicate order, so the aggregation (and hence the summary)
+    does not depend on how replicates were scheduled across workers.
     """
+    if int(workers) != workers or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     reps = plan.replicates
-    if workers <= 1:
+    blocks = _blocks(reps, int(workers))
+    if len(blocks) == 1:
         mat = _replicate_block(plan, 0, reps)
     else:
-        workers = min(workers, reps)
-        bounds = np.linspace(0, reps, workers + 1).astype(int)
-        mat = np.empty((reps, len(plan.c_grid)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_replicate_block, plan, int(a), int(b)): (int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            }
-            for fut, (a, b) in futures.items():
-                mat[a:b] = fut.result()
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            futures = [pool.submit(_replicate_block, plan, a, b) for a, b in blocks]
+            mat = np.concatenate([fut.result() for fut in futures])
     pi0 = plan.spec.pi0
     mean = mat.mean(axis=0)
     variance = mat.var(axis=0)

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .pi0 import EstimatorConfig, _estimate_from_count
 from .pvalues import PValueVector
 
 __all__ = [
@@ -122,16 +123,12 @@ def select_c0(p_lfc: PValueVector, lam: float = 0.5) -> SelectionResult:
     i = int(np.argmax(g))
     c0 = float(cands.points[i])
     g_max = float(g[i])
-    cond = (1.0 - g_max / p_lfc.m) / (1.0 - lam)
+    cond = _estimate_from_count(g_max, p_lfc.m, lam, "plain")
     return SelectionResult(c0, g_max, cond)
 
 
 def conditional_expectation(p_lfc: PValueVector, lam: float, c: float, variant: str = "plain") -> float:
     """Conditional expectation of the estimator given the observed p-values."""
     g = g_value(p_lfc, lam, c)
-    value = (1.0 - g / p_lfc.m) / (1.0 - lam)
-    if variant == "storey_plus":
-        value += 1.0 / (p_lfc.m * (1.0 - lam))
-    elif variant != "plain":
-        raise ValueError(f"unknown estimator variant {variant!r}")
-    return value
+    EstimatorConfig(lam, variant)  # reuse its validation
+    return _estimate_from_count(g, p_lfc.m, lam, variant)

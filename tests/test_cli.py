@@ -142,6 +142,11 @@ class TestSimulate:
         run_cli(capsys, *args, "--out", str(o2))
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_bad_workers_rejected(self, capsys):
+        for bad in ("0", "-5"):
+            code, _, err = run_cli(capsys, *self.ARGS[:-4], "--reps", "10", "--workers", bad)
+            assert code == 2 and "--workers" in err and err.count("\n") == 1
+
     def test_bad_pi0(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--pi0", "1.4", "--reps", "10")
         assert code == 2 and "--pi0" in err
@@ -199,6 +204,15 @@ class TestCurvesAndCstar:
         lines = out_path.read_text().strip().split("\n")
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header.startswith("t,c=0")
+
+    def test_bad_grid_rejected(self, capsys):
+        for grid in ("0,2", "0.5,0.2"):
+            code, _, err = run_cli(capsys, "curves", *self.STUDY, "--c-grid", grid)
+            assert code == 2 and "--c-grid" in err and err.count("\n") == 1
+
+    def test_cdf_zero_t_points_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "curves", "--quantity", "cdf", "--t-points", "0")
+        assert code == 2 and "--t-points" in err and err.count("\n") == 1
 
     def test_bad_resolution(self, capsys):
         code, _, err = run_cli(capsys, "cstar", *self.STUDY, "--resolution", "0.1")

@@ -1,20 +1,26 @@
+import os
+
 import numpy as np
 import pytest
-from scipy.stats import kendalltau
+from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
 
 from _oracles import dkw_band, ks_critical
-from pi0rand.pi0 import h_curve
-from pi0rand.pvalues import ZTestLaw
+from pi0rand.pi0 import _estimate_from_count, h_curve
+from pi0rand.pvalues import PValueVector, RandomizationRule, ZTestLaw, randomize_vector
 from pi0rand.simkit import (
     McSummary,
     ModelSpec,
     SimulationPlan,
+    _blocks,
+    _grid_counts,
+    _replicate_block,
     cdf_curves,
     gen_lfc_pvalues,
     gumbel_uniforms,
     run_mc,
 )
 from pi0rand.statdist import RngStream
+from pi0rand.tuning import conditional_expectation, g_value
 
 
 def _ks_uniform(sample):
@@ -201,6 +207,26 @@ class TestRunMc:
         with pytest.raises(ValueError):
             self.small_plan(lam=1.0)
 
+    def test_workers_validation(self):
+        for bad in (0, -5, 1.5):
+            with pytest.raises(ValueError):
+                run_mc(self.small_plan(replicates=2), workers=bad)
+
+    def test_block_bounds(self):
+        # The pool size is capped at the CPU count; only the bounds are
+        # computed here, no pool is started.
+        cpus = os.cpu_count() or 1
+        for reps, workers in ((1, 1), (1, 8), (120, 3), (7, 10**6), (10_000, 10**6)):
+            blocks = _blocks(reps, workers)
+            assert len(blocks) == min(workers, reps, cpus)
+            assert blocks[0][0] == 0 and blocks[-1][1] == reps
+            assert all(b > a for a, b in blocks)
+            assert all(x[1] == y[0] for x, y in zip(blocks, blocks[1:]))
+
+    def test_long_grid(self):
+        plan = self.small_plan(c_grid=tuple(np.linspace(0.0, 1.0, 70_000)), replicates=2)
+        assert run_mc(plan).mean.shape == (70_000,)
+
     def test_csv_schema(self):
         summary = run_mc(self.small_plan(replicates=50))
         lines = summary.to_csv_string().strip().split("\n")
@@ -208,6 +234,78 @@ class TestRunMc:
         assert lines[header_at] == "c,mean,variance,mse,bias,se_mean"
         assert len(lines) == header_at + 1 + 6
         assert any(ln.startswith("# seed=") for ln in lines[:header_at])
+
+
+def _merged_histograms(a, b, m, min_count=10):
+    """Two count samples histogrammed over 0..m, sparse adjacent bins merged."""
+    rows, acc = [], np.zeros(2)
+    for cell in zip(np.bincount(a, minlength=m + 1), np.bincount(b, minlength=m + 1)):
+        acc = acc + cell
+        if acc.sum() >= min_count:
+            rows.append(acc)
+            acc = np.zeros(2)
+    rows[-1] = rows[-1] + acc
+    return np.array(rows).T
+
+
+class TestCountingKernel:
+    """N = #{p_rand <= lambda} drawn as #{p <= lambda*c} + Binomial(#{p >= c}, lambda)."""
+
+    def test_counts_match_explicit_randomization(self):
+        # At m = 20 the kernel's N and the N of an explicitly randomized
+        # vector, on the same LFC vectors, agree in law at every threshold.
+        spec = study_spec(m=20)
+        plan = SimulationPlan(spec=spec, lam=0.5, c_grid=(0.0, 0.2, 0.3276, 0.6, 1.0),
+                              replicates=3000, seed=61)
+        est = _replicate_block(plan, 0, plan.replicates)
+        n_kernel = np.rint(spec.m * (1.0 - est * (1.0 - plan.lam))).astype(int)
+        n_explicit = np.empty_like(n_kernel)
+        rng = RngStream(62, 0)
+        for r in range(plan.replicates):
+            p = gen_lfc_pvalues(spec, RngStream(plan.seed, 2 * r))
+            for k, c in enumerate(plan.c_grid):
+                prand = randomize_vector(p, RandomizationRule.constant(c), rng)
+                n_explicit[r, k] = np.count_nonzero(prand.values <= plan.lam)
+        for k in range(len(plan.c_grid)):
+            table = _merged_histograms(n_kernel[:, k], n_explicit[:, k], spec.m)
+            assert chi2_contingency(table).pvalue > 1e-3
+
+    def test_rao_blackwell_identity(self):
+        # Averaging N over the binomial draw gives g(lambda, c), hence the
+        # conditional expectation of the estimator given p.
+        lam, c = 0.5, np.linspace(0.0, 1.0, 21)
+        spec = study_spec()
+        for i in range(5):
+            p = gen_lfc_pvalues(spec, RngStream(63, i))
+            n_low, n_up_trials = _grid_counts(np.sort(p.values), lam, c)
+            mean_n = n_low + lam * n_up_trials
+            g = np.array([g_value(p, lam, ck) for ck in c])
+            np.testing.assert_allclose(mean_n, g, rtol=1e-12, atol=0.0)
+            cond = np.array([conditional_expectation(p, lam, ck) for ck in c])
+            np.testing.assert_allclose(_estimate_from_count(mean_n, p.m, lam, "plain"), cond,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_exact_zeros_and_ones(self):
+        values = np.array([0.0, 0.0, 0.2, 0.5, 0.7, 1.0, 1.0, 1.0])
+        lam, m = 0.5, values.size
+        n_low, n_up_trials = _grid_counts(values, lam, np.array([0.0, 1.0]))
+        # c = 0 replaces every p-value, so N is a pure Binomial(m, lambda);
+        # c = 1 keeps all p-values below one and replaces the exact ones.
+        assert (n_low[0], n_up_trials[0]) == (0, m)
+        assert (n_low[1], n_up_trials[1]) == (4, 3)
+        p = PValueVector(values, kind="lfc")
+        draws = 4000
+        for k, c in enumerate((0.0, 1.0)):
+            rng = RngStream(64, k)
+            n = np.array([
+                np.count_nonzero(randomize_vector(p, RandomizationRule.constant(c), rng).values <= lam)
+                for _ in range(draws)
+            ])
+            extra = n - n_low[k]
+            assert extra.min() >= 0 and extra.max() <= n_up_trials[k]
+            expected = draws * binom.pmf(np.arange(n_up_trials[k] + 1), n_up_trials[k], lam)
+            observed = np.bincount(extra, minlength=n_up_trials[k] + 1)
+            assert chisquare(observed, expected).pvalue > 1e-3
 
 
 class TestCdfCurves:

@@ -20,11 +20,11 @@ import sys
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, cstar_search, h_curve, schweder_spjotvoll
+from .pi0 import EstimatorConfig, _csv_text, cstar_search, h_curve, schweder_spjotvoll
 from .pvalues import PValueVector, RandomizationRule, randomize_vector
 from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
 from .statdist import RngStream
-from .tuning import candidate_set, conditional_expectation, select_c0
+from .tuning import conditional_expectation, select_c0
 
 __all__ = ["main"]
 
@@ -40,6 +40,10 @@ def _read_pvalue_csv(path):
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
     lines = raw.replace("\r\n", "\n").split("\n")
+    values = _bulk_column([s for s in map(str.strip, lines) if s and s[0] != "#"])
+    if values is not None and len(values) >= 2:
+        return values
+    # Some row is bad: parse row by row to name the first one by its physical line number.
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
     if not rows:
         raise CliError(f"{path}: empty input")
@@ -63,6 +67,24 @@ def _read_pvalue_csv(path):
     if len(values) < 2:
         raise CliError(f"{path}: need at least two p-values, got {len(values)}")
     return np.array(values)
+
+
+def _bulk_column(rows):
+    """The p_lfc column read with ``float`` in bulk passes, or None if any row is bad."""
+    columns = [col.strip() for col in rows[0].split(",")] if rows else []
+    if "p_lfc" not in columns:
+        return None
+    cells, col = rows[1:], columns.index("p_lfc")
+    if len(columns) > 1:
+        split = [row.split(",") for row in cells]
+        if any(len(fields) != len(columns) for fields in split):
+            return None
+        cells = [fields[col] for fields in split]
+    try:  # float() rejects commas, so a one-column row with extra fields fails here
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    return values if np.all((values >= 0.0) & (values <= 1.0)) else None
 
 
 def _parse_grid(text):
@@ -98,30 +120,13 @@ def _model_spec(args):
     if args.m < 2:
         raise CliError(f"--m must be >= 2, got {args.m}")
     n_null = int(round(args.pi0 * args.m))
-    groups = []
-    if n_null > 0:
-        groups.append((n_null, args.theta_null))
-    if args.m - n_null > 0:
-        groups.append((args.m - n_null, args.theta_alt))
-    model = "z" if args.model == "z" else "two_sample"
+    groups = tuple(g for g in ((n_null, args.theta_null), (args.m - n_null, args.theta_alt)) if g[0] > 0)
+    if args.model == "z":
+        design = {"model": "z", "n": args.n}
+    else:
+        design = {"model": "two_sample", "n1": args.n1, "n2": args.n2, "sigma": args.sigma}
     try:
-        if model == "z":
-            return ModelSpec(
-                model="z",
-                groups=tuple(groups),
-                n=args.n,
-                dependence=args.copula,
-                nu=args.nu,
-            )
-        return ModelSpec(
-            model="two_sample",
-            groups=tuple(groups),
-            n1=args.n1,
-            n2=args.n2,
-            sigma=args.sigma,
-            dependence=args.copula,
-            nu=args.nu,
-        )
+        return ModelSpec(groups=groups, dependence=args.copula, nu=args.nu, **design)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -148,7 +153,6 @@ def _cmd_analyze(args):
     values = _read_pvalue_csv(args.input)
     p = PValueVector(values, kind="external")
     sel = select_c0(p, lam)
-    cands = candidate_set(p, lam)
     variant = args.variant.replace("-", "_")
     cfg = EstimatorConfig(lam, variant)
     rng = RngStream(args.seed, 0)
@@ -160,7 +164,7 @@ def _cmd_analyze(args):
         f"m = {p.m}",
         f"lambda = {lam!r}",
         f"variant = {variant}",
-        f"candidates = {len(cands)}",
+        f"candidates = {sel.candidates}",
         f"c0 = {sel.c0!r}",
         f"g_max = {sel.g_max!r}",
         f"conditional_expectation_at_c0 = {cond!r}",
@@ -169,15 +173,9 @@ def _cmd_analyze(args):
     ]
     print("\n".join(lines))
     if args.out:
-        buf = [
-            "# kind=randomized",
-            f"# lambda={lam!r}",
-            f"# c0={sel.c0!r}",
-            f"# seed={args.seed}",
-            "p_lfc",
-        ]
-        buf.extend(repr(float(v)) for v in prand.values)
-        _write_text(args.out, "\n".join(buf) + "\n")
+        meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": args.seed}
+        body = "\n".join(map(repr, prand.values.tolist()))  # one column: skip _csv_text's per-row join
+        _write_text(args.out, _csv_text(meta, ["p_lfc"], []) + body + "\n")
     return 0
 
 

@@ -18,7 +18,6 @@ marginals only, never on the dependence structure.
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -85,6 +84,14 @@ class PopulationSpec:
         return hashlib.sha1(repr(self.groups).encode()).hexdigest()[:12]
 
 
+def _csv_text(metadata: dict, header, columns) -> str:
+    """``# key=value`` lines, the header row, then the columns row by row as ``repr(float)``."""
+    lines = [f"# {key}={val}" for key, val in metadata.items()] + [",".join(header)]
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class CurveTable:
     """Tabulated curve(s) over a strictly increasing abscissa.
@@ -123,14 +130,7 @@ class CurveTable:
         return self.values[name]
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        for key, val in self.metadata.items():
-            buf.write(f"# {key}={val}\n")
-        buf.write(",".join([self.x_name, *self.values.keys()]) + "\n")
-        cols = [self.x, *self.values.values()]
-        for row in zip(*cols):
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
+        return _csv_text(self.metadata, [self.x_name, *self.values], [self.x, *self.values.values()])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -17,14 +17,13 @@ for the binomials, so results are bitwise identical for any worker count.
 
 from __future__ import annotations
 
-import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _estimate_from_count
+from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count
 from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, randomized_cdf
 from .statdist import RngStream, positive_stable_sample, std_normal_cdf, student_t_cdf
 
@@ -157,14 +156,8 @@ class McSummary:
     metadata: dict = field(default_factory=dict)
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        for key, val in self.metadata.items():
-            buf.write(f"# {key}={val}\n")
-        buf.write("c,mean,variance,mse,bias,se_mean\n")
         cols = [self.c_grid, self.mean, self.variance, self.mse, self.bias, self.se_mean]
-        for row in zip(*cols):
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        return buf.getvalue()
+        return _csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
-from scipy import stats as _stats
 
 __all__ = [
     "RngStream",
@@ -137,7 +136,7 @@ def noncentral_t_quantile(p, df, ncp):
         raise ValueError("p must lie strictly inside (0, 1)")
     if ncp == 0.0:
         return student_t_quantile(p, idf)
-    return _match_input(_stats.nct.ppf(arr, idf, ncp), p)
+    return _match_input(_special.nctdtrit(idf, ncp, arr), p)
 
 
 def positive_stable_sample(alpha, rng: RngStream, size=None):

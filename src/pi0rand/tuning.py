@@ -92,39 +92,46 @@ def g_values(p_lfc: PValueVector, lam: float, cs) -> np.ndarray:
     return lam * n_ge + n_le
 
 
+def _candidate_points(values: np.ndarray, lam: float) -> np.ndarray:
+    """Sorted, deduplicated {0, 1} U {p_j} U {p_j / lambda <= 1}."""
+    q = values / lam
+    points = np.unique(np.concatenate([[0.0, 1.0], values, q[q <= 1.0]]))
+    points[0] = 0.0  # the endpoint, even when some p_j is -0.0
+    return points
+
+
 def candidate_set(p_lfc: PValueVector, lam: float) -> CandidateSet:
     """Build {p_j} and {p_j / lambda} clipped to [0, 1], plus the endpoints."""
     lam = _check_lambda(lam)
-    tagged = {0.0: "grid", 1.0: "grid"}
-    for v in p_lfc.values / lam:
-        if v <= 1.0:
-            tagged[float(v)] = "p/lambda"
-    for v in p_lfc.values:
-        tagged[float(v)] = "p"
-    points = np.array(sorted(tagged), dtype=float)
-    sources = tuple(tagged[p] for p in points)
-    return CandidateSet(points, sources)
+    values = p_lfc.values
+    points = _candidate_points(values, lam)
+    # A point with several sources takes the first tag of CANDIDATE_SOURCES.
+    tag = np.where(np.isin(points, values), 0, np.where(np.isin(points, values / lam), 1, 2))
+    return CandidateSet(points, tuple(np.array(CANDIDATE_SOURCES)[tag].tolist()))
 
 
 class SelectionResult(NamedTuple):
     c0: float
     g_max: float
     conditional_expectation: float
+    candidates: int
 
 
 def select_c0(p_lfc: PValueVector, lam: float = 0.5) -> SelectionResult:
     """Pick the smallest maximizer of g over the candidate set.
 
     Pure function of ``(p_lfc, lambda)``; the returned conditional
-    expectation is the plain-variant value at the selected threshold.
+    expectation is the plain-variant value at the selected threshold, and
+    ``candidates`` is the size of the candidate set.
     """
-    cands = candidate_set(p_lfc, lam)
-    g = g_values(p_lfc, lam, cands.points)
+    lam = _check_lambda(lam)
+    points = _candidate_points(p_lfc.values, lam)
+    g = g_values(p_lfc, lam, points)
     i = int(np.argmax(g))
-    c0 = float(cands.points[i])
+    c0 = float(points[i])
     g_max = float(g[i])
     cond = _estimate_from_count(g_max, p_lfc.m, lam, "plain")
-    return SelectionResult(c0, g_max, cond)
+    return SelectionResult(c0, g_max, cond, points.size)
 
 
 def conditional_expectation(p_lfc: PValueVector, lam: float, c: float, variant: str = "plain") -> float:

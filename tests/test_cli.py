@@ -1,6 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pi0rand import cli
 from pi0rand.cli import main
 
 HAND_CSV = "p_lfc\n0.1\n0.2\n0.6\n0.8\n"
@@ -94,6 +100,139 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope.csv"))
         assert code == 2
 
+
+
+class TestAnalyzeParsing:
+    """The bulk parse and the row-by-row fallback report the same first error."""
+
+    @staticmethod
+    def analyze_text(capsys, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        return run_cli(capsys, "analyze", str(path))
+
+    def test_deep_bad_value_names_physical_line(self, capsys, tmp_path):
+        rows = [repr(v) for v in np.linspace(0.0, 1.0, 2000).tolist()]
+        rows[1700] = "0.3x"
+        code, _, err = self.analyze_text(capsys, tmp_path, "p_lfc\n" + "\n".join(rows) + "\n")
+        assert code == 2 and err.count("\n") == 1
+        assert "row 1702: p_lfc value '0.3x' is not a number" in err
+
+    def test_comments_and_blanks_count_in_line_number(self, capsys, tmp_path):
+        text = "# produced by a test\n\np_lfc\n0.1\n\n   \n# mid-file comment\n0.2\n1.5\n0.3\n"
+        code, _, err = self.analyze_text(capsys, tmp_path, text)
+        assert code == 2 and "row 9: p_lfc value 1.5 outside [0, 1]" in err
+
+    def test_nan_and_inf_out_of_range(self, capsys, tmp_path):
+        for bad in ("nan", "inf", "-inf"):
+            code, _, err = self.analyze_text(capsys, tmp_path, f"p_lfc\n0.1\n{bad}\n0.3\n")
+            assert code == 2 and "row 3" in err and "outside [0, 1]" in err
+
+    def test_multi_column_with_p_lfc_second(self, capsys, tmp_path):
+        single = self.analyze_text(capsys, tmp_path, HAND_CSV)
+        # A numeric first column must not be mistaken for p_lfc.
+        rows = "".join(f"0.5, {v} ,x\n" for v in HAND_CSV.split()[1:])
+        multi = self.analyze_text(capsys, tmp_path, "decoy,p_lfc,note\n" + rows)
+        assert multi == single and multi[0] == 0 and "m = 4" in multi[1]
+
+    def test_field_count_error_precedes_later_bad_number(self, capsys, tmp_path):
+        code, _, err = self.analyze_text(capsys, tmp_path, "p_lfc\n0.1\n0.2,0.3\n0.4\nabc\n")
+        assert code == 2 and "row 3: expected 1 fields" in err
+        code, _, err = self.analyze_text(capsys, tmp_path, "id,p_lfc\na,0.1\nb\nc,abc\n")
+        assert code == 2 and "row 3: expected 2 fields" in err
+
+
+def _parse_oracle(path, text):
+    """The original row-by-row parser: the values, or the message of the error it raises."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
+    if not rows:
+        return f"{path}: empty input"
+    header_no, header = rows[0]
+    columns = [col.strip() for col in header.split(",")]
+    if "p_lfc" not in columns:
+        return f"{path}: row {header_no}: header must contain a p_lfc column"
+    col = columns.index("p_lfc")
+    values = []
+    for line_no, line in rows[1:]:
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            return f"{path}: row {line_no}: expected {len(columns)} fields"
+        try:
+            v = float(fields[col])
+        except ValueError:
+            return f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number"
+        if not 0.0 <= v <= 1.0:
+            return f"{path}: row {line_no}: p_lfc value {v!r} outside [0, 1]"
+        values.append(v)
+    if len(values) < 2:
+        return f"{path}: need at least two p-values, got {len(values)}"
+    return np.array(values)
+
+
+_CELLS = ["0.5", " 0.25 ", "1", "0", "-0.0", "1e-5", "1_0", "0x1", "abc", "nan", "inf", "1.5", "0.1,0.2", "", "  ", "# c"]
+
+
+@given(
+    header=st.sampled_from(["p_lfc", "id,p_lfc", "value", "# only a comment"]),
+    cells=st.lists(st.sampled_from(_CELLS), max_size=8),
+    crlf=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_reader_agrees_with_row_by_row_oracle(header, cells, crlf):
+    # Same values bit for bit, or the same first-error diagnostic.
+    ncols = header.count(",") + 1
+    lines = [header] + [cell if ncols == 1 or cell.strip() in ("", "#") else f"k,{cell}" for cell in cells]
+    text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        want = _parse_oracle(path, text)
+        try:
+            got = cli._read_pvalue_csv(path)
+        except cli.CliError as exc:
+            got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_analyze_end_to_end_at_1e5(capsys, tmp_path):
+    # Independent numpy reference for the report; the output rows below c0
+    # must be exactly p / c0, and the file keeps the one-repr-per-row layout.
+    lam, seed, m = 0.5, 4, 100_000
+    rng = np.random.Generator(np.random.PCG64(2024))
+    p = np.concatenate([rng.beta(2.0, 1.0, 70_000), rng.beta(0.3, 4.0, m - 70_000)])
+    p[:3] = (0.0, 1.0, lam)
+    src, out = tmp_path / "p.csv", tmp_path / "out.csv"
+    src.write_text("p_lfc\n" + "".join(repr(v) + "\n" for v in p.tolist()))
+    code, text, err = run_cli(capsys, "analyze", str(src), "--lambda", repr(lam), "--seed", str(seed), "--out", str(out))
+    assert code == 0 and err == ""
+    report = dict(line.split(" = ") for line in text.strip().split("\n"))
+
+    q = p / lam
+    cands = np.unique(np.concatenate([[0.0, 1.0], p, q[q <= 1.0]]))
+    ps = np.sort(p)
+    g = lam * (m - np.searchsorted(ps, cands, side="left")) + np.searchsorted(ps, lam * cands, side="right")
+    i = int(np.argmax(g))
+    c0 = float(cands[i])
+    assert int(report["m"]) == m
+    assert int(report["candidates"]) == cands.size
+    assert float(report["c0"]) == c0
+    assert float(report["g_max"]) == float(g[i])
+    pi0_lfc = (1.0 - np.count_nonzero(p <= lam) / m) / (1.0 - lam)
+    assert float(report["pi0_hat_lfc"]) == pytest.approx(pi0_lfc, rel=1e-12)
+
+    body = out.read_text().split("\n")
+    assert body[:5] == ["# kind=randomized", f"# lambda={lam!r}", f"# c0={c0!r}", f"# seed={seed}", "p_lfc"]
+    rand = np.array([float(v) for v in body[5:-1]])
+    low = p < c0
+    assert rand.size == m and np.array_equal(rand[low], p[low] / c0)
+    assert np.all((rand >= 0.0) & (rand <= 1.0))
+    layout = "\n".join(body[:5]) + "\n" + "".join(repr(float(v)) + "\n" for v in rand)
+    assert out.read_bytes() == layout.encode()
 
 class TestSimulate:
     ARGS = (

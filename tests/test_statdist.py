@@ -139,6 +139,36 @@ class TestNoncentralT:
         x = noncentral_t_quantile(p, 8, 1.0)
         assert np.max(np.abs(noncentral_t_cdf(x, 8, 1.0) - p)) <= 1e-8
 
+    def test_quantile_bitwise_equals_scipy_stats(self):
+        # The quantile calls special.nctdtrit directly; it must reproduce
+        # scipy.stats.nct.ppf bit for bit, far tails and the q where the
+        # quantile crosses zero included.
+        from scipy import special, stats
+
+        tails = np.logspace(-300, -1, 301)
+        body = np.linspace(0.0, 1.0, 2001)[1:-1]
+        base = np.concatenate([tails, body, 1.0 - tails[tails > 1e-16], [1.0 - 1e-16]])
+        for df, ncp in ((1, -1.0), (5, 0.3), (18, -1.0), (18, 2.5), (60, 7.0)):
+            q0 = special.nctdtr(df, ncp, 0.0)
+            p = np.concatenate([base, q0 + np.arange(-20, 21) * np.spacing(q0)])
+            got = noncentral_t_quantile(p, df, ncp)
+            want = stats.nct.ppf(p, df, ncp)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            scalar = noncentral_t_quantile(float(p[7]), df, ncp)
+            assert isinstance(scalar, float) and scalar == want[7]
+
+    def test_cli_import_skips_scipy_stats(self):
+        # scipy.stats takes most of the CLI's start-up time and is not needed.
+        import os
+        import subprocess
+        import sys
+
+        code = "import pi0rand.cli, sys; assert 'scipy.stats' not in sys.modules"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestPositiveStable:
     def test_alpha_one_degenerate(self):

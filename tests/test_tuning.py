@@ -186,3 +186,68 @@ def test_candidate_max_dominates_any_grid(values, lam):
     probe = np.linspace(0.0, 1.0, 257)
     assert result.g_max >= float(np.max(g_values(p, lam, probe))) - 1e-12
     assert result.g_max == g_value(p, lam, result.c0)
+
+
+def _candidate_oracle(values, lam):
+    """The original dict loop: later insertions win, so "p" beats "p/lambda" beats "grid"."""
+    tagged = {0.0: "grid", 1.0: "grid"}
+    for v in values / lam:
+        if v <= 1.0:
+            tagged[float(v)] = "p/lambda"
+    for v in values:
+        tagged[float(v)] = "p"
+    points = np.array(sorted(tagged), dtype=float)
+    return points, tuple(tagged[p] for p in points)
+
+
+# Grid values make duplicates, exact 0 (of either sign) and 1, p = lambda (so p/lambda = 1)
+# and p_i / lambda == p_j likely; the floats in between cover the rest.
+_LAMS = [0.25, 0.5, 0.75, 0.3]
+_GRID_P = [0.0, -0.0, 1.0, 0.1, 0.2, 0.4, 0.8, 0.0625, 0.125, 0.1875, 0.25, 0.5, 0.75, 0.3, 0.09, 0.9]
+
+
+@given(
+    values=st.lists(st.one_of(st.sampled_from(_GRID_P), st.floats(0.0, 1.0)), min_size=2, max_size=40),
+    lam=st.sampled_from(_LAMS),
+)
+@settings(max_examples=300, deadline=None)
+def test_candidate_set_matches_dict_oracle(values, lam):
+    p = PValueVector(np.array(values))
+    points, sources = _candidate_oracle(p.values, lam)
+    cands = candidate_set(p, lam)
+    assert np.array_equal(cands.points, points)
+    assert np.array_equal(np.signbit(cands.points), np.signbit(points))
+    assert cands.sources == sources
+    assert select_c0(p, lam).candidates == len(cands)
+
+
+class TestCandidateEdgeCases:
+    def test_p_equal_lambda_maps_to_one(self):
+        # 0.5 / 0.5 == 1.0 is the endpoint: "p/lambda" beats "grid", and a
+        # p-value of exactly 1 beats both.
+        cands = candidate_set(PValueVector([0.5, 0.2]), 0.5)
+        assert np.array_equal(cands.points, [0.0, 0.2, 0.4, 0.5, 1.0])
+        assert cands.sources == ("grid", "p", "p/lambda", "p", "p/lambda")
+        cands = candidate_set(PValueVector([0.5, 1.0, 0.2]), 0.5)
+        assert cands.sources == ("grid", "p", "p/lambda", "p", "p")
+
+    def test_zero_p_value_and_negative_zero(self):
+        # -0.0 passes the [0, 1] check; the endpoint 0.0 keeps its sign.
+        for zero in (0.0, -0.0):
+            values = np.array([0.3, 0.7, zero, zero])
+            cands = candidate_set(PValueVector(values), 0.5)
+            assert cands.points[0] == 0.0 and not np.signbit(cands.points[0])
+            assert cands.sources[0] == "p"
+            assert select_c0(PValueVector(values), 0.5).c0 == 0.0
+            assert not np.signbit(select_c0(PValueVector(values), 0.5).c0)
+
+    def test_p_over_lambda_equals_other_p(self):
+        p = PValueVector([0.1, 0.2, 0.2, 0.6])
+        cands = candidate_set(p, 0.5)
+        assert cands.points.tolist() == [0.0, 0.1, 0.2, 0.4, 0.6, 1.0]
+        assert cands.sources == ("grid", "p", "p", "p/lambda", "p", "grid")
+
+    def test_selection_counts_candidates_at_scale(self):
+        p = PValueVector(RngStream(26, 0).generator.random(5000))
+        sel = select_c0(p, 0.5)
+        assert sel.candidates == len(candidate_set(p, 0.5)) == len(_candidate_oracle(p.values, 0.5)[0])

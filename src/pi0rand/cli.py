@@ -140,6 +140,12 @@ def _check_lambda(lam):
     return lam
 
 
+def _check_seed(seed):
+    if not 0 <= seed < 2**64:
+        raise CliError(f"--seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -150,12 +156,13 @@ def _write_text(path, text):
 
 def _cmd_analyze(args):
     lam = _check_lambda(args.lam)
+    seed = _check_seed(args.seed)
     values = _read_pvalue_csv(args.input)
     p = PValueVector(values, kind="external")
     sel = select_c0(p, lam)
     variant = args.variant.replace("-", "_")
     cfg = EstimatorConfig(lam, variant)
-    rng = RngStream(args.seed, 0)
+    rng = RngStream(seed, 0)
     prand = randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
     pi0_rand = schweder_spjotvoll(prand, cfg)
     pi0_lfc = schweder_spjotvoll(p, cfg)
@@ -173,7 +180,7 @@ def _cmd_analyze(args):
     ]
     print("\n".join(lines))
     if args.out:
-        meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": args.seed}
+        meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": seed}
         body = "\n".join(map(repr, prand.values.tolist()))  # one column: skip _csv_text's per-row join
         _write_text(args.out, _csv_text(meta, ["p_lfc"], []) + body + "\n")
     return 0
@@ -193,7 +200,7 @@ def _cmd_simulate(args):
             lam=lam,
             c_grid=tuple(grid),
             replicates=args.reps,
-            seed=args.seed,
+            seed=_check_seed(args.seed),
             estimator_variant=args.variant.replace("-", "_"),
         )
     except ValueError as exc:

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy import special as _special
 
 from .statdist import (
     RngStream,
-    noncentral_t_cdf,
-    noncentral_t_quantile,
+    _match_input,
+    _nct_inverse,
     std_normal_cdf,
     std_normal_quantile,
     student_t_cdf,
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 P_VALUE_KINDS = ("lfc", "randomized", "external")
+_TINY = np.finfo(float).tiny
 
 
 def _unit_interval(x, name):
@@ -63,19 +65,6 @@ def _unit_interval(x, name):
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1]")
     return arr
-
-
-def _unit_mapped(arr, transform):
-    """Apply ``transform`` on (0, 1), pinning the endpoints to 0 and 1."""
-    out = np.empty_like(arr, dtype=float)
-    lo = arr <= 0.0
-    hi = arr >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    if np.any(mid):
-        out[mid] = transform(arr[mid])
-    return out
 
 
 @dataclass(frozen=True)
@@ -154,8 +143,38 @@ class RandomizationRule:
         return np.full(size, self.low)
 
 
+class MarginalLaw:
+    """Law of an LFC p-value: its cdf and quantile on [0, 1].
+
+    Both map 0 to 0 and 1 to 1 and are the identity at the LFC, where the
+    subclass's ``_effect`` is 0; elsewhere the subclass supplies them on
+    (0, 1) through ``_cdf_inner`` and ``_quantile_inner``. Scalars in give
+    floats out.
+    """
+
+    @property
+    def is_null(self) -> bool:
+        return self._effect <= 0.0
+
+    def cdf(self, u):
+        return self._mapped(u, "u", self._cdf_inner)
+
+    def quantile(self, v):
+        return self._mapped(v, "v", self._quantile_inner)
+
+    def _mapped(self, x, name, inner):
+        arr = _unit_interval(x, name)
+        if self._effect == 0.0:
+            return _match_input(arr.astype(float, copy=True), x)
+        out = np.where(arr >= 1.0, 1.0, 0.0)  # the endpoints, pinned to +0.0 and 1.0
+        mid = (arr > 0.0) & (arr < 1.0)
+        if np.any(mid):
+            out[mid] = inner(arr[mid])
+        return _match_input(out, x)
+
+
 @dataclass(frozen=True)
-class ZTestLaw:
+class ZTestLaw(MarginalLaw):
     """Marginal law of the one-sided Z-test LFC p-value.
 
     The law depends on the effect and the sample size only through
@@ -170,33 +189,26 @@ class ZTestLaw:
             raise ValueError("theta_scaled must be finite")
 
     @property
-    def is_null(self) -> bool:
-        return self.theta_scaled <= 0.0
+    def _effect(self) -> float:
+        return self.theta_scaled
 
-    def cdf(self, u):
-        arr = _unit_interval(u, "u")
-        if self.theta_scaled == 0.0:
-            out = arr.astype(float, copy=True)
-        else:
-            out = _unit_mapped(arr, lambda x: std_normal_cdf(std_normal_quantile(x) + self.theta_scaled))
-        return float(out) if np.ndim(u) == 0 else out
+    def _cdf_inner(self, u):
+        return std_normal_cdf(std_normal_quantile(u) + self.theta_scaled)
 
-    def quantile(self, v):
-        arr = _unit_interval(v, "v")
-        if self.theta_scaled == 0.0:
-            out = arr.astype(float, copy=True)
-        else:
-            out = _unit_mapped(arr, lambda x: std_normal_cdf(std_normal_quantile(x) - self.theta_scaled))
-        return float(out) if np.ndim(v) == 0 else out
+    def _quantile_inner(self, v):
+        return std_normal_cdf(std_normal_quantile(v) - self.theta_scaled)
 
 
 @dataclass(frozen=True)
-class TwoSampleTLaw:
+class TwoSampleTLaw(MarginalLaw):
     """Marginal law of the pooled two-sample t-test LFC p-value.
 
-    Under the true parameter the statistic is non-central t with
-    ``ncp = sqrt(n1*n2/(n1+n2)) * theta / sigma``, so the p-value cdf is
-    ``u -> 1 - F_nct(F_t^{-1}(1 - u))``.
+    Under the true parameter the statistic T is non-central t with
+    ``ncp = sqrt(n1*n2/(n1+n2)) * theta / sigma``, and ``p = F_t(-T)``.
+    Since -T is non-central t with ``-ncp``, the cdf is
+    ``u -> F_nct(F_t^{-1}(u); -ncp)`` and the quantile
+    ``v -> F_t(F_nct^{-1}(v; -ncp))``: neither forms ``1 - u``, so both
+    keep their relative precision as u or v goes to 0.
     """
 
     ncp: float
@@ -210,35 +222,17 @@ class TwoSampleTLaw:
         object.__setattr__(self, "df", int(self.df))
 
     @property
-    def is_null(self) -> bool:
-        return self.ncp <= 0.0
+    def _effect(self) -> float:
+        return self.ncp
 
+    # Subnormal u and v carry no relative precision; both read them as the smallest normal float.
     def _cdf_inner(self, u):
-        x = student_t_quantile(1.0 - u, self.df)
-        return 1.0 - noncentral_t_cdf(x, self.df, self.ncp)
+        x = student_t_quantile(np.maximum(u, _TINY), self.df)
+        f = _special.nctdtr(self.df, -self.ncp, x)
+        return np.where(np.isnan(f), x > 0.0, f)  # far in a tail nctdtr's series gives NaN for 0 or 1
 
     def _quantile_inner(self, v):
-        x = noncentral_t_quantile(1.0 - v, self.df, self.ncp)
-        return 1.0 - student_t_cdf(x, self.df)
-
-    def cdf(self, u):
-        arr = _unit_interval(u, "u")
-        if self.ncp == 0.0:
-            out = arr.astype(float, copy=True)
-        else:
-            out = _unit_mapped(arr, self._cdf_inner)
-        return float(out) if np.ndim(u) == 0 else out
-
-    def quantile(self, v):
-        arr = _unit_interval(v, "v")
-        if self.ncp == 0.0:
-            out = arr.astype(float, copy=True)
-        else:
-            out = _unit_mapped(arr, self._quantile_inner)
-        return float(out) if np.ndim(v) == 0 else out
-
-
-MarginalLaw = Union[ZTestLaw, TwoSampleTLaw]
+        return _special.stdtr(self.df, _nct_inverse(np.maximum(v, _TINY), self.df, -self.ncp))
 
 
 def lfc_pvalue_z(t_stat, n):
@@ -249,7 +243,7 @@ def lfc_pvalue_z(t_stat, n):
     if not np.all(np.isfinite(arr)):
         raise ValueError("t_stat must be finite")
     out = std_normal_cdf(-np.sqrt(float(n)) * arr)
-    return float(out) if np.ndim(t_stat) == 0 else out
+    return _match_input(out, t_stat)
 
 
 def lfc_pvalue_t(t_stat, df):
@@ -258,7 +252,7 @@ def lfc_pvalue_t(t_stat, df):
     if not np.all(np.isfinite(arr)):
         raise ValueError("t_stat must be finite")
     out = student_t_cdf(-arr, df)
-    return float(out) if np.ndim(t_stat) == 0 else out
+    return _match_input(out, t_stat)
 
 
 def randomize(p_lfc, u, rule: RandomizationRule, rng: Union[RngStream, None] = None):
@@ -300,7 +294,7 @@ def randomized_cdf(t, c, law: MarginalLaw):
     c_val = float(_unit_interval(c, "c"))
     f_c = float(law.cdf(c_val))
     out = t_arr * (1.0 - f_c) + law.cdf(t_arr * c_val)
-    return float(out) if np.ndim(t) == 0 else out
+    return _match_input(out, t)
 
 
 def _ascending_grid(grid, name, lo_open=True):

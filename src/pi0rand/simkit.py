@@ -4,7 +4,10 @@ Two generating models are supported: one-sided Z-tests (per-hypothesis mean
 of n unit-variance normals) and the pooled two-sample t-test. The LFC
 p-values can be made dependent through a Gumbel-Hougaard copula, imposed at
 the p-value level: copula uniforms are pushed through the exact marginal
-quantiles, which preserves the marginals while installing the copula.
+quantiles, which preserves the marginals while installing the copula. The
+two-sample quantile inverts the non-central t cdf through a table cached
+per law and per process; the table is a function of the law alone, so it
+leaves the worker-count invariance below intact.
 
 ``run_mc`` replays the estimator across a grid of randomization thresholds
 with a fixed replicate budget. Given the LFC vector p, the estimator sees the

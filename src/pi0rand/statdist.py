@@ -11,10 +11,12 @@ domains raise ``ValueError``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
+from scipy.special._ufuncs import _nct_pdf  # nct.pdf's kernel, without importing scipy.stats
 
 __all__ = [
     "RngStream",
@@ -103,12 +105,21 @@ def student_t_cdf(x, df):
 
 
 def student_t_quantile(p, df):
-    """Quantile of the central Student-t distribution."""
+    """Quantile of the central Student-t distribution.
+
+    ``stdtrit`` fails far in the lower tail for some df (at df = 3 it is 7x
+    off at p = 1e-200 and +inf below 1e-238), so entries whose round trip
+    misses p by over 1e-12 relative are redone by ``_nct_search``.
+    """
     idf = _checked_df(df)
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
-    return _match_input(_special.stdtrit(idf, arr), p)
+    x = np.asarray(_special.stdtrit(idf, arr))
+    redo = ~(np.abs(_special.stdtr(idf, x) - arr) <= 1e-12 * arr)
+    if np.any(redo):
+        x[redo] = _nct_search(idf, 0.0, arr[redo])
+    return _match_input(x, p)
 
 
 def noncentral_t_cdf(x, df, ncp):
@@ -137,6 +148,74 @@ def noncentral_t_quantile(p, df, ncp):
     if ncp == 0.0:
         return student_t_quantile(p, idf)
     return _match_input(_special.nctdtrit(idf, ncp, arr), p)
+
+
+_SEARCH_EDGE = 2.0**511  # nctdtrit searches |y| <= 2**512 only
+
+
+def _nct_search(df, ncp, v):
+    """``nctdtrit`` on an array v in (0, 1), continued where it cannot answer.
+
+    Below -2**511 the lower tail is the power law F(y) = F(y1) (y / y1)**-df
+    to double precision, so y follows from F at y1 = -2**511. A NaN from
+    the search (v subnormal, say) is read as -inf or +inf by the side of v.
+    """
+    y = _special.nctdtrit(df, ncp, v)
+    far = y < -_SEARCH_EDGE
+    if np.any(far):
+        with np.errstate(over="ignore"):  # y = -inf where it leaves the doubles
+            y[far] = -_SEARCH_EDGE * np.fmax(_special.nctdtr(df, ncp, -_SEARCH_EDGE) / v[far], 1.0) ** (1.0 / df)
+    lost = np.isnan(y)
+    y[lost] = np.where(v[lost] < 0.5, -np.inf, np.inf)
+    return y
+
+
+# Inverse table of the non-central t cdf: nodes uniform in z = Phi^{-1}(v).
+_INV_Z = np.linspace(-8.0, 8.0, 257)
+_INV_H = _INV_Z[1] - _INV_Z[0]
+_INV_STEP_RTOL = 1e-6
+
+
+@functools.lru_cache(maxsize=16)
+def _nct_inverse_table(df, ncp):
+    """Cubic coefficients, one column per interval, of asinh(y) as a function of z.
+
+    The nodes are y = F_nct^{-1}(Phi(z)) from ``nctdtrit``, Newton-polished,
+    with slopes dy/dz = phi(z) / f_nct(y); interpolating asinh(y) rather
+    than y keeps the power-law tails of small df as smooth in z as the body.
+    """
+    v = _special.ndtr(_INV_Z)
+    y = _special.nctdtrit(df, ncp, v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero density spoils its nodes, and the check catches them
+        y = y - (_special.nctdtr(df, ncp, y) - v) / _nct_pdf(y, df, ncp)
+        w = np.arcsinh(y)
+        dw = _INV_H * np.exp(-0.5 * _INV_Z**2) / np.sqrt(2.0 * np.pi) / (_nct_pdf(y, df, ncp) * np.hypot(1.0, y))
+        dp = np.diff(w)
+    return np.array([w[:-1], dw[:-1], 3.0 * dp - 2.0 * dw[:-1] - dw[1:], dw[:-1] + dw[1:] - 2.0 * dp])
+
+
+def _nct_inverse(v, df, ncp):
+    """The y with ``nctdtr(df, ncp, y) = v``, for an array v in (0, 1).
+
+    A cubic Hermite guess from the per-law table, then one Newton step. An
+    entry is redone by ``_nct_search`` if |Phi^{-1}(v)| > 8 (outside
+    the table), if the result is not finite, or if the Newton step exceeds
+    1e-6 * max(|y|, 1): a step that small leaves an error of order its
+    square, so every value kept from the table has passed that check.
+    """
+    z = _special.ndtri(v)
+    s = (np.clip(z, _INV_Z[0], _INV_Z[-1]) - _INV_Z[0]) / _INV_H
+    k = np.minimum(s.astype(np.intp), _INV_Z.size - 2)
+    s -= k
+    a, b, c, d = _nct_inverse_table(df, ncp)[:, k]
+    y = np.sinh(a + s * (b + s * (c + s * d)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = (_special.nctdtr(df, ncp, y) - v) / _nct_pdf(y, df, ncp)
+        y -= step
+    redo = ~(np.abs(step) <= _INV_STEP_RTOL * np.maximum(np.abs(y), 1.0)) | ~np.isfinite(y) | (np.abs(z) > _INV_Z[-1])
+    if np.any(redo):
+        y[redo] = _nct_search(df, ncp, v[redo])
+    return y
 
 
 def positive_stable_sample(alpha, rng: RngStream, size=None):

@@ -364,3 +364,18 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["cstar", "--bogus", "1"]) == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_out_of_range_seed_exits_2(capsys, hand_file, command, seed):
+    argv = (command, hand_file) if command == "analyze" else (command, "--m", "10", "--reps", "2")
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed must be an unsigned 64-bit integer, got {seed}\n"
+
+
+def test_largest_seed_is_accepted(capsys, hand_file):
+    seed = str(2**64 - 1)
+    assert run_cli(capsys, "analyze", hand_file, "--seed", seed)[0] == 0
+    assert run_cli(capsys, "simulate", "--m", "10", "--reps", "2", "--seed", seed)[0] == 0

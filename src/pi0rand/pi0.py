@@ -160,6 +160,13 @@ def _estimate_from_count(k, m, lam, variant):
     return est
 
 
+def _grid_counts(p_sorted: np.ndarray, lam: float, c: np.ndarray):
+    """Per threshold, ``#{p <= lambda*c}`` (zero at c = 0) and ``#{p >= c}``."""
+    n_low = np.where(c > 0.0, np.searchsorted(p_sorted, lam * c, side="right"), 0)
+    n_up_trials = p_sorted.size - np.searchsorted(p_sorted, c, side="left")
+    return n_low, n_up_trials
+
+
 def schweder_spjotvoll(p, cfg: EstimatorConfig) -> float:
     """Estimate the proportion of true nulls from marginal p-values."""
     values = _pvalue_array(p)

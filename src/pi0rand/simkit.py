@@ -13,9 +13,12 @@ leaves the worker-count invariance below intact.
 with a fixed replicate budget. Given the LFC vector p, the estimator sees the
 randomized vector only through N = #{p_rand <= lambda}, and exactly
 N = #{p <= lambda*c} + Binomial(#{p >= c}, lambda) (first term 0 at c = 0),
-so each replicate sorts p once and draws one binomial per grid point.
+so a replicate needs p sorted once and one binomial per grid point.
 Replicate r owns the streams ``(seed, 2r)`` for data and ``(seed, 2r + 1)``
 for the binomials, so results are bitwise identical for any worker count.
+Replicates run in chunks of ``CHUNK_VALUES`` drawn values on one generator
+re-keyed to each stream in turn, with one transform and one sort per chunk;
+streams and output bytes are those of one replicate at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count
+from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
 from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, randomized_cdf
 from .statdist import RngStream, positive_stable_sample, std_normal_cdf, student_t_cdf
 
@@ -42,6 +45,7 @@ __all__ = [
 
 MODELS = ("z", "two_sample")
 DEPENDENCE = ("independent", "gumbel")
+CHUNK_VALUES = 8192  # random values drawn per chunk of replicates: 8 replicates at m = 1000
 
 
 @dataclass(frozen=True)
@@ -185,49 +189,56 @@ def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> PValueVector:
     """Generate one LFC p-value vector from the model."""
-    gen = rng.generator
+    return PValueVector(_lfc_rows(spec, rng, (None,))[0], kind="lfc")
+
+
+def _draws_per_replicate(spec: ModelSpec) -> int:
+    return spec.m * (spec.n1 + spec.n2 if spec.model == "two_sample" and spec.dependence == "independent" else 1)
+
+
+def _lfc_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
+    """One LFC vector per stream id (``None``: ``rng`` as it stands), drawn row by row, transformed at once."""
     thetas = spec.thetas()
-    m = thetas.size
-    if spec.dependence == "independent":
-        if spec.model == "z":
-            t = thetas + gen.standard_normal(m) / np.sqrt(spec.n)
-            p = std_normal_cdf(-np.sqrt(spec.n) * t)
+    rows, m = len(stream_ids), thetas.size
+    raw = np.empty((rows, _draws_per_replicate(spec)))
+    for i, stream_id in enumerate(stream_ids):
+        if stream_id is not None:
+            rng.rekey(stream_id)
+        if spec.dependence == "gumbel":
+            raw[i] = gumbel_uniforms(m, spec.nu, rng)
         else:
-            x = thetas[:, None] + spec.sigma * gen.standard_normal((m, spec.n1))
-            y = spec.sigma * gen.standard_normal((m, spec.n2))
-            xbar = x.mean(axis=1)
-            ybar = y.mean(axis=1)
-            df = spec.n1 + spec.n2 - 2
-            pooled = (((x - xbar[:, None]) ** 2).sum(axis=1) + ((y - ybar[:, None]) ** 2).sum(axis=1)) / df
-            tstat = np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
-            p = student_t_cdf(-tstat, df)
+            rng.generator.standard_normal(out=raw[i])
+    if spec.dependence == "gumbel":
+        parts = np.split(raw, np.cumsum([count for count, _ in spec.groups])[:-1], axis=1)
+        p = np.hstack([spec.marginal_law(theta).quantile(v) for (_, theta), v in zip(spec.groups, parts)])
+    elif spec.model == "z":
+        p = std_normal_cdf(-np.sqrt(spec.n) * (thetas + raw / np.sqrt(spec.n)))
     else:
-        v = gumbel_uniforms(m, spec.nu, rng)
-        p = np.empty(m)
-        offset = 0
-        for count, theta in spec.groups:
-            law = spec.marginal_law(theta)
-            p[offset : offset + count] = law.quantile(v[offset : offset + count])
-            offset += count
-    return PValueVector(p, kind="lfc")
-
-
-def _grid_counts(p_sorted: np.ndarray, lam: float, c: np.ndarray):
-    """Per threshold, ``#{p <= lambda*c}`` (zero at c = 0) and ``#{p >= c}``."""
-    n_low = np.where(c > 0.0, np.searchsorted(p_sorted, lam * c, side="right"), 0)
-    n_up_trials = p_sorted.size - np.searchsorted(p_sorted, c, side="left")
-    return n_low, n_up_trials
+        x = thetas[:, None] + spec.sigma * raw[:, : m * spec.n1].reshape(rows, m, spec.n1)
+        y = spec.sigma * raw[:, m * spec.n1 :].reshape(rows, m, spec.n2)
+        xbar, ybar, df = x.mean(axis=-1), y.mean(axis=-1), spec.n1 + spec.n2 - 2
+        pooled = (((x - xbar[..., None]) ** 2).sum(axis=-1) + ((y - ybar[..., None]) ** 2).sum(axis=-1)) / df
+        tstat = np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
+        p = student_t_cdf(-tstat, df)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("p-values must lie in [0, 1]")
+    return p
 
 
 def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
     c = np.asarray(plan.c_grid)
+    rows = max(1, CHUNK_VALUES // _draws_per_replicate(plan.spec))
+    rng = RngStream(plan.seed, 2 * start)
     out = np.empty((stop - start, c.size))
-    for r in range(start, stop):
-        p = np.sort(gen_lfc_pvalues(plan.spec, RngStream(plan.seed, 2 * r)).values)
-        n_low, n_up_trials = _grid_counts(p, plan.lam, c)
-        n_up = RngStream(plan.seed, 2 * r + 1).generator.binomial(n_up_trials, plan.lam)
-        out[r - start] = _estimate_from_count(n_low + n_up, p.size, plan.lam, plan.estimator_variant)
-    return out
+    for first in range(start, stop, rows):
+        reps = range(first, min(first + rows, stop))
+        p = _lfc_rows(plan.spec, rng, [2 * r for r in reps])
+        p.sort(axis=1)
+        for i, r in enumerate(reps):
+            n_low, n_up_trials = _grid_counts(p[i], plan.lam, c)
+            rng.rekey(2 * r + 1)
+            out[r - start] = n_low + rng.generator.binomial(n_up_trials, plan.lam)  # N, exact in a float
+    return _estimate_from_count(out, plan.spec.m, plan.lam, plan.estimator_variant)
 
 
 def _blocks(reps: int, workers: int) -> list:
@@ -240,11 +251,11 @@ def _blocks(reps: int, workers: int) -> list:
 def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     """Replay the estimator across the threshold grid.
 
-    Every replicate generates one LFC p-value vector and draws the count of
-    randomized p-values at or below lambda for each grid point. The
-    per-replicate estimates land in a matrix indexed by (replicate, grid
-    point) in replicate order, so the aggregation (and hence the summary)
-    does not depend on how replicates were scheduled across workers.
+    Every replicate generates one LFC p-value vector (chunked, see the module
+    docstring) and draws the count of randomized p-values at or below lambda
+    for each grid point. The per-replicate estimates land in a matrix indexed
+    by (replicate, grid point) in replicate order, so the aggregation (and
+    hence the summary) does not depend on how replicates were scheduled.
     """
     if int(workers) != workers or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")

@@ -56,13 +56,19 @@ class RngStream:
 
     def __post_init__(self):
         self.seed = _checked_uint64(self.seed, "seed")
-        self.stream_id = _checked_uint64(self.stream_id, "stream_id")
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._generator = np.random.Generator(np.random.Philox(key=key))
+        self._generator = np.random.Generator(np.random.Philox(key=0))
+        self.rekey(self.stream_id)
 
     @property
     def generator(self) -> np.random.Generator:
         return self._generator
+
+    def rekey(self, stream_id) -> None:
+        """Restart as the stream ``(seed, stream_id)``: the state of a fresh ``Philox`` with that key."""
+        self.stream_id = _checked_uint64(stream_id, "stream_id")
+        zeros, key = np.zeros(4, np.uint64), np.array([self.seed, self.stream_id], np.uint64)
+        self._generator.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                                               "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _finite_array(x, name):

@@ -5,12 +5,13 @@ estimator over the randomization noise is
 
     E[pi0_hat(lambda, c) | x] = (1 - g(lambda, c) / m) / (1 - lambda),
 
-where ``g(lambda, c) = sum_j (lambda * 1{p_j >= c} + 1{p_j <= lambda*c})``.
+where ``g(lambda, c) = sum_j (lambda * 1{p_j >= c} + 1{p_j <= lambda*c})``
+and the second indicator is 0 at c = 0, where every p-value is replaced.
 Minimizing the conditional expectation is therefore the same as maximizing
 g. Since g only changes value at the points {p_j} and {p_j / lambda}, it
 suffices to evaluate it on that finite candidate set (clipped to [0, 1] and
 extended by the endpoints); on the open interval between two adjacent
-candidates g never exceeds the value at the left one.
+candidates g never exceeds the value at the right one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _estimate_from_count
+from .pi0 import EstimatorConfig, _estimate_from_count, _grid_counts
 from .pvalues import PValueVector
 
 __all__ = [
@@ -69,13 +70,13 @@ class CandidateSet:
 
 
 def g_value(p_lfc: PValueVector, lam: float, c: float) -> float:
-    """Indicator sum ``lambda * #{p_j >= c} + #{p_j <= lambda*c}``."""
+    """Indicator sum ``lambda * #{p_j >= c} + #{p_j <= lambda*c}`` (second term 0 at c = 0)."""
     lam = _check_lambda(lam)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"c must lie in [0, 1], got {c!r}")
     values = p_lfc.values
     n_ge = int(np.count_nonzero(values >= c))
-    n_le = int(np.count_nonzero(values <= lam * c))
+    n_le = int(np.count_nonzero(values <= lam * c)) if c > 0.0 else 0
     return lam * n_ge + n_le
 
 
@@ -85,10 +86,7 @@ def g_values(p_lfc: PValueVector, lam: float, cs) -> np.ndarray:
     cs = np.asarray(cs, dtype=float)
     if not (np.all(cs >= 0.0) and np.all(cs <= 1.0)):
         raise ValueError("thresholds must lie in [0, 1]")
-    ps = np.sort(p_lfc.values)
-    m = ps.size
-    n_ge = m - np.searchsorted(ps, cs, side="left")
-    n_le = np.searchsorted(ps, lam * cs, side="right")
+    n_le, n_ge = _grid_counts(np.sort(p_lfc.values), lam, cs)
     return lam * n_ge + n_le
 
 

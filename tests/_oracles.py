@@ -96,9 +96,9 @@ def student_t_cdf(x: float, df: int) -> float:
 
 
 def g_brute(values: np.ndarray, lam: float, c: float) -> float:
-    """Direct indicator count of g, no sorting or binary search."""
+    """Direct indicator count of g (second term 0 at c = 0), no sorting or binary search."""
     values = np.asarray(values, dtype=float)
-    return lam * int(np.sum(values >= c)) + int(np.sum(values <= lam * c))
+    return lam * int(np.sum(values >= c)) + (int(np.sum(values <= lam * c)) if c > 0.0 else 0)
 
 
 def g_brute_max(values: np.ndarray, lam: float, grid: np.ndarray):
@@ -107,7 +107,7 @@ def g_brute_max(values: np.ndarray, lam: float, grid: np.ndarray):
     best_g, best_c = -np.inf, None
     for chunk in np.array_split(np.asarray(grid, dtype=float), max(1, grid.size // 4096)):
         ge = (values[None, :] >= chunk[:, None]).sum(axis=1)
-        le = (values[None, :] <= lam * chunk[:, None]).sum(axis=1)
+        le = ((values[None, :] <= lam * chunk[:, None]) & (chunk[:, None] > 0.0)).sum(axis=1)
         g = lam * ge + le
         k = int(np.argmax(g))
         if g[k] > best_g:
@@ -123,3 +123,58 @@ def dkw_band(n: int, alpha: float = 0.01) -> float:
 def ks_critical(n: int) -> float:
     """99% critical value of the one-sample Kolmogorov-Smirnov statistic."""
     return 1.63 / math.sqrt(n)
+
+
+def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
+    """The Monte Carlo kernel as one loop over replicates, with fresh streams.
+
+    Replicate r builds its own Philox streams: ``(seed, 2r)`` generates the LFC
+    vector (as one vector, no chunking) and ``(seed, 2r + 1)`` draws one
+    binomial per threshold. The marginal quantiles and the copula uniforms are
+    the library's; everything else is written out here.
+    """
+    from types import SimpleNamespace
+
+    from scipy import special
+
+    from pi0rand.simkit import gumbel_uniforms
+
+    def stream(stream_id):
+        key = np.array([plan.seed, stream_id], dtype=np.uint64)
+        return SimpleNamespace(generator=np.random.Generator(np.random.Philox(key=key)))
+
+    spec, c, lam = plan.spec, np.asarray(plan.c_grid), plan.lam
+    thetas = np.concatenate([np.full(count, theta) for count, theta in spec.groups])
+    m = thetas.size
+    out = np.empty((stop - start, c.size))
+    for r in range(start, stop):
+        rng = stream(2 * r)
+        gen = rng.generator
+        if spec.dependence == "gumbel":
+            v = gumbel_uniforms(m, spec.nu, rng)
+            p = np.empty(m)
+            offset = 0
+            for count, theta in spec.groups:
+                p[offset : offset + count] = spec.marginal_law(theta).quantile(v[offset : offset + count])
+                offset += count
+        elif spec.model == "z":
+            t = thetas + gen.standard_normal(m) / np.sqrt(spec.n)
+            p = special.ndtr(-np.sqrt(spec.n) * t)
+        else:
+            x = thetas[:, None] + spec.sigma * gen.standard_normal((m, spec.n1))
+            y = spec.sigma * gen.standard_normal((m, spec.n2))
+            xbar = x.mean(axis=1)
+            ybar = y.mean(axis=1)
+            df = spec.n1 + spec.n2 - 2
+            pooled = (((x - xbar[:, None]) ** 2).sum(axis=1) + ((y - ybar[:, None]) ** 2).sum(axis=1)) / df
+            tstat = np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
+            p = special.stdtr(df, -tstat)
+        p = np.sort(p)
+        n_low = np.where(c > 0.0, np.searchsorted(p, lam * c, side="right"), 0)
+        n_up_trials = m - np.searchsorted(p, c, side="left")
+        n_up = stream(2 * r + 1).generator.binomial(n_up_trials, lam)
+        est = (1.0 - (n_low + n_up) / m) / (1.0 - lam)
+        if plan.estimator_variant == "storey_plus":
+            est += 1.0 / (m * (1.0 - lam))
+        out[r - start] = est
+    return out

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
 
-from _oracles import dkw_band, ks_critical
+from _oracles import dkw_band, ks_critical, replicate_block_per_replicate
+from pi0rand import simkit
 from pi0rand.pi0 import _estimate_from_count, h_curve
 from pi0rand.pvalues import PValueVector, RandomizationRule, ZTestLaw, randomize_vector
 from pi0rand.simkit import (
@@ -234,6 +235,47 @@ class TestRunMc:
         assert lines[header_at] == "c,mean,variance,mse,bias,se_mean"
         assert len(lines) == header_at + 1 + 6
         assert any(ln.startswith("# seed=") for ln in lines[:header_at])
+
+
+_KERNEL_SPECS = {
+    "z-independent": study_spec(),
+    "z-gumbel": study_spec(dependence="gumbel", nu=2.0),
+    "two_sample-independent": ModelSpec("two_sample", ((70, -0.3), (30, 0.8)), n1=5, n2=6),
+    "two_sample-gumbel": ModelSpec("two_sample", ((700, -0.3), (300, 0.8)), n1=5, n2=6,
+                                   dependence="gumbel", nu=2.0),
+}
+
+
+class TestChunkedKernel:
+    """Chunked generation on one re-keyed stream reproduces the per-replicate kernel."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
+    @pytest.mark.parametrize("chunk_values", [1, 3000, simkit.CHUNK_VALUES])
+    def test_bitwise_equal_to_per_replicate_oracle(self, name, chunk_values, monkeypatch):
+        # Replicates 5..42 start and end inside a chunk for every chunk size
+        # above one row (3 or 8 rows at m = 1000, 2 or 7 at m*(n1 + n2) = 1100).
+        monkeypatch.setattr(simkit, "CHUNK_VALUES", chunk_values)
+        plan = SimulationPlan(spec=_KERNEL_SPECS[name], replicates=42, seed=2**63 + 5,
+                              estimator_variant="storey_plus" if "gumbel" in name else "plain")
+        expected = replicate_block_per_replicate(plan, 5, 42)
+        assert np.array_equal(_replicate_block(plan, 5, 42), expected)
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
+    def test_run_mc_workers_one_and_two(self, name):
+        plan = SimulationPlan(spec=_KERNEL_SPECS[name], replicates=21, seed=77)
+        serial, parallel = run_mc(plan, workers=1), run_mc(plan, workers=2)
+        for field in ("mean", "variance", "mse", "se_mean", "se_variance"):
+            assert np.array_equal(getattr(serial, field), getattr(parallel, field))
+        assert serial.to_csv_string() == parallel.to_csv_string()
+
+    def test_gen_lfc_pvalues_is_one_row(self):
+        # The public generator is one row of a chunk, drawn from the stream as it stands.
+        for spec in _KERNEL_SPECS.values():
+            chunk = simkit._lfc_rows(spec, RngStream(81, 0), [4, 6, 8])
+            assert np.array_equal(gen_lfc_pvalues(spec, RngStream(81, 6)).values, chunk[1])
+            advanced = RngStream(81, 6)
+            advanced.generator.random(3)
+            assert not np.array_equal(gen_lfc_pvalues(spec, advanced).values, chunk[1])
 
 
 def _merged_histograms(a, b, m, min_count=10):

@@ -243,6 +243,42 @@ class TestStreams:
         assert np.array_equal(a, b)
 
 
+def _draws(gen):
+    return [gen.random(5), gen.standard_normal(7), gen.standard_exponential(3),
+            gen.binomial([0, 3, 1000], 0.5), gen.integers(0, 10, 3, dtype=np.uint32), gen.random(3)]
+
+
+# Earlier draws leave the generator fresh, mid-buffer, holding a spare 32-bit
+# word, or with a cached binomial setup.
+_LEFTOVERS = {
+    "fresh": lambda gen: None,
+    "mid_buffer": lambda gen: gen.random(3),
+    "spare_uint32": lambda gen: gen.integers(0, 10, 1, dtype=np.uint32),
+    "binomial_cache": lambda gen: gen.binomial(1000, 0.5),
+}
+_KEYS = [0, 1, 2**63, 2**64 - 1]
+
+
+class TestRekey:
+    @pytest.mark.parametrize("leftover", sorted(_LEFTOVERS))
+    @pytest.mark.parametrize("seed", _KEYS)
+    def test_matches_fresh_stream(self, seed, leftover):
+        rng = RngStream(seed, 5)
+        for stream_id in _KEYS:
+            _LEFTOVERS[leftover](rng.generator)
+            rng.rekey(stream_id)
+            assert (rng.seed, rng.stream_id) == (seed, stream_id)
+            fresh = RngStream(seed, stream_id)
+            for got, want in zip(_draws(rng.generator), _draws(fresh.generator)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
+    def test_rejects_bad_id(self, bad):
+        rng = RngStream(3, 0)
+        with pytest.raises(ValueError, match="stream_id"):
+            rng.rekey(bad)
+
+
 @given(x=st.floats(-6.0, 6.0), y=st.floats(-6.0, 6.0))
 @settings(max_examples=100, deadline=None)
 def test_cdf_monotonicity_property(x, y):

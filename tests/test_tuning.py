@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import g_brute, g_brute_max
+from pi0rand.pi0 import _estimate_from_count, _grid_counts
 from pi0rand.pvalues import PValueVector
 from pi0rand.statdist import RngStream
 from pi0rand.tuning import (
@@ -42,6 +43,21 @@ class TestGValue:
         cs = np.linspace(0.0, 1.0, 101)
         vec = g_values(p, 0.3, cs)
         assert np.array_equal(vec, np.array([g_value(p, 0.3, c) for c in cs]))
+
+    def test_exact_zeros_at_zero_threshold(self):
+        # c = 0 replaces every p-value, so exact zeros (of either sign) do not
+        # count in #{p <= lambda*c}: g(lambda, 0) = lambda*m, as in the kernel.
+        values = np.array([0.0, -0.0, 0.0, 0.2, 0.5, 1.0])
+        p, lam, m = PValueVector(values), 0.5, values.size
+        cs = np.array([0.0, -0.0, 1e-300, 0.2, 0.5, 1.0])
+        g = g_values(p, lam, cs)
+        assert g[0] == g[1] == g_value(p, lam, 0.0) == g_value(p, lam, -0.0) == lam * m
+        assert np.array_equal(g, [g_value(p, lam, c) for c in cs])
+        assert np.array_equal(g, [g_brute(values, lam, c) for c in cs])
+        n_low, n_up_trials = _grid_counts(np.sort(values), lam, cs)
+        assert np.array_equal(n_low + lam * n_up_trials, g)
+        for variant in ("plain", "storey_plus"):
+            assert conditional_expectation(p, lam, 0.0, variant) == _estimate_from_count(lam * m, m, lam, variant)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -188,6 +204,22 @@ def test_candidate_max_dominates_any_grid(values, lam):
     assert result.g_max == g_value(p, lam, result.c0)
 
 
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0), min_size=2, max_size=30),
+    lam=st.sampled_from([0.25, 0.5, 0.75]),
+)
+@settings(max_examples=100, deadline=None)
+def test_candidate_max_dominates_with_exact_zeros(values, lam):
+    # g(0) no longer counts the zeros, yet g is constant between adjacent
+    # candidates and never above its value at the right one.
+    p = PValueVector(np.array(values))
+    result = select_c0(p, lam)
+    probe = np.concatenate([np.linspace(0.0, 1.0, 257), [1e-300, 1e-12], p.values, p.values / lam])
+    probe = probe[probe <= 1.0]
+    assert result.g_max == float(np.max(g_values(p, lam, probe)))
+    assert result.g_max == g_value(p, lam, result.c0)
+
+
 def _candidate_oracle(values, lam):
     """The original dict loop: later insertions win, so "p" beats "p/lambda" beats "grid"."""
     tagged = {0.0: "grid", 1.0: "grid"}
@@ -238,8 +270,9 @@ class TestCandidateEdgeCases:
             cands = candidate_set(PValueVector(values), 0.5)
             assert cands.points[0] == 0.0 and not np.signbit(cands.points[0])
             assert cands.sources[0] == "p"
-            assert select_c0(PValueVector(values), 0.5).c0 == 0.0
-            assert not np.signbit(select_c0(PValueVector(values), 0.5).c0)
+            # At c = 0 every p-value is replaced, so the zeros leave g(0) = 0.5 * 4
+            # and g(0.6) = 0.5 * 1 + 3 wins.
+            assert select_c0(PValueVector(values), 0.5)[:2] == (0.6, 3.5)
 
     def test_p_over_lambda_equals_other_p(self):
         p = PValueVector([0.1, 0.2, 0.2, 0.6])

@@ -1,111 +1,16 @@
-"""Randomized p-values for composite nulls and pi0 estimation tooling."""
+"""Randomized p-values for composite nulls and pi0 estimation tooling.
 
-from .pi0 import (
-    CStarResult,
-    CurveTable,
-    EstimatorConfig,
-    PopulationSpec,
-    cstar_search,
-    ecdf,
-    expected_ecdf,
-    h_curve,
-    h_value,
-    schweder_spjotvoll,
-)
-from .pvalues import (
-    OrderReport,
-    PValueVector,
-    RandomizationRule,
-    TwoSampleTLaw,
-    ValidityReport,
-    ZTestLaw,
-    lfc_pvalue_t,
-    lfc_pvalue_z,
-    randomize,
-    randomize_vector,
-    randomized_cdf,
-    stochastic_order_diagnostic,
-    validity_diagnostic,
-)
-from .simkit import (
-    McSummary,
-    ModelSpec,
-    SimulationPlan,
-    cdf_curves,
-    gen_lfc_pvalues,
-    gumbel_uniforms,
-    run_mc,
-)
-from .statdist import (
-    RngStream,
-    exponential_sample,
-    noncentral_t_cdf,
-    noncentral_t_quantile,
-    positive_stable_sample,
-    std_normal_cdf,
-    std_normal_quantile,
-    student_t_cdf,
-    student_t_quantile,
-    uniform_sample,
-)
-from .tuning import (
-    CandidateSet,
-    SelectionResult,
-    candidate_set,
-    conditional_expectation,
-    g_value,
-    g_values,
-    select_c0,
-)
+Each public name is declared once, in the ``__all__`` of its module; the
+package re-exports them all.
+"""
+
+from . import pi0, pvalues, simkit, statdist, tuning
+from .pi0 import *  # noqa: F401,F403
+from .pvalues import *  # noqa: F401,F403
+from .simkit import *  # noqa: F401,F403
+from .statdist import *  # noqa: F401,F403
+from .tuning import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CStarResult",
-    "CandidateSet",
-    "CurveTable",
-    "EstimatorConfig",
-    "McSummary",
-    "ModelSpec",
-    "OrderReport",
-    "PValueVector",
-    "PopulationSpec",
-    "RandomizationRule",
-    "RngStream",
-    "SelectionResult",
-    "SimulationPlan",
-    "TwoSampleTLaw",
-    "ValidityReport",
-    "ZTestLaw",
-    "candidate_set",
-    "cdf_curves",
-    "conditional_expectation",
-    "cstar_search",
-    "ecdf",
-    "expected_ecdf",
-    "exponential_sample",
-    "g_value",
-    "g_values",
-    "gen_lfc_pvalues",
-    "gumbel_uniforms",
-    "h_curve",
-    "h_value",
-    "lfc_pvalue_t",
-    "lfc_pvalue_z",
-    "noncentral_t_cdf",
-    "noncentral_t_quantile",
-    "positive_stable_sample",
-    "randomize",
-    "randomize_vector",
-    "randomized_cdf",
-    "run_mc",
-    "schweder_spjotvoll",
-    "select_c0",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "stochastic_order_diagnostic",
-    "student_t_cdf",
-    "student_t_quantile",
-    "uniform_sample",
-    "validity_diagnostic",
-]
+__all__ = [*statdist.__all__, *pvalues.__all__, *pi0.__all__, *tuning.__all__, *simkit.__all__]

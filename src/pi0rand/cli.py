@@ -9,8 +9,8 @@ Subcommands:
   cdf tables as CSV.
 * ``cstar``    - exact bias-minimizing threshold for a model configuration.
 
-Exit codes: 0 on success, 2 on usage or validation errors, 1 on internal
-errors.
+Exit codes: 0 on success, 2 on usage or validation errors (a ``ValueError``
+from the library included), 1 on internal errors.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ import sys
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _csv_text, cstar_search, h_curve, schweder_spjotvoll
+from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _write_text, cstar_search, h_curve, schweder_spjotvoll
 from .pvalues import PValueVector, RandomizationRule, randomize_vector
 from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
-from .statdist import RngStream
+from .statdist import RngStream, _checked_uint64, _increasing_grid, _positive_int, _probability
 from .tuning import conditional_expectation, select_c0
 
 __all__ = ["main"]
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Validation failure that should exit with code 2."""
 
 
@@ -98,25 +98,21 @@ def _parse_grid(text):
             start, step, stop = (float(p) for p in parts)
         except ValueError as exc:
             raise CliError(f"--c-grid: non-numeric bound in {text!r}") from exc
-        if step <= 0 or stop <= start:
-            raise CliError("--c-grid: need step > 0 and stop > start")
-        count = int(round((stop - start) / step))
+        steps = (stop - start) / step if step > 0.0 and stop > start else 0.0
+        count = round(steps) if np.isfinite(steps) else 0
+        if count == 0 or abs(steps - count) > 1e-9 * steps:
+            raise CliError(f"--c-grid: need step > 0, stop > start and a whole number of steps, got {text!r}")
         grid = np.linspace(start, stop, count + 1)
     else:
         try:
             grid = np.array([float(p) for p in text.split(",") if p.strip() != ""])
         except ValueError as exc:
             raise CliError(f"--c-grid: non-numeric entry in {text!r}") from exc
-    if grid.size == 0:
-        raise CliError("--c-grid: empty grid")
-    if not np.all((grid >= 0.0) & (grid <= 1.0)):
-        raise CliError(f"--c-grid: values must lie in [0, 1], got {text!r}")
-    return grid
+    return _increasing_grid(grid, "--c-grid")
 
 
 def _model_spec(args):
-    if not 0.0 <= args.pi0 <= 1.0:
-        raise CliError(f"--pi0 must lie in [0, 1], got {args.pi0}")
+    _probability(args.pi0, "--pi0")
     if args.m < 2:
         raise CliError(f"--m must be >= 2, got {args.m}")
     n_null = int(round(args.pi0 * args.m))
@@ -124,39 +120,16 @@ def _model_spec(args):
     if args.model == "z":
         design = {"model": "z", "n": args.n}
     else:
-        design = {"model": "two_sample", "n1": args.n1, "n2": args.n2, "sigma": args.sigma}
-    try:
-        return ModelSpec(groups=groups, dependence=args.copula, nu=args.nu, **design)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        design = {"model": "two_sample", "n1": args.n1, "n2": args.n2}
+    return ModelSpec(groups=groups, sigma=args.sigma, dependence=args.copula, nu=args.nu, **design)
 
 
 _DEFAULT_GRID = "0:0.05:1"
 
 
-def _check_lambda(lam):
-    if not 0.0 < lam < 1.0:
-        raise CliError(f"--lambda must lie in (0, 1), got {lam}")
-    return lam
-
-
-def _check_seed(seed):
-    if not 0 <= seed < 2**64:
-        raise CliError(f"--seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
-def _write_text(path, text):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def _cmd_analyze(args):
-    lam = _check_lambda(args.lam)
-    seed = _check_seed(args.seed)
+    lam = _check_lambda(args.lam, "--lambda")
+    seed = _checked_uint64(args.seed, "--seed")
     values = _read_pvalue_csv(args.input)
     p = PValueVector(values, kind="external")
     sel = select_c0(p, lam)
@@ -187,49 +160,37 @@ def _cmd_analyze(args):
 
 
 def _cmd_simulate(args):
-    lam = _check_lambda(args.lam)
-    if args.reps < 1:
-        raise CliError(f"--reps must be a positive integer, got {args.reps}")
-    if args.workers < 1:
-        raise CliError(f"--workers must be a positive integer, got {args.workers}")
-    spec = _model_spec(args)
-    grid = _parse_grid(args.c_grid)
-    try:
-        plan = SimulationPlan(
-            spec=spec,
-            lam=lam,
-            c_grid=tuple(grid),
-            replicates=args.reps,
-            seed=_check_seed(args.seed),
-            estimator_variant=args.variant.replace("-", "_"),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    summary = run_mc(plan, workers=args.workers)
+    lam = _check_lambda(args.lam, "--lambda")
+    reps = _positive_int(args.reps, "--reps")
+    workers = _positive_int(args.workers, "--workers")
+    plan = SimulationPlan(
+        spec=_model_spec(args),
+        lam=lam,
+        c_grid=tuple(_parse_grid(args.c_grid)),
+        replicates=reps,
+        seed=_checked_uint64(args.seed, "--seed"),
+        estimator_variant=args.variant.replace("-", "_"),
+    )
+    summary = run_mc(plan, workers=workers)
     _write_text(args.out, summary.to_csv_string())
     return 0
 
 
 def _cmd_curves(args):
-    lam = _check_lambda(args.lam)
+    lam = _check_lambda(args.lam, "--lambda")
     spec = _model_spec(args)
-    if args.quantity == "cdf" and args.t_points < 1:
-        raise CliError(f"--t-points must be a positive integer, got {args.t_points}")
-    try:
-        if args.quantity == "h":
-            table = h_curve(spec.population(), lam, _parse_grid(args.c_grid))
-        else:
-            cs = _parse_grid(args.c_grid if args.c_grid != _DEFAULT_GRID else "0,0.25,0.5,0.75,1")
-            t = np.linspace(0.0, 1.0, args.t_points)
-            table = cdf_curves(spec.marginal_law(args.theta_null), cs, t)
-    except ValueError as exc:
-        raise CliError(f"--c-grid: {exc}") from exc
+    if args.quantity == "h":
+        table = h_curve(spec.population(), lam, _parse_grid(args.c_grid))
+    else:
+        t = np.linspace(0.0, 1.0, _positive_int(args.t_points, "--t-points"))
+        cs = _parse_grid(args.c_grid if args.c_grid != _DEFAULT_GRID else "0,0.25,0.5,0.75,1")
+        table = cdf_curves(spec.marginal_law(args.theta_null), cs, t)
     _write_text(args.out, table.to_csv_string())
     return 0
 
 
 def _cmd_cstar(args):
-    lam = _check_lambda(args.lam)
+    lam = _check_lambda(args.lam, "--lambda")
     spec = _model_spec(args)
     if not 0.0 < args.resolution <= 1e-3:
         raise CliError(f"--resolution must lie in (0, 1e-3], got {args.resolution}")
@@ -305,7 +266,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:  # a CliError, or an input check of the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive internal-error path

@@ -18,12 +18,14 @@ marginals only, never on the dependence structure.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .pvalues import PValueVector
+from .statdist import _increasing_grid, _positive_int, _probability
 
 __all__ = [
     "EstimatorConfig",
@@ -41,6 +43,13 @@ __all__ = [
 ESTIMATOR_VARIANTS = ("plain", "storey_plus")
 
 
+def _check_lambda(lam, name="lambda"):
+    """``lam`` as a float in the open interval (0, 1)."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {lam!r}")
+    return float(lam)
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Tuning parameter lambda in (0, 1) and estimator variant."""
@@ -49,8 +58,7 @@ class EstimatorConfig:
     variant: str = "plain"
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lambda must lie in (0, 1), got {self.lam!r}")
+        _check_lambda(self.lam)
         if self.variant not in ESTIMATOR_VARIANTS:
             raise ValueError(f"variant must be one of {ESTIMATOR_VARIANTS}")
 
@@ -62,11 +70,9 @@ class PopulationSpec:
     groups: tuple
 
     def __post_init__(self):
-        groups = tuple((int(count), law) for count, law in self.groups)
+        groups = tuple((_positive_int(count, "group count"), law) for count, law in self.groups)
         if not groups:
             raise ValueError("population needs at least one group")
-        if any(count < 1 for count, _ in groups):
-            raise ValueError("group counts must be >= 1")
         if sum(count for count, _ in groups) < 2:
             raise ValueError("population needs m >= 2 hypotheses")
         object.__setattr__(self, "groups", groups)
@@ -92,9 +98,18 @@ def _csv_text(metadata: dict, header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path, text) -> None:
+    """Write ``text`` with LF line ends to ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 @dataclass
 class CurveTable:
-    """Tabulated curve(s) over a strictly increasing abscissa.
+    """Tabulated curve(s) over a strictly increasing abscissa in [0, 1].
 
     Plain quantity tables (h, variance, mse) carry a single ``value``
     column and serialize with header ``c,value``; cdf tables use abscissa
@@ -108,13 +123,7 @@ class CurveTable:
     x_name: str = "c"
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("abscissa must be a non-empty 1-d array")
-        if np.any(np.diff(x) <= 0.0):
-            raise ValueError("abscissa must be strictly increasing")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("abscissa must be finite")
+        x = _increasing_grid(self.x, self.x_name)
         values = {}
         for name, col in self.values.items():
             col = np.asarray(col, dtype=float)
@@ -133,23 +142,21 @@ class CurveTable:
         return _csv_text(self.metadata, [self.x_name, *self.values], [self.x, *self.values.values()])
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_string())
+        _write_text(path, self.to_csv_string())
 
 
-def _pvalue_array(p) -> np.ndarray:
-    if isinstance(p, PValueVector):
-        return p.values
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+def _count_at_most(p, t):
+    """``(#{p_j <= t}, m)`` for a PValueVector or a non-empty 1-d array of p-values."""
+    values = p.values if isinstance(p, PValueVector) else np.asarray(p, dtype=float)
+    if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a non-empty 1-d p-value array")
-    return arr
+    return int(np.count_nonzero(values <= t)), values.size
 
 
 def ecdf(p, t) -> float:
     """Right-continuous empirical cdf of the p-values, ``#{p_j <= t} / m``."""
-    values = _pvalue_array(p)
-    return float(np.count_nonzero(values <= float(t)) / values.size)
+    k, m = _count_at_most(p, float(t))
+    return k / m
 
 
 def _estimate_from_count(k, m, lam, variant):
@@ -169,26 +176,23 @@ def _grid_counts(p_sorted: np.ndarray, lam: float, c: np.ndarray):
 
 def schweder_spjotvoll(p, cfg: EstimatorConfig) -> float:
     """Estimate the proportion of true nulls from marginal p-values."""
-    values = _pvalue_array(p)
-    if values.size < 2:
+    k, m = _count_at_most(p, cfg.lam)
+    if m < 2:
         raise ValueError("the estimator needs m >= 2 p-values")
-    return _estimate_from_count(int(np.count_nonzero(values <= cfg.lam)), values.size, cfg.lam, cfg.variant)
+    return _estimate_from_count(k, m, cfg.lam, cfg.variant)
 
 
-def _check_lambda_c(lam, c):
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"c must lie in [0, 1], got {c!r}")
+def _expected_ecdf(spec: PopulationSpec, lam: float, c):
+    """E[Fhat(lambda)] at each threshold of ``c`` (a float or an array), as in the module docstring."""
+    ef = np.zeros_like(c, dtype=float)
+    for count, law in spec.groups:
+        ef += count * (lam * (1.0 - law.cdf(c)) + law.cdf(lam * c))
+    return ef / spec.m
 
 
 def expected_ecdf(spec: PopulationSpec, lam: float, c: float) -> float:
     """Exact expectation of the randomized-p-value ecdf at lambda."""
-    _check_lambda_c(lam, c)
-    acc = 0.0
-    for count, law in spec.groups:
-        acc += count * (lam * (1.0 - float(law.cdf(c))) + float(law.cdf(lam * c)))
-    return acc / spec.m
+    return float(_expected_ecdf(spec, _check_lambda(lam), _probability(c, "c")))
 
 
 def h_value(spec: PopulationSpec, lam: float, c: float) -> float:
@@ -198,20 +202,8 @@ def h_value(spec: PopulationSpec, lam: float, c: float) -> float:
 
 def h_curve(spec: PopulationSpec, lam: float, c_grid) -> CurveTable:
     """Tabulate ``c -> h(lambda, c)`` over a strictly increasing grid."""
-    grid = np.asarray(c_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("c_grid must be a non-empty 1-d grid")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("c_grid must be strictly increasing")
-    if not (np.all(grid >= 0.0) and np.all(grid <= 1.0)):
-        raise ValueError("c_grid must lie in [0, 1]")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
-    ef = np.zeros_like(grid)
-    for count, law in spec.groups:
-        ef += count * (lam * (1.0 - law.cdf(grid)) + law.cdf(lam * grid))
-    ef /= spec.m
-    h = (1.0 - ef) / (1.0 - lam)
+    grid, lam = _increasing_grid(c_grid, "c_grid"), _check_lambda(lam)
+    h = (1.0 - _expected_ecdf(spec, lam, grid)) / (1.0 - lam)
     meta = {"quantity": "h", "lambda": repr(float(lam)), "spec": spec.digest()}
     return CurveTable(grid, {"value": h}, metadata=meta)
 

@@ -31,8 +31,12 @@ from scipy import special as _special
 
 from .statdist import (
     RngStream,
+    _increasing_grid,
     _match_input,
     _nct_inverse,
+    _positive_int,
+    _probabilities,
+    _probability,
     std_normal_cdf,
     std_normal_quantile,
     student_t_cdf,
@@ -49,7 +53,6 @@ __all__ = [
     "OrderReport",
     "lfc_pvalue_z",
     "lfc_pvalue_t",
-    "randomize",
     "randomize_vector",
     "randomized_cdf",
     "validity_diagnostic",
@@ -60,13 +63,6 @@ P_VALUE_KINDS = ("lfc", "randomized", "external")
 _TINY = np.finfo(float).tiny
 
 
-def _unit_interval(x, name):
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return arr
-
-
 @dataclass(frozen=True)
 class PValueVector:
     """Ordered collection of m >= 2 p-values with a provenance tag."""
@@ -75,11 +71,9 @@ class PValueVector:
     kind: str = "external"
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
+        arr = _probabilities(np.array(self.values, dtype=float, copy=True), "p-values")
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a p-value vector needs at least two entries")
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):
-            raise ValueError("p-values must lie in [0, 1]")
         if self.kind not in P_VALUE_KINDS:
             raise ValueError(f"kind must be one of {P_VALUE_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "values", arr)
@@ -127,10 +121,6 @@ class RandomizationRule:
     def uniform(cls, a: float, b: float) -> "RandomizationRule":
         return cls("uniform", a, b)
 
-    @property
-    def is_random(self) -> bool:
-        return self.variant != "constant"
-
     def thresholds(self, rng: Union[RngStream, None], size):
         """Per-hypothesis thresholds; consumes ``size`` draws only if uniform."""
         if self.variant == "uniform":
@@ -163,7 +153,7 @@ class MarginalLaw:
         return self._mapped(v, "v", self._quantile_inner)
 
     def _mapped(self, x, name, inner):
-        arr = _unit_interval(x, name)
+        arr = _probabilities(x, name)
         if self._effect == 0.0:
             return _match_input(arr.astype(float, copy=True), x)
         out = np.where(arr >= 1.0, 1.0, 0.0)  # the endpoints, pinned to +0.0 and 1.0
@@ -217,9 +207,7 @@ class TwoSampleTLaw(MarginalLaw):
     def __post_init__(self):
         if not np.isfinite(self.ncp):
             raise ValueError("ncp must be finite")
-        if int(self.df) != self.df or self.df < 1:
-            raise ValueError("df must be a positive integer")
-        object.__setattr__(self, "df", int(self.df))
+        object.__setattr__(self, "df", _positive_int(self.df, "df"))
 
     @property
     def _effect(self) -> float:
@@ -237,37 +225,12 @@ class TwoSampleTLaw(MarginalLaw):
 
 def lfc_pvalue_z(t_stat, n):
     """LFC p-value of the one-sided Z-test, ``1 - Phi(sqrt(n) * t_stat)``."""
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    arr = np.asarray(t_stat, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("t_stat must be finite")
-    out = std_normal_cdf(-np.sqrt(float(n)) * arr)
-    return _match_input(out, t_stat)
+    return std_normal_cdf(-np.sqrt(_positive_int(n, "n")) * np.asarray(t_stat, dtype=float))
 
 
 def lfc_pvalue_t(t_stat, df):
     """LFC p-value of the pooled two-sample t-test, ``1 - F_t(t_stat; df)``."""
-    arr = np.asarray(t_stat, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("t_stat must be finite")
-    out = student_t_cdf(-arr, df)
-    return _match_input(out, t_stat)
-
-
-def randomize(p_lfc, u, rule: RandomizationRule, rng: Union[RngStream, None] = None):
-    """Apply the randomization rule to a single (p_lfc, u) pair.
-
-    The indicator is ``1{p_lfc >= r}`` for the uniform branch, so the
-    boundary case ``p_lfc == r`` returns ``u``; with ``r == 0`` the
-    comparison always fires, which is exactly the ``c = 0`` convention.
-    """
-    p = float(_unit_interval(p_lfc, "p_lfc"))
-    uu = float(_unit_interval(u, "u"))
-    r = float(rule.thresholds(rng, None))
-    if p >= r:
-        return uu
-    return p / r
+    return student_t_cdf(-np.asarray(t_stat, dtype=float), df)
 
 
 def randomize_vector(p_lfc: PValueVector, rule: RandomizationRule, rng: RngStream) -> PValueVector:
@@ -290,24 +253,11 @@ def randomize_vector(p_lfc: PValueVector, rule: RandomizationRule, rng: RngStrea
 
 def randomized_cdf(t, c, law: MarginalLaw):
     """Exact cdf of the randomized p-value at threshold ``c`` under ``law``."""
-    t_arr = _unit_interval(t, "t")
-    c_val = float(_unit_interval(c, "c"))
+    t_arr = _probabilities(t, "t")
+    c_val = _probability(c, "c")
     f_c = float(law.cdf(c_val))
     out = t_arr * (1.0 - f_c) + law.cdf(t_arr * c_val)
     return _match_input(out, t)
-
-
-def _ascending_grid(grid, name, lo_open=True):
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d grid")
-    if np.any(np.diff(arr) <= 0.0):
-        raise ValueError(f"{name} must be strictly increasing")
-    low_ok = np.all(arr > 0.0) if lo_open else np.all(arr >= 0.0)
-    if not (low_ok and np.all(arr <= 1.0)):
-        bounds = "(0, 1]" if lo_open else "[0, 1]"
-        raise ValueError(f"{name} must lie in {bounds}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -345,8 +295,9 @@ class ValidityReport:
 
 def validity_diagnostic(law: MarginalLaw, t_grid, c_grid, tol: float = 1e-12) -> ValidityReport:
     """Evaluate the validity conditions of the marginal law on finite grids."""
-    t = _ascending_grid(t_grid, "t_grid")
-    c = _ascending_grid(c_grid, "c_grid")
+    t, c = _increasing_grid(t_grid, "t_grid"), _increasing_grid(c_grid, "c_grid")
+    if t[0] == 0.0 or c[0] == 0.0:  # F(t)/t is undefined at t = 0
+        raise ValueError("t_grid and c_grid must lie in (0, 1]")
     f_t = law.cdf(t)
     f_c = law.cdf(c)
     f_tc = law.cdf(np.outer(t, c))
@@ -389,10 +340,9 @@ class OrderReport:
 
 def stochastic_order_diagnostic(law: MarginalLaw, c1, c2, t_grid, tol: float = 1e-12) -> OrderReport:
     """Compare the randomized-p-value cdfs at thresholds c1 <= c2."""
-    c1 = float(_unit_interval(c1, "c1"))
-    c2 = float(_unit_interval(c2, "c2"))
+    c1, c2 = _probability(c1, "c1"), _probability(c2, "c2")
     if c1 > c2:
         raise ValueError("need c1 <= c2")
-    t = _ascending_grid(t_grid, "t_grid", lo_open=False)
+    t = _increasing_grid(t_grid, "t_grid")
     diff = randomized_cdf(t, c2, law) - randomized_cdf(t, c1, law)
     return OrderReport(float(np.max(diff)), float(np.max(-diff)), tol)

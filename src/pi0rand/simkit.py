@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
-from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, randomized_cdf
-from .statdist import RngStream, positive_stable_sample, std_normal_cdf, student_t_cdf
+from .pi0 import _write_text
+from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
+from .statdist import RngStream, _increasing_grid, _positive_int, _probabilities, positive_stable_sample
 
 __all__ = [
     "ModelSpec",
@@ -46,6 +47,11 @@ __all__ = [
 MODELS = ("z", "two_sample")
 DEPENDENCE = ("independent", "gumbel")
 CHUNK_VALUES = 8192  # random values drawn per chunk of replicates: 8 replicates at m = 1000
+
+
+def _check_nu(nu):
+    if not 1.0 <= nu < np.inf:
+        raise ValueError(f"nu must be finite and >= 1, got {nu!r}")
 
 
 @dataclass(frozen=True)
@@ -71,31 +77,26 @@ class ModelSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        groups = tuple((int(count), float(theta)) for count, theta in self.groups)
-        if not groups or any(count < 1 for count, _ in groups):
-            raise ValueError("groups must be non-empty with counts >= 1")
+        groups = tuple((_positive_int(count, "group count"), float(theta)) for count, theta in self.groups)
+        if not groups:
+            raise ValueError("groups must be non-empty")
         if any(not np.isfinite(theta) for _, theta in groups):
             raise ValueError("group effects must be finite")
         if sum(count for count, _ in groups) < 2:
             raise ValueError("need m >= 2 hypotheses")
         object.__setattr__(self, "groups", groups)
         if self.model == "z":
-            if int(self.n) != self.n or self.n < 1:
-                raise ValueError("n must be a positive integer")
-            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "n", _positive_int(self.n, "n"))
         else:
-            if int(self.n1) != self.n1 or int(self.n2) != self.n2:
-                raise ValueError("n1 and n2 must be integers")
-            if self.n1 < 1 or self.n2 < 1 or self.n1 + self.n2 < 3:
-                raise ValueError("need n1, n2 >= 1 with n1 + n2 - 2 >= 1")
-            object.__setattr__(self, "n1", int(self.n1))
-            object.__setattr__(self, "n2", int(self.n2))
-            if not self.sigma > 0.0:
-                raise ValueError("sigma must be positive")
+            object.__setattr__(self, "n1", _positive_int(self.n1, "n1"))
+            object.__setattr__(self, "n2", _positive_int(self.n2, "n2"))
+            if self.n1 + self.n2 < 3:
+                raise ValueError("need n1 + n2 - 2 >= 1")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.dependence not in DEPENDENCE:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
-        if not self.nu >= 1.0:
-            raise ValueError("nu must be >= 1")
+        _check_nu(self.nu)
 
     @property
     def m(self) -> int:
@@ -130,22 +131,11 @@ class SimulationPlan:
     estimator_variant: str = "plain"
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lambda must lie in (0, 1)")
-        grid = tuple(float(c) for c in self.c_grid)
-        if not grid:
-            raise ValueError("c_grid must be non-empty")
-        if any(not 0.0 <= c <= 1.0 for c in grid):
-            raise ValueError("c_grid must lie in [0, 1]")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("c_grid must be strictly increasing")
-        object.__setattr__(self, "c_grid", grid)
-        if int(self.replicates) != self.replicates or self.replicates < 1:
-            raise ValueError("replicates must be a positive integer")
-        object.__setattr__(self, "replicates", int(self.replicates))
+        EstimatorConfig(self.lam, self.estimator_variant)  # reuse its validation
+        object.__setattr__(self, "c_grid", tuple(_increasing_grid(self.c_grid, "c_grid").tolist()))
+        object.__setattr__(self, "replicates", _positive_int(self.replicates, "replicates"))
         if 2 * (self.replicates - 1) + 1 >= 2**64:  # last randomization stream id
             raise ValueError("replicate budget exceeds the stream id space")
-        EstimatorConfig(self.lam, self.estimator_variant)  # reuse its validation
 
 
 @dataclass
@@ -167,8 +157,7 @@ class McSummary:
         return _csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_string())
+        _write_text(path, self.to_csv_string())
 
 
 def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
@@ -177,13 +166,11 @@ def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
     Frailty construction: with S positive stable of index 1/nu and E_j iid
     standard exponential, ``V_j = exp(-(E_j / S)**(1/nu))``.
     """
-    if int(m) != m or m < 1:
-        raise ValueError("m must be a positive integer")
-    if not nu >= 1.0:
-        raise ValueError("nu must be >= 1")
+    m = _positive_int(m, "m")
+    _check_nu(nu)
     # Stable index 1 is the point mass at one, so nu = 1 gives V_j = exp(-E_j).
     s = 1.0 if nu == 1.0 else positive_stable_sample(1.0 / nu, rng)
-    e = rng.generator.standard_exponential(int(m))
+    e = rng.generator.standard_exponential(m)
     return np.exp(-((e / s) ** (1.0 / nu)))
 
 
@@ -212,17 +199,15 @@ def _lfc_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
         parts = np.split(raw, np.cumsum([count for count, _ in spec.groups])[:-1], axis=1)
         p = np.hstack([spec.marginal_law(theta).quantile(v) for (_, theta), v in zip(spec.groups, parts)])
     elif spec.model == "z":
-        p = std_normal_cdf(-np.sqrt(spec.n) * (thetas + raw / np.sqrt(spec.n)))
+        p = lfc_pvalue_z(thetas + raw / np.sqrt(spec.n), spec.n)
     else:
         x = thetas[:, None] + spec.sigma * raw[:, : m * spec.n1].reshape(rows, m, spec.n1)
         y = spec.sigma * raw[:, m * spec.n1 :].reshape(rows, m, spec.n2)
         xbar, ybar, df = x.mean(axis=-1), y.mean(axis=-1), spec.n1 + spec.n2 - 2
         pooled = (((x - xbar[..., None]) ** 2).sum(axis=-1) + ((y - ybar[..., None]) ** 2).sum(axis=-1)) / df
         tstat = np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
-        p = student_t_cdf(-tstat, df)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError("p-values must lie in [0, 1]")
-    return p
+        p = lfc_pvalue_t(tstat, df)
+    return _probabilities(p, "p-values")
 
 
 def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
@@ -257,10 +242,8 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     by (replicate, grid point) in replicate order, so the aggregation (and
     hence the summary) does not depend on how replicates were scheduled.
     """
-    if int(workers) != workers or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     reps = plan.replicates
-    blocks = _blocks(reps, int(workers))
+    blocks = _blocks(reps, _positive_int(workers, "workers"))
     if len(blocks) == 1:
         mat = _replicate_block(plan, 0, reps)
     else:
@@ -298,14 +281,9 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
 
 def cdf_curves(law: MarginalLaw, c_list, t_grid) -> CurveTable:
     """Exact cdfs of the randomized p-value, one column per threshold."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("t_grid must be a strictly increasing 1-d grid")
-    if not (np.all(t >= 0.0) and np.all(t <= 1.0)):
-        raise ValueError("t_grid must lie in [0, 1]")
-    cs = [float(c) for c in c_list]
-    if not cs or any(not 0.0 <= c <= 1.0 for c in cs):
-        raise ValueError("c_list must be non-empty with values in [0, 1]")
-    values = {f"c={c:g}": randomized_cdf(t, c, law) for c in cs}
+    t = _increasing_grid(t_grid, "t_grid")
+    if len(c_list) == 0:
+        raise ValueError("c_list must be non-empty")
+    values = {f"c={float(c):g}": randomized_cdf(t, c, law) for c in c_list}
     meta = {"quantity": "cdf", "law": repr(law)}
     return CurveTable(t, values, metadata=meta, x_name="t")

@@ -1,9 +1,10 @@
 """Special functions and deterministic random streams.
 
 Numerical plumbing shared by the rest of the package: standard normal
-cdf/quantile, central and non-central Student-t cdfs, a positive-stable
-sampler for Archimedean frailties, and reproducible random streams keyed by
-``(seed, stream_id)``.
+cdf/quantile, the central Student-t cdf and quantile, the inverse of the
+non-central t cdf, a positive-stable sampler for Archimedean frailties,
+reproducible random streams keyed by ``(seed, stream_id)``, and the input
+validators the other modules share.
 
 Probabilities are plain floats in [0, 1]; inputs outside their stated
 domains raise ``ValueError``.
@@ -24,21 +25,60 @@ __all__ = [
     "std_normal_quantile",
     "student_t_cdf",
     "student_t_quantile",
-    "noncentral_t_cdf",
-    "noncentral_t_quantile",
     "positive_stable_sample",
-    "uniform_sample",
-    "exponential_sample",
 ]
 
 _UINT64_BOUND = 2**64
 
 
+def _as_int(value):
+    """``value`` as an int if it is a whole number (inf, nan and strings are not), else None."""
+    try:
+        iv = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return iv if iv == value else None
+
+
 def _checked_uint64(value, name):
-    iv = int(value)
-    if iv != value or not 0 <= iv < _UINT64_BOUND:
+    iv = _as_int(value)
+    if iv is None or not 0 <= iv < _UINT64_BOUND:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     return iv
+
+
+def _positive_int(value, name):
+    """``value`` as an int, or ``ValueError`` unless it is a whole number >= 1."""
+    iv = _as_int(value)
+    if iv is None or iv < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return iv
+
+
+def _probabilities(x, name):
+    """``x`` as a float array (0-d for a scalar) with every entry in [0, 1]."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return arr
+
+
+def _probability(x, name):
+    """``x`` as a float in [0, 1]; an array, even of one entry, is rejected."""
+    arr = _probabilities(x, name)
+    if arr.ndim != 0:
+        raise ValueError(f"{name} must be a single number, got shape {arr.shape}")
+    return float(arr)
+
+
+def _increasing_grid(grid, name):
+    """``grid`` as a non-empty, strictly increasing 1-d float array in [0, 1]."""
+    arr = _probabilities(grid, name)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d grid")
+    if np.any(np.diff(arr) <= 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return arr
 
 
 @dataclass
@@ -82,13 +122,6 @@ def _match_input(out, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _checked_df(df):
-    idf = int(df)
-    if idf != df or idf < 1:
-        raise ValueError(f"df must be a positive integer, got {df!r}")
-    return idf
-
-
 def std_normal_cdf(x):
     """Standard normal cdf, accurate to well below 1e-12."""
     arr = _finite_array(x, "x")
@@ -105,7 +138,7 @@ def std_normal_quantile(p):
 
 def student_t_cdf(x, df):
     """Cdf of the central Student-t distribution with ``df`` degrees of freedom."""
-    idf = _checked_df(df)
+    idf = _positive_int(df, "df")
     arr = _finite_array(x, "x")
     return _match_input(_special.stdtr(idf, arr), x)
 
@@ -117,7 +150,7 @@ def student_t_quantile(p, df):
     off at p = 1e-200 and +inf below 1e-238), so entries whose round trip
     misses p by over 1e-12 relative are redone by ``_nct_search``.
     """
-    idf = _checked_df(df)
+    idf = _positive_int(df, "df")
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
@@ -126,34 +159,6 @@ def student_t_quantile(p, df):
     if np.any(redo):
         x[redo] = _nct_search(idf, 0.0, arr[redo])
     return _match_input(x, p)
-
-
-def noncentral_t_cdf(x, df, ncp):
-    """Cdf of the non-central t distribution.
-
-    ``ncp = 0`` is routed through :func:`student_t_cdf` so the central case
-    agrees with it to machine precision.
-    """
-    idf = _checked_df(df)
-    if not np.isfinite(ncp):
-        raise ValueError("ncp must be finite")
-    if ncp == 0.0:
-        return student_t_cdf(x, idf)
-    arr = _finite_array(x, "x")
-    return _match_input(_special.nctdtr(idf, ncp, arr), x)
-
-
-def noncentral_t_quantile(p, df, ncp):
-    """Quantile of the non-central t distribution on (0, 1)."""
-    idf = _checked_df(df)
-    if not np.isfinite(ncp):
-        raise ValueError("ncp must be finite")
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("p must lie strictly inside (0, 1)")
-    if ncp == 0.0:
-        return student_t_quantile(p, idf)
-    return _match_input(_special.nctdtrit(idf, ncp, arr), p)
 
 
 _SEARCH_EDGE = 2.0**511  # nctdtrit searches |y| <= 2**512 only
@@ -255,13 +260,3 @@ def positive_stable_sample(alpha, rng: RngStream, size=None):
     )
     s = (a / w) ** ((1.0 - alpha) / alpha)
     return float(s) if size is None else s
-
-
-def uniform_sample(rng: RngStream, size=None):
-    """Iid Uni[0,1] draws from the stream."""
-    return rng.generator.random(size)
-
-
-def exponential_sample(rng: RngStream, size=None):
-    """Iid standard exponential draws from the stream."""
-    return rng.generator.standard_exponential(size)

@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _estimate_from_count, _grid_counts
+from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, _grid_counts
 from .pvalues import PValueVector
+from .statdist import _increasing_grid, _probabilities, _probability
 
 __all__ = [
     "CandidateSet",
@@ -37,12 +38,6 @@ __all__ = [
 CANDIDATE_SOURCES = ("p", "p/lambda", "grid")
 
 
-def _check_lambda(lam: float) -> float:
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
-    return float(lam)
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """Sorted, deduplicated threshold candidates with per-point source tags."""
@@ -51,13 +46,7 @@ class CandidateSet:
     sources: tuple
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size == 0:
-            raise ValueError("candidate set must be non-empty")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValueError("candidate points must be strictly increasing")
-        if not (np.all(pts >= 0.0) and np.all(pts <= 1.0)):
-            raise ValueError("candidate points must lie in [0, 1]")
+        pts = _increasing_grid(self.points, "candidate points")
         if len(self.sources) != pts.size:
             raise ValueError("one source tag per point required")
         if any(s not in CANDIDATE_SOURCES for s in self.sources):
@@ -71,9 +60,7 @@ class CandidateSet:
 
 def g_value(p_lfc: PValueVector, lam: float, c: float) -> float:
     """Indicator sum ``lambda * #{p_j >= c} + #{p_j <= lambda*c}`` (second term 0 at c = 0)."""
-    lam = _check_lambda(lam)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"c must lie in [0, 1], got {c!r}")
+    lam, c = _check_lambda(lam), _probability(c, "c")
     values = p_lfc.values
     n_ge = int(np.count_nonzero(values >= c))
     n_le = int(np.count_nonzero(values <= lam * c)) if c > 0.0 else 0
@@ -82,10 +69,7 @@ def g_value(p_lfc: PValueVector, lam: float, c: float) -> float:
 
 def g_values(p_lfc: PValueVector, lam: float, cs) -> np.ndarray:
     """Vectorized g over many thresholds via binary search on sorted p."""
-    lam = _check_lambda(lam)
-    cs = np.asarray(cs, dtype=float)
-    if not (np.all(cs >= 0.0) and np.all(cs <= 1.0)):
-        raise ValueError("thresholds must lie in [0, 1]")
+    lam, cs = _check_lambda(lam), _probabilities(cs, "thresholds")
     n_le, n_ge = _grid_counts(np.sort(p_lfc.values), lam, cs)
     return lam * n_ge + n_le
 

@@ -95,6 +95,17 @@ def student_t_cdf(x: float, df: int) -> float:
     return 1.0 - 0.5 * ib if x > 0 else 0.5 * ib
 
 
+def randomize(p_lfc: float, u: float, rule) -> float:
+    """The randomization rule on one (p_lfc, u) pair, written out scalar by scalar.
+
+    The indicator is ``1{p_lfc >= r}`` for the uniform branch, so the
+    boundary case ``p_lfc == r`` returns ``u``; with ``r == 0`` the
+    comparison always fires, which is exactly the ``c = 0`` convention.
+    """
+    r = float(rule.thresholds(None, None))
+    return u if p_lfc >= r else p_lfc / r
+
+
 def g_brute(values: np.ndarray, lam: float, c: float) -> float:
     """Direct indicator count of g (second term 0 at c = 0), no sorting or binary search."""
     values = np.asarray(values, dtype=float)

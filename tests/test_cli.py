@@ -291,6 +291,33 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--pi0", "1.4", "--reps", "10")
         assert code == 2 and "--pi0" in err
 
+    @pytest.mark.parametrize("grid", ["0.5,0.2", "0:0.3:1", "0:2:1", "0.3:0.1:0.2", "-inf:0.1:1"])
+    def test_bad_grid_names_the_flag(self, capsys, grid):
+        # A start:step:stop grid needs a whole number of steps; it is never rounded to another step.
+        code, _, err = run_cli(capsys, *self.ARGS[:-4], "--reps", "2", f"--c-grid={grid}")
+        assert code == 2 and err.startswith("error: --c-grid") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,grid", [
+    ("0:0.05:1", np.linspace(0.0, 1.0, 21)),
+    ("0:0.25:1", [0.0, 0.25, 0.5, 0.75, 1.0]),
+    ("0.1:0.1:0.3", np.linspace(0.1, 0.3, 3)),
+    ("0,0.5,1", [0.0, 0.5, 1.0]),
+])
+def test_grid_flag_values(text, grid):
+    got = cli._parse_grid(text)
+    assert np.array_equal(got.view(np.uint64), np.asarray(grid, dtype=float).view(np.uint64))
+
+
+@pytest.mark.parametrize("flags", [["--sigma", "inf"], ["--model", "two-sample", "--sigma", "nan"],
+                                   ["--copula", "gumbel", "--nu", "inf"], ["--nu", "nan"]])
+@pytest.mark.parametrize("command", ["simulate", "curves", "cstar"])
+def test_non_finite_model_flag_exits_2(capsys, command, flags):
+    extra = ["--reps", "2"] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, "--m", "10", *extra, *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and flags[-2].lstrip("-") in err
+
 
 # sha256 of `simulate` CSVs written before replicates were generated in chunks
 # on one re-keyed stream (x86-64, numpy 2.4, scipy 1.17). Any change to the

@@ -219,6 +219,8 @@ class TestPopulationSpec:
             PopulationSpec(((0, ZTestLaw(0.0)),))
         with pytest.raises(ValueError):
             PopulationSpec(((1, ZTestLaw(0.0)),))
+        with pytest.raises(ValueError, match="group count"):
+            PopulationSpec(((2.5, ZTestLaw(0.0)), (3, ZTestLaw(1.0))))
 
     def test_digest_stable(self):
         assert interior_null_population().digest() == interior_null_population().digest()

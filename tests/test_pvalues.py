@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _oracles import dkw_band, ks_critical, normal_quantile, student_t_cdf as t_cdf_oracle
+from _oracles import dkw_band, ks_critical, normal_quantile, randomize, student_t_cdf as t_cdf_oracle
 from pi0rand.pvalues import (
     PValueVector,
     RandomizationRule,
@@ -12,7 +12,6 @@ from pi0rand.pvalues import (
     ZTestLaw,
     lfc_pvalue_t,
     lfc_pvalue_z,
-    randomize,
     randomize_vector,
     randomized_cdf,
     stochastic_order_diagnostic,
@@ -81,27 +80,37 @@ class TestLfcPvalues:
             lfc_pvalue_t(1.0, 0)
 
 
+def randomize_one(p, c):
+    """randomize_vector on (p, p) under the constant rule c: the first output and the uniform it drew."""
+    out = randomize_vector(PValueVector([p, p]), RandomizationRule.constant(c), RngStream(6, 0)).values[0]
+    return out, RngStream(6, 0).generator.random(2)[0]
+
+
 class TestRandomize:
     def test_uniform_branch(self):
-        assert randomize(0.7, 0.123, RandomizationRule.constant(0.5)) == 0.123
+        out, u = randomize_one(0.7, 0.5)
+        assert out == u
 
     def test_rescaled_branch(self):
-        assert randomize(0.2, 0.9, RandomizationRule.constant(0.5)) == 0.4
+        assert randomize_one(0.2, 0.5)[0] == 0.4
 
     def test_zero_threshold_convention(self):
         for p in (0.0, 0.3, 0.99, 1.0):
-            assert randomize(p, 0.456, RandomizationRule.constant(0.0)) == 0.456
+            out, u = randomize_one(p, 0.0)
+            assert out == u
 
     def test_boundary_p_equal_c_returns_uniform(self):
-        assert randomize(0.5, 0.77, RandomizationRule.constant(0.5)) == 0.77
+        out, u = randomize_one(0.5, 0.5)
+        assert out == u
 
     def test_threshold_one(self):
-        assert randomize(0.8, 0.2, RandomizationRule.constant(1.0)) == 0.8
-        assert randomize(1.0, 0.2, RandomizationRule.constant(1.0)) == 0.2
+        assert randomize_one(0.8, 1.0)[0] == 0.8
+        out, u = randomize_one(1.0, 1.0)
+        assert out == u
 
     def test_uniform_rule_needs_rng(self):
         with pytest.raises(ValueError):
-            randomize(0.4, 0.5, RandomizationRule.uniform(0.2, 0.6))
+            RandomizationRule.uniform(0.2, 0.6).thresholds(None, 3)
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
@@ -111,11 +120,12 @@ class TestRandomize:
         with pytest.raises(ValueError):
             RandomizationRule("uniform", -0.1, 0.5)
 
-    @given(p=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0), c=st.floats(0.0, 1.0))
+    @given(p=st.floats(0.0, 1.0), c=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
-    def test_output_in_unit_interval(self, p, u, c):
-        out = randomize(p, u, RandomizationRule.constant(c))
+    def test_output_in_unit_interval(self, p, c):
+        out, u = randomize_one(p, c)
         assert 0.0 <= out <= 1.0
+        assert out == randomize(p, u, RandomizationRule.constant(c))
         if c == 0.0 or p >= c:
             assert out == u
 
@@ -213,6 +223,17 @@ class TestRandomizedCdf:
             law = ZTestLaw(theta)
             for c in np.linspace(0.0, 1.0, 11):
                 assert np.max(randomized_cdf(t, c, law) - t) <= 1e-12
+
+    def test_threshold_must_be_one_number(self):
+        law = ZTestLaw(-1.0)
+        for c in ([0.1, 0.2], np.array([0.3]), 1.5, np.nan):
+            with pytest.raises(ValueError, match="c"):
+                randomized_cdf(np.linspace(0.0, 1.0, 5), c, law)
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="c1"):
+            stochastic_order_diagnostic(law, [0.1, 0.2], 0.5, t)
+        with pytest.raises(ValueError, match="c2"):
+            stochastic_order_diagnostic(law, 0.1, np.array([0.5, 0.6]), t)
 
     def test_mc_agreement_dkw(self):
         # Empirical cdf of simulated randomized p-values stays inside the

@@ -69,6 +69,18 @@ class TestModelSpec:
             ModelSpec("z", ((5, 0.0),), dependence="gumbel", nu=0.5)
         with pytest.raises(ValueError):
             ModelSpec("z", ((1, 0.0),))
+        for bad in (np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match="sigma"):
+                ModelSpec("two_sample", ((5, 0.0),), n1=5, n2=5, sigma=bad)
+        with pytest.raises(ValueError, match="nu"):
+            ModelSpec("z", ((5, 0.0),), dependence="gumbel", nu=np.inf)
+
+    def test_fractional_group_count_rejected(self):
+        # A count of 2.5 used to be truncated to 2 without a word.
+        for groups in (((2.5, 0.0), (3, 1.0)), ((3, 0.0), (np.nan, 1.0))):
+            with pytest.raises(ValueError, match="group count"):
+                ModelSpec("z", groups)
+        assert ModelSpec("z", ((2.0, 0.0), (3, 1.0))).m == 5
 
 
 class TestGenLfcPvalues:
@@ -150,6 +162,9 @@ class TestGumbelUniforms:
             gumbel_uniforms(10, 0.9, RngStream(0, 0))
         with pytest.raises(ValueError):
             gumbel_uniforms(0, 2.0, RngStream(0, 0))
+        for bad_nu in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="nu"):
+                gumbel_uniforms(10, bad_nu, RngStream(0, 0))
 
 
 class TestRunMc:

@@ -6,17 +6,14 @@ from numpy.testing import assert_allclose
 
 from _oracles import ks_critical, normal_quantile, student_t_cdf as t_cdf_oracle
 from _oracles import normal_cdf as normal_cdf_oracle
+from pi0rand.pvalues import TwoSampleTLaw
 from pi0rand.statdist import (
     RngStream,
-    exponential_sample,
-    noncentral_t_cdf,
-    noncentral_t_quantile,
     positive_stable_sample,
     std_normal_cdf,
     std_normal_quantile,
     student_t_cdf,
     student_t_quantile,
-    uniform_sample,
 )
 
 # Frozen from the erf power series oracle (60 terms), evaluated pre-build.
@@ -116,46 +113,31 @@ class TestStudentT:
 
 
 class TestNoncentralT:
+    """The non-central t cdf through the two-sample law: ``TwoSampleTLaw(-ncp, df).cdf(F_t(x)) = F_nct(x; df, ncp)``."""
+
     def test_zero_ncp_reduces_to_central(self):
-        xs = np.linspace(-4.0, 4.0, 100)
-        assert np.max(np.abs(noncentral_t_cdf(xs, 12, 0.0) - student_t_cdf(xs, 12))) <= 1e-10
+        # Off the ncp = 0 short-cut, a tiny ncp gives the central (uniform) law.
+        u = student_t_cdf(np.linspace(-4.0, 4.0, 100), 12)
+        assert np.max(np.abs(TwoSampleTLaw(1e-9, 12).cdf(u) - u)) <= 1e-8
 
     def test_monotone_in_ncp(self):
         ncps = np.linspace(-3.0, 3.0, 25)
-        vals = [noncentral_t_cdf(1.1, 9, ncp) for ncp in ncps]
-        assert np.all(np.diff(vals) <= 1e-14)
+        vals = [TwoSampleTLaw(ncp, 9).cdf(0.3) for ncp in ncps]
+        assert np.all(np.diff(vals) >= -1e-14)
 
     def test_against_mc_oracle(self):
-        assert abs(noncentral_t_cdf(1.5, 8, 1.0) - NCT_MC_VALUE) <= NCT_MC_3SE
+        assert abs(TwoSampleTLaw(-1.0, 8).cdf(student_t_cdf(1.5, 8)) - NCT_MC_VALUE) <= NCT_MC_3SE
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            noncentral_t_cdf(1.0, 0, 1.0)
+            TwoSampleTLaw(1.0, 0)
         with pytest.raises(ValueError):
-            noncentral_t_cdf(1.0, 5, np.inf)
+            TwoSampleTLaw(np.inf, 5)
 
     def test_quantile_roundtrip(self):
         p = np.linspace(0.05, 0.95, 19)
-        x = noncentral_t_quantile(p, 8, 1.0)
-        assert np.max(np.abs(noncentral_t_cdf(x, 8, 1.0) - p)) <= 1e-8
-
-    def test_quantile_bitwise_equals_scipy_stats(self):
-        # The quantile calls special.nctdtrit directly; it must reproduce
-        # scipy.stats.nct.ppf bit for bit, far tails and the q where the
-        # quantile crosses zero included.
-        from scipy import special, stats
-
-        tails = np.logspace(-300, -1, 301)
-        body = np.linspace(0.0, 1.0, 2001)[1:-1]
-        base = np.concatenate([tails, body, 1.0 - tails[tails > 1e-16], [1.0 - 1e-16]])
-        for df, ncp in ((1, -1.0), (5, 0.3), (18, -1.0), (18, 2.5), (60, 7.0)):
-            q0 = special.nctdtr(df, ncp, 0.0)
-            p = np.concatenate([base, q0 + np.arange(-20, 21) * np.spacing(q0)])
-            got = noncentral_t_quantile(p, df, ncp)
-            want = stats.nct.ppf(p, df, ncp)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            scalar = noncentral_t_quantile(float(p[7]), df, ncp)
-            assert isinstance(scalar, float) and scalar == want[7]
+        law = TwoSampleTLaw(-1.0, 8)
+        assert np.max(np.abs(law.cdf(law.quantile(p)) - p)) <= 1e-8
 
     def test_cli_import_skips_scipy_stats(self):
         # scipy.stats takes most of the CLI's start-up time and is not needed.
@@ -202,24 +184,24 @@ class TestPositiveStable:
 
 class TestStreams:
     def test_determinism(self):
-        a = uniform_sample(RngStream(123, 45), size=64)
-        b = uniform_sample(RngStream(123, 45), size=64)
+        a = RngStream(123, 45).generator.random(64)
+        b = RngStream(123, 45).generator.random(64)
         assert np.array_equal(a, b)
-        ea = exponential_sample(RngStream(9, 1), size=64)
-        eb = exponential_sample(RngStream(9, 1), size=64)
+        ea = RngStream(9, 1).generator.standard_exponential(64)
+        eb = RngStream(9, 1).generator.standard_exponential(64)
         assert np.array_equal(ea, eb)
 
     def test_distinct_streams_differ(self):
-        a = uniform_sample(RngStream(123, 0), size=16)
-        b = uniform_sample(RngStream(123, 1), size=16)
+        a = RngStream(123, 0).generator.random(16)
+        b = RngStream(123, 1).generator.random(16)
         assert not np.array_equal(a, b)
 
     def test_uniform_mean(self):
-        u = uniform_sample(RngStream(7, 0), size=1_000_000)
+        u = RngStream(7, 0).generator.random(1_000_000)
         assert abs(u.mean() - 0.5) <= 0.002  # 3 sigma of 1/sqrt(12)/1e3
 
     def test_uniform_ks(self):
-        u = uniform_sample(RngStream(7, 1), size=100_000)
+        u = RngStream(7, 1).generator.random(100_000)
         grid = np.sort(u)
         emp_hi = np.arange(1, u.size + 1) / u.size
         emp_lo = np.arange(0, u.size) / u.size
@@ -227,10 +209,10 @@ class TestStreams:
         assert stat <= ks_critical(100_000)
 
     def test_exponential_mean(self):
-        e = exponential_sample(RngStream(11, 4), size=1_000_000)
+        e = RngStream(11, 4).generator.standard_exponential(1_000_000)
         assert abs(e.mean() - 1.0) <= 0.003  # 3 sigma of 1/1e3
 
-    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, np.inf, np.nan])
     def test_rejects_bad_seed(self, bad):
         with pytest.raises(ValueError):
             RngStream(bad, 0)
@@ -238,8 +220,8 @@ class TestStreams:
     @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1))
     @settings(max_examples=25, deadline=None)
     def test_reproducible_for_any_key(self, seed, stream):
-        a = uniform_sample(RngStream(seed, stream), size=8)
-        b = uniform_sample(RngStream(seed, stream), size=8)
+        a = RngStream(seed, stream).generator.random(8)
+        b = RngStream(seed, stream).generator.random(8)
         assert np.array_equal(a, b)
 
 

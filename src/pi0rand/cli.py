@@ -20,11 +20,13 @@ import sys
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _write_text, cstar_search, h_curve, schweder_spjotvoll
+from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _write_text, cstar_search, h_curve
+from .pi0 import schweder_spjotvoll
 from .pvalues import PValueVector, RandomizationRule, randomize_vector
-from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
-from .statdist import RngStream, _checked_uint64, _increasing_grid, _positive_int, _probability
-from .tuning import conditional_expectation, select_c0
+from .simkit import ModelSpec, SimulationPlan, _check_nu, cdf_curves, run_mc
+from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _positive_finite, _positive_int
+from .statdist import _probability
+from .tuning import select_c0
 
 __all__ = ["main"]
 
@@ -43,7 +45,7 @@ def _read_pvalue_csv(path):
     values = _bulk_column([s for s in map(str.strip, lines) if s and s[0] != "#"])
     if values is not None and len(values) >= 2:
         return values
-    # Some row is bad: parse row by row to name the first one by its physical line number.
+    # Some row is bad, or there are fewer than two: re-read row by row to raise the first fault by its physical line.
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
     if not rows:
         raise CliError(f"{path}: empty input")
@@ -52,7 +54,6 @@ def _read_pvalue_csv(path):
     if "p_lfc" not in columns:
         raise CliError(f"{path}: row {header_no}: header must contain a p_lfc column")
     col = columns.index("p_lfc")
-    values = []
     for line_no, line in rows[1:]:
         fields = line.split(",")
         if len(fields) != len(columns):
@@ -63,10 +64,7 @@ def _read_pvalue_csv(path):
             raise CliError(f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number") from exc
         if not 0.0 <= v <= 1.0:
             raise CliError(f"{path}: row {line_no}: p_lfc value {v!r} outside [0, 1]")
-        values.append(v)
-    if len(values) < 2:
-        raise CliError(f"{path}: need at least two p-values, got {len(values)}")
-    return np.array(values)
+    raise CliError(f"{path}: need at least two p-values, got {len(rows) - 1}")
 
 
 def _bulk_column(rows):
@@ -115,12 +113,16 @@ def _model_spec(args):
     _probability(args.pi0, "--pi0")
     if args.m < 2:
         raise CliError(f"--m must be >= 2, got {args.m}")
+    _finite_array(args.theta_null, "--theta-null")
+    _finite_array(args.theta_alt, "--theta-alt")
+    _positive_finite(args.sigma, "--sigma")
+    _check_nu(args.nu, "--nu")
     n_null = int(round(args.pi0 * args.m))
     groups = tuple(g for g in ((n_null, args.theta_null), (args.m - n_null, args.theta_alt)) if g[0] > 0)
     if args.model == "z":
-        design = {"model": "z", "n": args.n}
+        design = {"model": "z", "n": _positive_int(args.n, "--n")}
     else:
-        design = {"model": "two_sample", "n1": args.n1, "n2": args.n2}
+        design = {"model": "two_sample", "n1": _positive_int(args.n1, "--n1"), "n2": _positive_int(args.n2, "--n2")}
     return ModelSpec(groups=groups, sigma=args.sigma, dependence=args.copula, nu=args.nu, **design)
 
 
@@ -131,7 +133,7 @@ def _cmd_analyze(args):
     lam = _check_lambda(args.lam, "--lambda")
     seed = _checked_uint64(args.seed, "--seed")
     values = _read_pvalue_csv(args.input)
-    p = PValueVector(values, kind="external")
+    p = PValueVector(values)
     sel = select_c0(p, lam)
     variant = args.variant.replace("-", "_")
     cfg = EstimatorConfig(lam, variant)
@@ -139,7 +141,7 @@ def _cmd_analyze(args):
     prand = randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
     pi0_rand = schweder_spjotvoll(prand, cfg)
     pi0_lfc = schweder_spjotvoll(p, cfg)
-    cond = conditional_expectation(p, lam, sel.c0, variant)
+    cond = _estimate_from_count(sel.g_max, p.m, lam, variant)
     lines = [
         f"m = {p.m}",
         f"lambda = {lam!r}",
@@ -154,8 +156,7 @@ def _cmd_analyze(args):
     print("\n".join(lines))
     if args.out:
         meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": seed}
-        body = "\n".join(map(repr, prand.values.tolist()))  # one column: skip _csv_text's per-row join
-        _write_text(args.out, _csv_text(meta, ["p_lfc"], []) + body + "\n")
+        _write_text(args.out, _csv_text(meta, ["p_lfc"], [prand.values]))
     return 0
 
 

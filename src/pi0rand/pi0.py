@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pvalues import PValueVector
+from .pvalues import PValueVector, _randomized_cdf
 from .statdist import _increasing_grid, _positive_int, _probability
 
 __all__ = [
@@ -93,9 +93,10 @@ class PopulationSpec:
 def _csv_text(metadata: dict, header, columns) -> str:
     """``# key=value`` lines, the header row, then the columns row by row as ``repr(float)``."""
     lines = [f"# {key}={val}" for key, val in metadata.items()] + [",".join(header)]
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    lines.extend(map(",".join, zip(*cells)))
+    lines.append("")  # the final line end, without copying the joined text once more
+    return "\n".join(lines)
 
 
 def _write_text(path, text) -> None:
@@ -186,7 +187,7 @@ def _expected_ecdf(spec: PopulationSpec, lam: float, c):
     """E[Fhat(lambda)] at each threshold of ``c`` (a float or an array), as in the module docstring."""
     ef = np.zeros_like(c, dtype=float)
     for count, law in spec.groups:
-        ef += count * (lam * (1.0 - law.cdf(c)) + law.cdf(lam * c))
+        ef += count * _randomized_cdf(lam, c, law)
     return ef / spec.m
 
 

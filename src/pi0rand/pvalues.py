@@ -59,23 +59,19 @@ __all__ = [
     "stochastic_order_diagnostic",
 ]
 
-P_VALUE_KINDS = ("lfc", "randomized", "external")
 _TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class PValueVector:
-    """Ordered collection of m >= 2 p-values with a provenance tag."""
+    """Ordered collection of m >= 2 p-values."""
 
     values: np.ndarray
-    kind: str = "external"
 
     def __post_init__(self):
         arr = _probabilities(np.array(self.values, dtype=float, copy=True), "p-values")
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("a p-value vector needs at least two entries")
-        if self.kind not in P_VALUE_KINDS:
-            raise ValueError(f"kind must be one of {P_VALUE_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -90,44 +86,32 @@ class PValueVector:
 class RandomizationRule:
     """Threshold rule deciding when the uniform replaces the LFC p-value.
 
-    ``constant(c)`` is the basic rule with a fixed threshold. The random
-    variants draw the threshold R once per hypothesis: ``point_mass(c)``
-    is degenerate at c (its outputs are bitwise identical to the constant
-    rule) and ``uniform(a, b)`` draws R from Uni[a, b] with
-    0 <= a <= b <= 1.
+    The threshold R is drawn once per hypothesis from Uni[low, high] with
+    0 <= low <= high <= 1. ``constant(c)``, the basic rule, is the
+    degenerate low = high = c, which draws nothing.
     """
 
-    variant: str
     low: float
     high: float
 
     def __post_init__(self):
-        if self.variant not in ("constant", "point_mass", "uniform"):
-            raise ValueError(f"unknown rule variant {self.variant!r}")
         if not (0.0 <= self.low <= self.high <= 1.0):
             raise ValueError("rule support must satisfy 0 <= low <= high <= 1")
-        if self.variant in ("constant", "point_mass") and self.low != self.high:
-            raise ValueError(f"{self.variant} rule needs low == high")
 
     @classmethod
     def constant(cls, c: float) -> "RandomizationRule":
-        return cls("constant", c, c)
-
-    @classmethod
-    def point_mass(cls, c: float) -> "RandomizationRule":
-        return cls("point_mass", c, c)
+        return cls(c, c)
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "RandomizationRule":
-        return cls("uniform", a, b)
+        return cls(a, b)
 
     def thresholds(self, rng: Union[RngStream, None], size):
-        """Per-hypothesis thresholds; consumes ``size`` draws only if uniform."""
-        if self.variant == "uniform":
+        """Per-hypothesis thresholds; consumes ``size`` draws only if low < high."""
+        if self.low < self.high:
             if rng is None:
                 raise ValueError("the uniform rule needs an RngStream to draw R")
-            span = self.high - self.low
-            return self.low + span * rng.generator.random(size)
+            return self.low + (self.high - self.low) * rng.generator.random(size)
         if size is None:
             return self.low
         return np.full(size, self.low)
@@ -236,9 +220,8 @@ def lfc_pvalue_t(t_stat, df):
 def randomize_vector(p_lfc: PValueVector, rule: RandomizationRule, rng: RngStream) -> PValueVector:
     """Randomize a whole p-value vector.
 
-    Element j consumes uniform draw j from the stream; for the uniform-R
-    rule the per-hypothesis thresholds are drawn after the uniforms, so the
-    constant and point-mass rules produce bitwise identical output.
+    Element j consumes uniform draw j from the stream; a rule with
+    low < high draws its per-hypothesis thresholds after the uniforms.
     """
     values = p_lfc.values
     m = values.size
@@ -248,16 +231,17 @@ def randomize_vector(p_lfc: PValueVector, rule: RandomizationRule, rng: RngStrea
     lower = values < r
     if np.any(lower):
         out[lower] = values[lower] / r[lower]
-    return PValueVector(out, kind="randomized")
+    return PValueVector(out)
+
+
+def _randomized_cdf(t, c, law: MarginalLaw):
+    """``t * (1 - F(c)) + F(t * c)`` for checked t and c, one of which may be an array."""
+    return t * (1.0 - law.cdf(c)) + law.cdf(t * c)
 
 
 def randomized_cdf(t, c, law: MarginalLaw):
     """Exact cdf of the randomized p-value at threshold ``c`` under ``law``."""
-    t_arr = _probabilities(t, "t")
-    c_val = _probability(c, "c")
-    f_c = float(law.cdf(c_val))
-    out = t_arr * (1.0 - f_c) + law.cdf(t_arr * c_val)
-    return _match_input(out, t)
+    return _match_input(_randomized_cdf(_probabilities(t, "t"), _probability(c, "c"), law), t)
 
 
 @dataclass(frozen=True)

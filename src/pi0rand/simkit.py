@@ -32,7 +32,8 @@ import numpy as np
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
 from .pi0 import _write_text
 from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
-from .statdist import RngStream, _increasing_grid, _positive_int, _probabilities, positive_stable_sample
+from .statdist import RngStream, _finite_array, _increasing_grid, _positive_finite, _positive_int, _probabilities
+from .statdist import positive_stable_sample
 
 __all__ = [
     "ModelSpec",
@@ -49,9 +50,9 @@ DEPENDENCE = ("independent", "gumbel")
 CHUNK_VALUES = 8192  # random values drawn per chunk of replicates: 8 replicates at m = 1000
 
 
-def _check_nu(nu):
+def _check_nu(nu, name="nu"):
     if not 1.0 <= nu < np.inf:
-        raise ValueError(f"nu must be finite and >= 1, got {nu!r}")
+        raise ValueError(f"{name} must be finite and >= 1, got {nu!r}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,7 @@ class ModelSpec:
         groups = tuple((_positive_int(count, "group count"), float(theta)) for count, theta in self.groups)
         if not groups:
             raise ValueError("groups must be non-empty")
-        if any(not np.isfinite(theta) for _, theta in groups):
-            raise ValueError("group effects must be finite")
+        _finite_array([theta for _, theta in groups], "group effects")
         if sum(count for count, _ in groups) < 2:
             raise ValueError("need m >= 2 hypotheses")
         object.__setattr__(self, "groups", groups)
@@ -92,8 +92,7 @@ class ModelSpec:
             object.__setattr__(self, "n2", _positive_int(self.n2, "n2"))
             if self.n1 + self.n2 < 3:
                 raise ValueError("need n1 + n2 - 2 >= 1")
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        _positive_finite(self.sigma, "sigma")
         if self.dependence not in DEPENDENCE:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
         _check_nu(self.nu)
@@ -168,15 +167,14 @@ def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
     """
     m = _positive_int(m, "m")
     _check_nu(nu)
-    # Stable index 1 is the point mass at one, so nu = 1 gives V_j = exp(-E_j).
-    s = 1.0 if nu == 1.0 else positive_stable_sample(1.0 / nu, rng)
+    s = positive_stable_sample(1.0 / nu, rng)
     e = rng.generator.standard_exponential(m)
     return np.exp(-((e / s) ** (1.0 / nu)))
 
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> PValueVector:
     """Generate one LFC p-value vector from the model."""
-    return PValueVector(_lfc_rows(spec, rng, (None,))[0], kind="lfc")
+    return PValueVector(_lfc_rows(spec, rng, (None,))[0])
 
 
 def _draws_per_replicate(spec: ModelSpec) -> int:

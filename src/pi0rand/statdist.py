@@ -55,6 +55,11 @@ def _positive_int(value, name):
     return iv
 
 
+def _positive_finite(x, name):
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+
+
 def _probabilities(x, name):
     """``x`` as a float array (0-d for a scalar) with every entry in [0, 1]."""
     arr = np.asarray(x, dtype=float)
@@ -69,6 +74,14 @@ def _probability(x, name):
     if arr.ndim != 0:
         raise ValueError(f"{name} must be a single number, got shape {arr.shape}")
     return float(arr)
+
+
+def _open_probabilities(p):
+    """``p`` as a float array with every entry in the open interval (0, 1)."""
+    arr = np.asarray(p, dtype=float)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError("p must lie strictly inside (0, 1)")
+    return arr
 
 
 def _increasing_grid(grid, name):
@@ -130,10 +143,7 @@ def std_normal_cdf(x):
 
 def std_normal_quantile(p):
     """Inverse of :func:`std_normal_cdf` on the open interval (0, 1)."""
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("p must lie strictly inside (0, 1)")
-    return _match_input(_special.ndtri(arr), p)
+    return _match_input(_special.ndtri(_open_probabilities(p)), p)
 
 
 def student_t_cdf(x, df):
@@ -150,10 +160,7 @@ def student_t_quantile(p, df):
     off at p = 1e-200 and +inf below 1e-238), so entries whose round trip
     misses p by over 1e-12 relative are redone by ``_nct_search``.
     """
-    idf = _positive_int(df, "df")
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("p must lie strictly inside (0, 1)")
+    idf, arr = _positive_int(df, "df"), _open_probabilities(p)
     x = np.asarray(_special.stdtrit(idf, arr))
     redo = ~(np.abs(_special.stdtr(idf, x) - arr) <= 1e-12 * arr)
     if np.any(redo):

@@ -35,36 +35,22 @@ __all__ = [
     "conditional_expectation",
 ]
 
-CANDIDATE_SOURCES = ("p", "p/lambda", "grid")
-
-
 @dataclass(frozen=True)
 class CandidateSet:
-    """Sorted, deduplicated threshold candidates with per-point source tags."""
+    """Sorted, deduplicated threshold candidates."""
 
     points: np.ndarray
-    sources: tuple
 
     def __post_init__(self):
-        pts = _increasing_grid(self.points, "candidate points")
-        if len(self.sources) != pts.size:
-            raise ValueError("one source tag per point required")
-        if any(s not in CANDIDATE_SOURCES for s in self.sources):
-            raise ValueError(f"source tags must be among {CANDIDATE_SOURCES}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "sources", tuple(self.sources))
+        object.__setattr__(self, "points", _increasing_grid(self.points, "candidate points"))
 
     def __len__(self) -> int:
         return self.points.size
 
 
 def g_value(p_lfc: PValueVector, lam: float, c: float) -> float:
-    """Indicator sum ``lambda * #{p_j >= c} + #{p_j <= lambda*c}`` (second term 0 at c = 0)."""
-    lam, c = _check_lambda(lam), _probability(c, "c")
-    values = p_lfc.values
-    n_ge = int(np.count_nonzero(values >= c))
-    n_le = int(np.count_nonzero(values <= lam * c)) if c > 0.0 else 0
-    return lam * n_ge + n_le
+    """g at the single threshold ``c``."""
+    return float(g_values(p_lfc, lam, _probability(c, "c")))
 
 
 def g_values(p_lfc: PValueVector, lam: float, cs) -> np.ndarray:
@@ -84,12 +70,7 @@ def _candidate_points(values: np.ndarray, lam: float) -> np.ndarray:
 
 def candidate_set(p_lfc: PValueVector, lam: float) -> CandidateSet:
     """Build {p_j} and {p_j / lambda} clipped to [0, 1], plus the endpoints."""
-    lam = _check_lambda(lam)
-    values = p_lfc.values
-    points = _candidate_points(values, lam)
-    # A point with several sources takes the first tag of CANDIDATE_SOURCES.
-    tag = np.where(np.isin(points, values), 0, np.where(np.isin(points, values / lam), 1, 2))
-    return CandidateSet(points, tuple(np.array(CANDIDATE_SOURCES)[tag].tolist()))
+    return CandidateSet(_candidate_points(p_lfc.values, _check_lambda(lam)))
 
 
 class SelectionResult(NamedTuple):

@@ -126,6 +126,14 @@ def g_brute_max(values: np.ndarray, lam: float, grid: np.ndarray):
     return best_g, best_c
 
 
+def csv_text_row_first(metadata: dict, header, columns) -> str:
+    """Row-first reference for ``pi0._csv_text``: one tuple of floats, then one join, per row."""
+    lines = [f"# {key}={val}" for key, val in metadata.items()] + [",".join(header)]
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    lines.extend(",".join(map(repr, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def dkw_band(n: int, alpha: float = 0.01) -> float:
     """Half-width of the Dvoretzky-Kiefer-Wolfowitz confidence band."""
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))

@@ -132,7 +132,7 @@ def test_criterion_4_lfc_uniformity():
     for k, c in enumerate((0.0, 0.3, 0.7, 1.0)):
         assert np.max(np.abs(randomized_cdf(t, c, law) - t)) <= 1e-12
         rng = RngStream(SEED_MC + 10, k)
-        p_lfc = PValueVector(law.quantile(rng.generator.random(n)), kind="lfc")
+        p_lfc = PValueVector(law.quantile(rng.generator.random(n)))
         draws = randomize_vector(p_lfc, RandomizationRule.constant(c), rng).values
         grid = np.linspace(0.005, 0.995, 199)
         emp = np.searchsorted(np.sort(draws), grid, side="right") / n
@@ -227,7 +227,7 @@ def test_criterion_10_storey_plus(practical_datasets):
 def test_criterion_11_doubly_randomized():
     n = 100_000
     law = ZTestLaw(-1.0)
-    p = PValueVector(law.quantile(RngStream(SEED_MC + 20, 0).generator.random(n)), kind="lfc")
+    p = PValueVector(law.quantile(RngStream(SEED_MC + 20, 0).generator.random(n)))
     lo = randomize_vector(p, RandomizationRule.uniform(0.2, 0.4), RngStream(SEED_MC + 20, 1)).values
     hi = randomize_vector(p, RandomizationRule.uniform(0.5, 0.7), RngStream(SEED_MC + 20, 2)).values
     t = np.linspace(0.02, 0.98, 49)
@@ -236,8 +236,8 @@ def test_criterion_11_doubly_randomized():
     se = np.sqrt(f_lo * (1.0 - f_lo) / n + f_hi * (1.0 - f_hi) / n)
     assert np.all(f_lo - f_hi >= -3.0 * se)
     # Constant-threshold R reproduces the basic rule bitwise.
-    p_small = PValueVector(RngStream(SEED_MC + 21, 0).generator.random(1000), kind="lfc")
+    p_small = PValueVector(RngStream(SEED_MC + 21, 0).generator.random(1000))
     for c in (0.0, 0.3276, 0.9, 1.0):
         a = randomize_vector(p_small, RandomizationRule.constant(c), RngStream(SEED_MC + 22, 3))
-        b = randomize_vector(p_small, RandomizationRule.point_mass(c), RngStream(SEED_MC + 22, 3))
+        b = randomize_vector(p_small, RandomizationRule.uniform(c, c), RngStream(SEED_MC + 22, 3))
         assert np.array_equal(a.values, b.values)

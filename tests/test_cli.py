@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from pi0rand import cli
 from pi0rand.cli import main
+from pi0rand.pvalues import PValueVector
+from pi0rand.statdist import RngStream
+from pi0rand.tuning import conditional_expectation
 
 HAND_CSV = "p_lfc\n0.1\n0.2\n0.6\n0.8\n"
 
@@ -235,6 +238,20 @@ def test_analyze_end_to_end_at_1e5(capsys, tmp_path):
     layout = "\n".join(body[:5]) + "\n" + "".join(repr(float(v)) + "\n" for v in rand)
     assert out.read_bytes() == layout.encode()
 
+
+@pytest.mark.parametrize("variant", ["plain", "storey-plus"])
+def test_analyze_reports_the_library_conditional_expectation(capsys, tmp_path, variant):
+    lam, values = 0.3, RngStream(31, 0).generator.random(2000)
+    values[:4] = (0.0, 1.0, lam, 0.09)
+    src = tmp_path / "p.csv"
+    src.write_text("p_lfc\n" + "".join(repr(v) + "\n" for v in values.tolist()))
+    code, out, err = run_cli(capsys, "analyze", str(src), "--lambda", repr(lam), "--variant", variant)
+    assert code == 0 and err == ""
+    report = dict(line.split(" = ") for line in out.strip().split("\n"))
+    want = conditional_expectation(PValueVector(values), lam, float(report["c0"]), variant.replace("-", "_"))
+    assert report["conditional_expectation_at_c0"] == repr(want)
+
+
 class TestSimulate:
     ARGS = (
         "simulate", "--model", "z", "--m", "100", "--n", "50", "--pi0", "0.7",
@@ -291,7 +308,7 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--pi0", "1.4", "--reps", "10")
         assert code == 2 and "--pi0" in err
 
-    @pytest.mark.parametrize("grid", ["0.5,0.2", "0:0.3:1", "0:2:1", "0.3:0.1:0.2", "-inf:0.1:1"])
+    @pytest.mark.parametrize("grid", ["0.5,0.2", "0:0.3:1", "0:2:1", "0.3:0.1:0.2", "-inf:0.1:1", "0:1", "a:0.1:1", "0,x"])
     def test_bad_grid_names_the_flag(self, capsys, grid):
         # A start:step:stop grid needs a whole number of steps; it is never rounded to another step.
         code, _, err = run_cli(capsys, *self.ARGS[:-4], "--reps", "2", f"--c-grid={grid}")
@@ -310,13 +327,16 @@ def test_grid_flag_values(text, grid):
 
 
 @pytest.mark.parametrize("flags", [["--sigma", "inf"], ["--model", "two-sample", "--sigma", "nan"],
-                                   ["--copula", "gumbel", "--nu", "inf"], ["--nu", "nan"]])
+                                   ["--copula", "gumbel", "--nu", "inf"], ["--nu", "nan"],
+                                   ["--theta-null", "nan"], ["--theta-alt", "inf"], ["--sigma", "0"], ["--n", "0"],
+                                   ["--model", "two-sample", "--n1", "0"], ["--m", "1"]])
 @pytest.mark.parametrize("command", ["simulate", "curves", "cstar"])
 def test_non_finite_model_flag_exits_2(capsys, command, flags):
+    # Non-finite and out-of-range model flags alike are named with their dashes.
     extra = ["--reps", "2"] if command == "simulate" else []
     code, out, err = run_cli(capsys, command, "--m", "10", *extra, *flags)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and flags[-2].lstrip("-") in err
+    assert err.startswith(f"error: {flags[-2]} ") and err.count("\n") == 1
 
 
 # sha256 of `simulate` CSVs written before replicates were generated in chunks

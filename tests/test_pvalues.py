@@ -21,10 +21,10 @@ from pi0rand.statdist import RngStream, std_normal_cdf, std_normal_quantile
 
 
 class TestPValueVector:
-    def test_holds_values_and_kind(self):
-        p = PValueVector([0.1, 0.9], kind="lfc")
+    def test_holds_values(self):
+        p = PValueVector([0.1, 0.9])
         assert p.m == 2 and len(p) == 2
-        assert p.kind == "lfc"
+        assert np.array_equal(p.values, [0.1, 0.9])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -35,10 +35,6 @@ class TestPValueVector:
     def test_rejects_short_vectors(self):
         with pytest.raises(ValueError):
             PValueVector([0.5])
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PValueVector([0.1, 0.2], kind="bogus")
 
 
 class TestLfcPvalues:
@@ -118,7 +114,7 @@ class TestRandomize:
         with pytest.raises(ValueError):
             RandomizationRule.uniform(0.6, 0.2)
         with pytest.raises(ValueError):
-            RandomizationRule("uniform", -0.1, 0.5)
+            RandomizationRule(-0.1, 0.5)
 
     @given(p=st.floats(0.0, 1.0), c=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
@@ -132,13 +128,12 @@ class TestRandomize:
 
 class TestRandomizeVector:
     def test_threshold_one_returns_input(self):
-        p = PValueVector(np.linspace(0.05, 0.95, 10), kind="lfc")
+        p = PValueVector(np.linspace(0.05, 0.95, 10))
         out = randomize_vector(p, RandomizationRule.constant(1.0), RngStream(1, 2))
         assert np.array_equal(out.values, p.values)
-        assert out.kind == "randomized"
 
     def test_threshold_zero_returns_uniform_draws(self):
-        p = PValueVector(np.linspace(0.05, 0.95, 10), kind="lfc")
+        p = PValueVector(np.linspace(0.05, 0.95, 10))
         out = randomize_vector(p, RandomizationRule.constant(0.0), RngStream(1, 2))
         expect = RngStream(1, 2).generator.random(10)
         assert np.array_equal(out.values, expect)
@@ -149,12 +144,12 @@ class TestRandomizeVector:
         b = randomize_vector(p, RandomizationRule.constant(0.4), RngStream(5, 6))
         assert np.array_equal(a.values, b.values)
 
-    def test_point_mass_matches_constant_bitwise(self):
+    def test_degenerate_uniform_matches_constant_bitwise(self):
         p = PValueVector(RngStream(8, 0).generator.random(500))
         for c in (0.0, 0.3276, 1.0):
             a = randomize_vector(p, RandomizationRule.constant(c), RngStream(9, 1))
-            b = randomize_vector(p, RandomizationRule.point_mass(c), RngStream(9, 1))
-            assert np.array_equal(a.values, b.values)
+            b = randomize_vector(p, RandomizationRule.uniform(c, c), RngStream(9, 1))
+            assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
 
     def test_matches_scalar_randomize(self):
         p = PValueVector([0.1, 0.45, 0.52, 0.9])
@@ -242,7 +237,7 @@ class TestRandomizedCdf:
         for theta, c, stream in ((-1.0, 0.5, 0), (2.5, 0.3, 1)):
             law = ZTestLaw(theta)
             rng = RngStream(314159, stream)
-            p_lfc = PValueVector(law.quantile(rng.generator.random(n)), kind="lfc")
+            p_lfc = PValueVector(law.quantile(rng.generator.random(n)))
             out = randomize_vector(p_lfc, RandomizationRule.constant(c), rng).values
             t = np.linspace(0.01, 0.99, 99)
             emp = np.searchsorted(np.sort(out), t, side="right") / n
@@ -287,6 +282,17 @@ class TestValidityDiagnostic:
         with pytest.raises(ValueError):
             validity_diagnostic(ZTestLaw(0.0), [], self.C_GRID)
 
+    def test_rejects_zero_in_either_grid(self):
+        # F(t)/t is undefined at t = 0.
+        for t_grid, c_grid in (([0.0, 0.5], self.C_GRID), (self.T_GRID, [0.0, 0.5])):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                validity_diagnostic(ZTestLaw(-1.0), t_grid, c_grid)
+
+    def test_two_point_t_grid_skips_convexity(self):
+        # Two points give one slope, so there is no second difference to check.
+        report = validity_diagnostic(ZTestLaw(1.0), [0.25, 0.75], self.C_GRID)
+        assert report.convexity == 0.0
+
 
 class TestStochasticOrderDiagnostic:
     T_GRID = np.linspace(0.0, 1.0, 500)
@@ -318,7 +324,7 @@ class TestDoublyRandomized:
         # randomized p-value stochastically below under a convex null law.
         n = 100_000
         law = ZTestLaw(-1.0)
-        p = PValueVector(law.quantile(RngStream(77, 0).generator.random(n)), kind="lfc")
+        p = PValueVector(law.quantile(RngStream(77, 0).generator.random(n)))
         lo = randomize_vector(p, RandomizationRule.uniform(0.1, 0.4), RngStream(78, 1)).values
         hi = randomize_vector(p, RandomizationRule.uniform(0.5, 0.9), RngStream(78, 2)).values
         t = np.linspace(0.02, 0.98, 49)

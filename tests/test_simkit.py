@@ -74,6 +74,15 @@ class TestModelSpec:
                 ModelSpec("two_sample", ((5, 0.0),), n1=5, n2=5, sigma=bad)
         with pytest.raises(ValueError, match="nu"):
             ModelSpec("z", ((5, 0.0),), dependence="gumbel", nu=np.inf)
+        with pytest.raises(ValueError, match="model"):
+            ModelSpec("t", ((5, 0.0),))
+        with pytest.raises(ValueError, match="dependence"):
+            ModelSpec("z", ((5, 0.0),), dependence="clayton")
+        with pytest.raises(ValueError, match="non-empty"):
+            ModelSpec("z", ())
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ModelSpec("z", ((5, 0.0), (5, bad)))
 
     def test_fractional_group_count_rejected(self):
         # A count of 2.5 used to be truncated to 2 without a word.
@@ -222,6 +231,8 @@ class TestRunMc:
             self.small_plan(c_grid=(0.5, 0.2))
         with pytest.raises(ValueError):
             self.small_plan(lam=1.0)
+        with pytest.raises(ValueError, match="stream id space"):
+            self.small_plan(replicates=2**63 + 1)
 
     def test_workers_validation(self):
         for bad in (0, -5, 1.5):
@@ -250,6 +261,11 @@ class TestRunMc:
         assert lines[header_at] == "c,mean,variance,mse,bias,se_mean"
         assert len(lines) == header_at + 1 + 6
         assert any(ln.startswith("# seed=") for ln in lines[:header_at])
+
+    def test_save_writes_the_csv_string(self, tmp_path):
+        summary = run_mc(self.small_plan(replicates=5))
+        summary.save(tmp_path / "mc.csv")
+        assert (tmp_path / "mc.csv").read_bytes() == summary.to_csv_string().encode()
 
 
 _KERNEL_SPECS = {
@@ -350,7 +366,7 @@ class TestCountingKernel:
         # c = 1 keeps all p-values below one and replaces the exact ones.
         assert (n_low[0], n_up_trials[0]) == (0, m)
         assert (n_low[1], n_up_trials[1]) == (4, 3)
-        p = PValueVector(values, kind="lfc")
+        p = PValueVector(values)
         draws = 4000
         for k, c in enumerate((0.0, 1.0)):
             rng = RngStream(64, k)

@@ -66,12 +66,31 @@ class TestGValue:
             g_value(HAND_P3, 0.5, 1.5)
 
 
+# Exact zeros of either sign, ties, and thresholds with p = lambda * c (0.1 = 0.25 * 0.4, 0.2 = 0.5 * 0.4).
+_EDGE_P = [0.0, -0.0, 0.1, 0.2, 0.2, 0.4, 0.5, 1.0]
+_EDGE_C = [0.0, -0.0, 0.2, 0.4, 0.8, 1.0]
+
+
+@given(
+    values=st.lists(st.sampled_from(_EDGE_P) | st.floats(0.0, 1.0), min_size=2, max_size=30),
+    cs=st.lists(st.sampled_from(_EDGE_C) | st.floats(0.0, 1.0), min_size=1, max_size=10),
+    lam=st.sampled_from([0.25, 0.5, 0.75, 0.3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_g_value_is_g_values_bitwise(values, cs, lam):
+    p = PValueVector(np.array(values))
+    cs = np.array(cs + [v / lam for v in values if v / lam <= 1.0])
+    want = g_values(p, lam, cs)
+    got = np.array([g_value(p, lam, c) for c in cs])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got, [g_brute(p.values, lam, c) for c in cs])
+
+
 class TestCandidateSet:
     def test_construction_m2(self):
         p = PValueVector([0.3, 0.8])
         cands = candidate_set(p, 0.5)
         assert np.array_equal(cands.points, [0.0, 0.3, 0.6, 0.8, 1.0])
-        assert cands.sources == ("grid", "p", "p/lambda", "p", "grid")
 
     def test_all_above_lambda(self):
         # Every p/lambda exceeds one, so only the p's and endpoints remain.
@@ -84,8 +103,6 @@ class TestCandidateSet:
         cands = candidate_set(p, 0.5)
         assert np.array_equal(cands.points, [0.0, 0.2, 0.4, 0.8, 1.0])
         assert np.all(np.diff(cands.points) > 0.0)
-        # 0.4 is both a p-value and 0.2/lambda; the p tag wins.
-        assert cands.sources[2] == "p"
 
     def test_count_at_scale(self):
         # m p-values contribute at most 2m + 2 candidates after clipping.
@@ -221,15 +238,14 @@ def test_candidate_max_dominates_with_exact_zeros(values, lam):
 
 
 def _candidate_oracle(values, lam):
-    """The original dict loop: later insertions win, so "p" beats "p/lambda" beats "grid"."""
-    tagged = {0.0: "grid", 1.0: "grid"}
+    """The original dict loop: a key keeps its first insertion, so the endpoint 0.0 stays +0.0."""
+    keys = dict.fromkeys([0.0, 1.0])
     for v in values / lam:
         if v <= 1.0:
-            tagged[float(v)] = "p/lambda"
+            keys[float(v)] = None
     for v in values:
-        tagged[float(v)] = "p"
-    points = np.array(sorted(tagged), dtype=float)
-    return points, tuple(tagged[p] for p in points)
+        keys[float(v)] = None
+    return np.array(sorted(keys), dtype=float)
 
 
 # Grid values make duplicates, exact 0 (of either sign) and 1, p = lambda (so p/lambda = 1)
@@ -245,23 +261,19 @@ _GRID_P = [0.0, -0.0, 1.0, 0.1, 0.2, 0.4, 0.8, 0.0625, 0.125, 0.1875, 0.25, 0.5,
 @settings(max_examples=300, deadline=None)
 def test_candidate_set_matches_dict_oracle(values, lam):
     p = PValueVector(np.array(values))
-    points, sources = _candidate_oracle(p.values, lam)
+    points = _candidate_oracle(p.values, lam)
     cands = candidate_set(p, lam)
     assert np.array_equal(cands.points, points)
     assert np.array_equal(np.signbit(cands.points), np.signbit(points))
-    assert cands.sources == sources
     assert select_c0(p, lam).candidates == len(cands)
 
 
 class TestCandidateEdgeCases:
     def test_p_equal_lambda_maps_to_one(self):
-        # 0.5 / 0.5 == 1.0 is the endpoint: "p/lambda" beats "grid", and a
-        # p-value of exactly 1 beats both.
-        cands = candidate_set(PValueVector([0.5, 0.2]), 0.5)
-        assert np.array_equal(cands.points, [0.0, 0.2, 0.4, 0.5, 1.0])
-        assert cands.sources == ("grid", "p", "p/lambda", "p", "p/lambda")
-        cands = candidate_set(PValueVector([0.5, 1.0, 0.2]), 0.5)
-        assert cands.sources == ("grid", "p", "p/lambda", "p", "p")
+        # 0.5 / 0.5 == 1.0 is the endpoint, and so is a p-value of exactly 1: one point each time.
+        for values in ([0.5, 0.2], [0.5, 1.0, 0.2]):
+            cands = candidate_set(PValueVector(values), 0.5)
+            assert np.array_equal(cands.points, [0.0, 0.2, 0.4, 0.5, 1.0])
 
     def test_zero_p_value_and_negative_zero(self):
         # -0.0 passes the [0, 1] check; the endpoint 0.0 keeps its sign.
@@ -269,7 +281,6 @@ class TestCandidateEdgeCases:
             values = np.array([0.3, 0.7, zero, zero])
             cands = candidate_set(PValueVector(values), 0.5)
             assert cands.points[0] == 0.0 and not np.signbit(cands.points[0])
-            assert cands.sources[0] == "p"
             # At c = 0 every p-value is replaced, so the zeros leave g(0) = 0.5 * 4
             # and g(0.6) = 0.5 * 1 + 3 wins.
             assert select_c0(PValueVector(values), 0.5)[:2] == (0.6, 3.5)
@@ -278,9 +289,8 @@ class TestCandidateEdgeCases:
         p = PValueVector([0.1, 0.2, 0.2, 0.6])
         cands = candidate_set(p, 0.5)
         assert cands.points.tolist() == [0.0, 0.1, 0.2, 0.4, 0.6, 1.0]
-        assert cands.sources == ("grid", "p", "p", "p/lambda", "p", "grid")
 
     def test_selection_counts_candidates_at_scale(self):
         p = PValueVector(RngStream(26, 0).generator.random(5000))
         sel = select_c0(p, 0.5)
-        assert sel.candidates == len(candidate_set(p, 0.5)) == len(_candidate_oracle(p.values, 0.5)[0])
+        assert sel.candidates == len(candidate_set(p, 0.5)) == len(_candidate_oracle(p.values, 0.5))

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special as _special
 
 from .statdist import (
     RngStream,
@@ -37,6 +36,7 @@ from .statdist import (
     _positive_int,
     _probabilities,
     _probability,
+    _special,
     std_normal_cdf,
     std_normal_quantile,
     student_t_cdf,
@@ -225,13 +225,12 @@ def randomize_vector(p_lfc: PValueVector, rule: RandomizationRule, rng: RngStrea
     """
     values = p_lfc.values
     m = values.size
-    u = rng.generator.random(m)
-    r = np.broadcast_to(np.asarray(rule.thresholds(rng, m), dtype=float), (m,))
-    out = u.copy()
+    u = rng.generator.random(m)  # fresh, so the replaced entries are written into it
+    r = rule.thresholds(rng, m)
     lower = values < r
     if np.any(lower):
-        out[lower] = values[lower] / r[lower]
-    return PValueVector(out)
+        u[lower] = values[lower] / r[lower]
+    return PValueVector(u)
 
 
 def _randomized_cdf(t, c, law: MarginalLaw):

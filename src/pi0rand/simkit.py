@@ -24,7 +24,6 @@ streams and output bytes are those of one replicate at a time.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,6 +244,7 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     if len(blocks) == 1:
         mat = _replicate_block(plan, 0, reps)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             futures = [pool.submit(_replicate_block, plan, a, b) for a, b in blocks]
             mat = np.concatenate([fut.result() for fut in futures])

@@ -13,11 +13,13 @@ domains raise ``ValueError``.
 from __future__ import annotations
 
 import functools
+import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
-from scipy.special._ufuncs import _nct_pdf  # nct.pdf's kernel, without importing scipy.stats
+import numpy.random  # noqa: F401  RngStream's Philox, loaded with the module rather than on first use
 
 __all__ = [
     "RngStream",
@@ -27,6 +29,34 @@ __all__ = [
     "student_t_quantile",
     "positive_stable_sample",
 ]
+
+
+def _load_ufuncs():
+    """``scipy.special._ufuncs`` without the package ``__init__``, which loads numpy.f2py and numpy.testing.
+
+    A bare stand-in package lets ``_ufuncs`` import its compiled siblings and is removed again, so a later
+    ``import scipy.special`` hands back these same ufuncs. This relies on scipy's private layout; any failure
+    takes the plain import.
+    """
+    if "scipy.special" not in sys.modules:
+        import scipy
+        stub = types.ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(scipy.__path__[0], "special")]
+        sys.modules["scipy.special"] = stub
+        try:
+            from scipy.special import _ufuncs
+            return _ufuncs
+        except Exception:
+            pass  # and take the plain import below
+        finally:
+            del sys.modules["scipy.special"]
+            if vars(scipy).get("special") is stub:  # not hasattr: scipy's __getattr__ would import the package
+                del scipy.special
+    from scipy.special import _ufuncs
+    return _ufuncs
+
+
+_special = _load_ufuncs()  # ndtr, ndtri, stdtr, stdtrit, nctdtr, nctdtrit and nct.pdf's kernel _nct_pdf
 
 _UINT64_BOUND = 2**64
 
@@ -205,9 +235,10 @@ def _nct_inverse_table(df, ncp):
     v = _special.ndtr(_INV_Z)
     y = _special.nctdtrit(df, ncp, v)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero density spoils its nodes, and the check catches them
-        y = y - (_special.nctdtr(df, ncp, y) - v) / _nct_pdf(y, df, ncp)
+        y = y - (_special.nctdtr(df, ncp, y) - v) / _special._nct_pdf(y, df, ncp)
         w = np.arcsinh(y)
-        dw = _INV_H * np.exp(-0.5 * _INV_Z**2) / np.sqrt(2.0 * np.pi) / (_nct_pdf(y, df, ncp) * np.hypot(1.0, y))
+        dw = _INV_H * np.exp(-0.5 * _INV_Z**2) / np.sqrt(2.0 * np.pi)
+        dw /= _special._nct_pdf(y, df, ncp) * np.hypot(1.0, y)
         dp = np.diff(w)
     return np.array([w[:-1], dw[:-1], 3.0 * dp - 2.0 * dw[:-1] - dw[1:], dw[:-1] + dw[1:] - 2.0 * dp])
 
@@ -228,7 +259,7 @@ def _nct_inverse(v, df, ncp):
     a, b, c, d = _nct_inverse_table(df, ncp)[:, k]
     y = np.sinh(a + s * (b + s * (c + s * d)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = (_special.nctdtr(df, ncp, y) - v) / _nct_pdf(y, df, ncp)
+        step = (_special.nctdtr(df, ncp, y) - v) / _special._nct_pdf(y, df, ncp)
         y -= step
     redo = ~(np.abs(step) <= _INV_STEP_RTOL * np.maximum(np.abs(y), 1.0)) | ~np.isfinite(y) | (np.abs(z) > _INV_Z[-1])
     if np.any(redo):

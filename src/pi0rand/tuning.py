@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique reads np.ma.is_masked; loaded with the module rather than on first use
 
 from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, _grid_counts
 from .pvalues import PValueVector

@@ -1,0 +1,121 @@
+"""What importing pi0rand loads, each check in a fresh interpreter.
+
+``statdist`` loads scipy.special's compiled ufuncs without running the
+package ``__init__`` (see ``statdist._load_ufuncs``), and ``run_mc`` imports
+the process pool only when one starts. These checks pin down what the CLI
+loads at start-up, that the rest of the interpreter still sees an ordinary
+``scipy.special``, and that the pool gives the same bytes in a process where
+nothing else has imported it.
+"""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+UFUNCS = ("ndtr", "ndtri", "stdtr", "stdtrit", "nctdtr", "nctdtrit", "_nct_pdf")
+LAW_VALUES = ("from pi0rand.pvalues import TwoSampleTLaw, ZTestLaw; "
+              "print(repr(ZTestLaw(1.5).quantile(0.05)), repr(TwoSampleTLaw(2.5, 18).quantile(1e-300)), "
+              "repr(TwoSampleTLaw(-1.0, 8).cdf(0.3)))")
+
+
+def _run(code, *args):
+    """Run ``code`` in a fresh interpreter with ``src`` first on the path; return its stdout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats takes most of the CLI's start-up time and is not needed.
+    _run("import pi0rand.cli, sys; assert 'scipy.stats' not in sys.modules")
+
+
+def test_quantile_leaves_scipy_stats_unloaded():
+    _run("import sys; from pi0rand.pvalues import TwoSampleTLaw; TwoSampleTLaw(2.5, 18).quantile([1e-300, 0.5]); "
+         "assert 'scipy.stats' not in sys.modules")
+
+
+def test_cli_import_leaves_no_stand_in_package():
+    # Either no scipy.special at all, or the complete one; never the bare stand-in.
+    _run("import sys, pi0rand.cli; mod = sys.modules.get('scipy.special'); "
+         "assert mod is None or hasattr(mod, 'gamma'), mod; assert 'special' not in vars(sys.modules['scipy'])")
+
+
+def test_cli_import_skips_unused_machinery():
+    out = _run("import sys, pi0rand.cli; print(' '.join(sorted(set(sys.argv[1:]) & set(sys.modules))))",
+               "numpy.f2py", "numpy.testing", "scipy._lib._array_api", "concurrent.futures", "scipy.stats")
+    assert out.split() == []
+
+
+def test_cli_import_loads_numpy_random():
+    # RngStream draws from numpy.random; it loads with the package, not on the first stream.
+    _run("import sys, pi0rand.cli; assert 'numpy.random' in sys.modules")
+
+
+def test_later_scipy_special_import_hands_back_the_same_ufuncs():
+    _run("import sys, pi0rand.cli, scipy, scipy.special, scipy.stats; from pi0rand import statdist; "
+         "assert scipy.special is sys.modules['scipy.special'] and scipy.special._ufuncs is statdist._special; "
+         f"assert all(getattr(scipy.special._ufuncs, n) is getattr(statdist._special, n) for n in {UFUNCS!r}); "
+         "assert scipy.special.ndtr is statdist._special.ndtr and scipy.special.gamma(4.0) == 6.0; "
+         "assert scipy.stats.norm.cdf(0.0) == 0.5")
+
+
+def test_scipy_special_imported_first():
+    before = _run("import scipy.special, sys; from pi0rand import statdist; "
+                  "assert statdist._special is scipy.special._ufuncs is sys.modules['scipy.special._ufuncs']; "
+                  + LAW_VALUES)
+    assert before == _run(LAW_VALUES)
+
+
+def test_failed_stand_in_import_falls_back_to_the_plain_one():
+    # A finder that refuses scipy.special._ufuncs on its first request only: the
+    # loader's own import fails, and the plain import of scipy.special succeeds.
+    refuse_once = (
+        "import sys\n"
+        "class RefuseOnce:\n"
+        "    refused = False\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy.special._ufuncs' and not RefuseOnce.refused:\n"
+        "            RefuseOnce.refused = True\n"
+        "            raise ImportError('refused once')\n"
+        "sys.meta_path.insert(0, RefuseOnce())\n"
+        "from pi0rand import statdist\n"
+        "assert RefuseOnce.refused and hasattr(sys.modules['scipy.special'], 'gamma')\n"
+        "assert statdist._special is sys.modules['scipy.special']._ufuncs\n"
+    )
+    assert _run(refuse_once + LAW_VALUES) == _run(LAW_VALUES)
+
+
+def _simulate(out, workers):
+    """``pi0rand simulate`` in a fresh process: the CSV bytes, and whether ``concurrent.futures`` was imported."""
+    stdout = _run("import sys; from pi0rand.cli import main; code = main(sys.argv[1:]); "
+                  "print('concurrent.futures' in sys.modules); sys.exit(code)",
+                  "simulate", "--model", "z", "--m", "200", "--n", "50", "--pi0", "0.7", "--theta-null", "-0.1414",
+                  "--theta-alt", "0.3536", "--copula", "gumbel", "--nu", "2", "--reps", "60", "--seed", "88",
+                  "--workers", str(workers), "--out", str(out))
+    return out.read_bytes(), stdout.split()[-1] == "True"
+
+
+def test_fresh_process_pool_writes_the_serial_bytes(tmp_path):
+    serial, serial_pooled = _simulate(tmp_path / "serial.csv", 1)
+    parallel, pooled = _simulate(tmp_path / "parallel.csv", 2)
+    assert serial == parallel
+    assert not serial_pooled and pooled == ((os.cpu_count() or 1) >= 2)  # a pool is imported only when one starts
+
+
+def test_cli_main_imports_nothing_at_run_time(tmp_path):
+    # Every module a serial run needs is loaded with pi0rand.cli, so no import lands inside main.
+    pvalues = tmp_path / "p.csv"
+    pvalues.write_text("p_lfc\n" + "".join(f"{(7 * j % 997) / 997}\n" for j in range(1, 500)))
+    code = ("import sys; from pi0rand.cli import main; before = set(sys.modules); out = sys.argv[1]; "
+            "assert main(['analyze', sys.argv[2], '--lambda', '0.5', '--seed', '3', '--out', out]) == 0; "
+            "assert main(['simulate', '--model', 'z', '--m', '100', '--reps', '3', '--out', out]) == 0; "
+            "assert main(['simulate', '--model', 'two-sample', '--m', '100', '--copula', 'gumbel', '--nu', '2', "
+            "'--reps', '3', '--out', out]) == 0; "
+            "assert main(['cstar', '--model', 'two-sample']) == 0; "
+            "assert main(['curves', '--out', out]) == 0; "
+            "print('new:', *sorted(set(sys.modules) - before))")
+    assert _run(code, str(tmp_path / "out.csv"), str(pvalues)).splitlines()[-1] == "new:"

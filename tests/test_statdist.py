@@ -139,18 +139,6 @@ class TestNoncentralT:
         law = TwoSampleTLaw(-1.0, 8)
         assert np.max(np.abs(law.cdf(law.quantile(p)) - p)) <= 1e-8
 
-    def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats takes most of the CLI's start-up time and is not needed.
-        import os
-        import subprocess
-        import sys
-
-        code = "import pi0rand.cli, sys; assert 'scipy.stats' not in sys.modules"
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
 
 class TestPositiveStable:
     def test_alpha_one_degenerate(self):

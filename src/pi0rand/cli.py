@@ -10,7 +10,10 @@ Subcommands:
 * ``cstar``    - exact bias-minimizing threshold for a model configuration.
 
 Exit codes: 0 on success, 2 on usage or validation errors (a ``ValueError``
-from the library included), 1 on internal errors.
+from the library included) and on an unreadable input or unwritable output
+path, 1 on internal errors. Each input is checked once, where it enters: a
+flag value that a library object checks is checked only there, and ``main``
+names the flag in the library's message.
 """
 
 from __future__ import annotations
@@ -23,24 +26,20 @@ import numpy as np
 from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _write_text, cstar_search, h_curve
 from .pi0 import schweder_spjotvoll
 from .pvalues import PValueVector, RandomizationRule, randomize_vector
-from .simkit import ModelSpec, SimulationPlan, _check_nu, cdf_curves, run_mc
-from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _positive_finite, _positive_int
-from .statdist import _probability
+from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
+from .statdist import RngStream, _finite_array, _increasing_grid, _positive_int, _probability
 from .tuning import select_c0
 
 __all__ = ["main"]
 
-
-class CliError(ValueError):
-    """Validation failure that should exit with code 2."""
+# The flag of each library field the CLI passes through unchecked, by the first word of the library's message.
+_FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers",
+          "resolution": "--resolution", "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
 
 
 def _read_pvalue_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        raw = fh.read().removeprefix("\ufeff")  # the byte-order mark of a spreadsheet's "CSV UTF-8"
     lines = raw.replace("\r\n", "\n").split("\n")
     values = _bulk_column([s for s in map(str.strip, lines) if s and s[0] != "#"])
     if values is not None and len(values) >= 2:
@@ -48,23 +47,23 @@ def _read_pvalue_csv(path):
     # Some row is bad, or there are fewer than two: re-read row by row to raise the first fault by its physical line.
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
     if not rows:
-        raise CliError(f"{path}: empty input")
+        raise ValueError(f"{path}: empty input")
     header_no, header = rows[0]
     columns = [col.strip() for col in header.split(",")]
     if "p_lfc" not in columns:
-        raise CliError(f"{path}: row {header_no}: header must contain a p_lfc column")
+        raise ValueError(f"{path}: row {header_no}: header must contain a p_lfc column")
     col = columns.index("p_lfc")
     for line_no, line in rows[1:]:
         fields = line.split(",")
         if len(fields) != len(columns):
-            raise CliError(f"{path}: row {line_no}: expected {len(columns)} fields")
+            raise ValueError(f"{path}: row {line_no}: expected {len(columns)} fields")
         try:
             v = float(fields[col])
         except ValueError as exc:
-            raise CliError(f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number") from exc
+            raise ValueError(f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number") from exc
         if not 0.0 <= v <= 1.0:
-            raise CliError(f"{path}: row {line_no}: p_lfc value {v!r} outside [0, 1]")
-    raise CliError(f"{path}: need at least two p-values, got {len(rows) - 1}")
+            raise ValueError(f"{path}: row {line_no}: p_lfc value {v!r} outside [0, 1]")
+    raise ValueError(f"{path}: need at least two p-values, got {len(rows) - 1}")
 
 
 def _bulk_column(rows):
@@ -91,38 +90,34 @@ def _parse_grid(text):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError(f"--c-grid: expected start:step:stop, got {text!r}")
+            raise ValueError(f"--c-grid: expected start:step:stop, got {text!r}")
         try:
             start, step, stop = (float(p) for p in parts)
         except ValueError as exc:
-            raise CliError(f"--c-grid: non-numeric bound in {text!r}") from exc
+            raise ValueError(f"--c-grid: non-numeric bound in {text!r}") from exc
         steps = (stop - start) / step if step > 0.0 and stop > start else 0.0
         count = round(steps) if np.isfinite(steps) else 0
         if count == 0 or abs(steps - count) > 1e-9 * steps:
-            raise CliError(f"--c-grid: need step > 0, stop > start and a whole number of steps, got {text!r}")
+            raise ValueError(f"--c-grid: need step > 0, stop > start and a whole number of steps, got {text!r}")
         grid = np.linspace(start, stop, count + 1)
     else:
         try:
             grid = np.array([float(p) for p in text.split(",") if p.strip() != ""])
         except ValueError as exc:
-            raise CliError(f"--c-grid: non-numeric entry in {text!r}") from exc
+            raise ValueError(f"--c-grid: non-numeric entry in {text!r}") from exc
     return _increasing_grid(grid, "--c-grid")
 
 
 def _model_spec(args):
+    """The ModelSpec of the model flags; it checks n, n1, n2, sigma and nu, which ``main`` names as flags."""
     _probability(args.pi0, "--pi0")
-    if args.m < 2:
-        raise CliError(f"--m must be >= 2, got {args.m}")
+    if args.m < 2:  # ModelSpec would only see the groups
+        raise ValueError(f"--m must be >= 2, got {args.m}")
     _finite_array(args.theta_null, "--theta-null")
     _finite_array(args.theta_alt, "--theta-alt")
-    _positive_finite(args.sigma, "--sigma")
-    _check_nu(args.nu, "--nu")
     n_null = int(round(args.pi0 * args.m))
     groups = tuple(g for g in ((n_null, args.theta_null), (args.m - n_null, args.theta_alt)) if g[0] > 0)
-    if args.model == "z":
-        design = {"model": "z", "n": _positive_int(args.n, "--n")}
-    else:
-        design = {"model": "two_sample", "n1": _positive_int(args.n1, "--n1"), "n2": _positive_int(args.n2, "--n2")}
+    design = {"model": "z", "n": args.n} if args.model == "z" else {"model": "two_sample", "n1": args.n1, "n2": args.n2}
     return ModelSpec(groups=groups, sigma=args.sigma, dependence=args.copula, nu=args.nu, **design)
 
 
@@ -130,14 +125,11 @@ _DEFAULT_GRID = "0:0.05:1"
 
 
 def _cmd_analyze(args):
-    lam = _check_lambda(args.lam, "--lambda")
-    seed = _checked_uint64(args.seed, "--seed")
-    values = _read_pvalue_csv(args.input)
-    p = PValueVector(values)
+    lam, variant = args.lam, args.variant.replace("-", "_")
+    p = PValueVector(_read_pvalue_csv(args.input))
     sel = select_c0(p, lam)
-    variant = args.variant.replace("-", "_")
     cfg = EstimatorConfig(lam, variant)
-    rng = RngStream(seed, 0)
+    rng = RngStream(args.seed, 0)
     prand = randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
     pi0_rand = schweder_spjotvoll(prand, cfg)
     pi0_lfc = schweder_spjotvoll(p, cfg)
@@ -155,30 +147,27 @@ def _cmd_analyze(args):
     ]
     print("\n".join(lines))
     if args.out:
-        meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": seed}
+        meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": args.seed}
         _write_text(args.out, _csv_text(meta, ["p_lfc"], [prand.values]))
     return 0
 
 
 def _cmd_simulate(args):
-    lam = _check_lambda(args.lam, "--lambda")
-    reps = _positive_int(args.reps, "--reps")
-    workers = _positive_int(args.workers, "--workers")
     plan = SimulationPlan(
         spec=_model_spec(args),
-        lam=lam,
+        lam=args.lam,
         c_grid=tuple(_parse_grid(args.c_grid)),
-        replicates=reps,
-        seed=_checked_uint64(args.seed, "--seed"),
+        replicates=args.reps,
+        seed=args.seed,
         estimator_variant=args.variant.replace("-", "_"),
     )
-    summary = run_mc(plan, workers=workers)
+    summary = run_mc(plan, workers=args.workers)
     _write_text(args.out, summary.to_csv_string())
     return 0
 
 
 def _cmd_curves(args):
-    lam = _check_lambda(args.lam, "--lambda")
+    lam = _check_lambda(args.lam)  # the cdf tables never read lambda, so only this check would catch it
     spec = _model_spec(args)
     if args.quantity == "h":
         table = h_curve(spec.population(), lam, _parse_grid(args.c_grid))
@@ -191,11 +180,7 @@ def _cmd_curves(args):
 
 
 def _cmd_cstar(args):
-    lam = _check_lambda(args.lam, "--lambda")
-    spec = _model_spec(args)
-    if not 0.0 < args.resolution <= 1e-3:
-        raise CliError(f"--resolution must lie in (0, 1e-3], got {args.resolution}")
-    result = cstar_search(spec.population(), lam, args.resolution)
+    result = cstar_search(_model_spec(args).population(), args.lam, args.resolution)
     print(f"c_star = {result.c_star!r}")
     print(f"h_min = {result.h_min!r}")
     return 0
@@ -267,10 +252,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ValueError as exc:  # a CliError, or an input check of the library
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a check of the CLI, or of the library under its field name
+        field, space, rest = str(exc).partition(" ")
+        if rest.startswith("must "):
+            field = _FLAGS.get(field, field)
+        print(f"error: {field}{space}{rest}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive internal-error path
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # an unreadable input or unwritable output path
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

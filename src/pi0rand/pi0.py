@@ -43,10 +43,10 @@ __all__ = [
 ESTIMATOR_VARIANTS = ("plain", "storey_plus")
 
 
-def _check_lambda(lam, name="lambda"):
+def _check_lambda(lam):
     """``lam`` as a float in the open interval (0, 1)."""
     if not 0.0 < lam < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {lam!r}")
+        raise ValueError(f"lambda must lie in (0, 1), got {lam!r}")
     return float(lam)
 
 
@@ -243,7 +243,7 @@ def cstar_search(spec: PopulationSpec, lam: float, resolution: float = 1e-3) -> 
     to the smallest minimizer, so flat stretches return their left end.
     """
     if not 0.0 < resolution <= 1e-3:
-        raise ValueError("resolution must lie in (0, 1e-3]")
+        raise ValueError(f"resolution must lie in (0, 1e-3], got {resolution!r}")
     n = int(np.ceil(1.0 / resolution))
     grid = np.linspace(0.0, 1.0, n + 1)
     h = h_curve(spec, lam, grid).column()

@@ -28,20 +28,8 @@ from typing import Union
 
 import numpy as np
 
-from .statdist import (
-    RngStream,
-    _increasing_grid,
-    _match_input,
-    _nct_inverse,
-    _positive_int,
-    _probabilities,
-    _probability,
-    _special,
-    std_normal_cdf,
-    std_normal_quantile,
-    student_t_cdf,
-    student_t_quantile,
-)
+from .statdist import RngStream, _finite_array, _increasing_grid, _match_input, _nct_inverse, _positive_int
+from .statdist import _probabilities, _probability, _special, _t_quantile
 
 __all__ = [
     "PValueVector",
@@ -167,10 +155,10 @@ class ZTestLaw(MarginalLaw):
         return self.theta_scaled
 
     def _cdf_inner(self, u):
-        return std_normal_cdf(std_normal_quantile(u) + self.theta_scaled)
+        return _special.ndtr(_special.ndtri(u) + self.theta_scaled)
 
     def _quantile_inner(self, v):
-        return std_normal_cdf(std_normal_quantile(v) - self.theta_scaled)
+        return _special.ndtr(_special.ndtri(v) - self.theta_scaled)
 
 
 @dataclass(frozen=True)
@@ -199,9 +187,11 @@ class TwoSampleTLaw(MarginalLaw):
 
     # Subnormal u and v carry no relative precision; both read them as the smallest normal float.
     def _cdf_inner(self, u):
-        x = student_t_quantile(np.maximum(u, _TINY), self.df)
+        x = _t_quantile(np.maximum(u, _TINY), self.df)
         f = _special.nctdtr(self.df, -self.ncp, x)
-        return np.where(np.isnan(f), x > 0.0, f)  # far in a tail nctdtr's series gives NaN for 0 or 1
+        # NaN from nctdtr reads as 0 below zero and 1 above. It comes far in a tail, but not only there: at df 1,
+        # ncp -11.25 it comes at scattered u in (0.028, 0.26), e.g. cdf(0.03) is 0.0 for a true 7.6e-32.
+        return np.where(np.isnan(f), x > 0.0, f)
 
     def _quantile_inner(self, v):
         return _special.stdtr(self.df, _nct_inverse(np.maximum(v, _TINY), self.df, -self.ncp))
@@ -209,12 +199,14 @@ class TwoSampleTLaw(MarginalLaw):
 
 def lfc_pvalue_z(t_stat, n):
     """LFC p-value of the one-sided Z-test, ``1 - Phi(sqrt(n) * t_stat)``."""
-    return std_normal_cdf(-np.sqrt(_positive_int(n, "n")) * np.asarray(t_stat, dtype=float))
+    root_n = np.sqrt(_positive_int(n, "n"))
+    return _match_input(_special.ndtr(-root_n * _finite_array(t_stat, "t_stat")), t_stat)
 
 
 def lfc_pvalue_t(t_stat, df):
     """LFC p-value of the pooled two-sample t-test, ``1 - F_t(t_stat; df)``."""
-    return student_t_cdf(-np.asarray(t_stat, dtype=float), df)
+    idf = _positive_int(df, "df")
+    return _match_input(_special.stdtr(idf, -_finite_array(t_stat, "t_stat")), t_stat)
 
 
 def randomize_vector(p_lfc: PValueVector, rule: RandomizationRule, rng: RngStream) -> PValueVector:

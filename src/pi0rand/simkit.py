@@ -31,8 +31,8 @@ import numpy as np
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
 from .pi0 import _write_text
 from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
-from .statdist import RngStream, _finite_array, _increasing_grid, _positive_finite, _positive_int, _probabilities
-from .statdist import positive_stable_sample
+from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _positive_finite, _positive_int
+from .statdist import _probabilities, positive_stable_sample
 
 __all__ = [
     "ModelSpec",
@@ -49,9 +49,9 @@ DEPENDENCE = ("independent", "gumbel")
 CHUNK_VALUES = 8192  # random values drawn per chunk of replicates: 8 replicates at m = 1000
 
 
-def _check_nu(nu, name="nu"):
+def _check_nu(nu):
     if not 1.0 <= nu < np.inf:
-        raise ValueError(f"{name} must be finite and >= 1, got {nu!r}")
+        raise ValueError(f"nu must be finite and >= 1, got {nu!r}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,7 @@ class SimulationPlan:
         EstimatorConfig(self.lam, self.estimator_variant)  # reuse its validation
         object.__setattr__(self, "c_grid", tuple(_increasing_grid(self.c_grid, "c_grid").tolist()))
         object.__setattr__(self, "replicates", _positive_int(self.replicates, "replicates"))
+        object.__setattr__(self, "seed", _checked_uint64(self.seed, "seed"))
         if 2 * (self.replicates - 1) + 1 >= 2**64:  # last randomization stream id
             raise ValueError("replicate budget exceeds the stream id space")
 

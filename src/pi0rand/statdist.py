@@ -1,10 +1,10 @@
 """Special functions and deterministic random streams.
 
-Numerical plumbing shared by the rest of the package: standard normal
-cdf/quantile, the central Student-t cdf and quantile, the inverse of the
-non-central t cdf, a positive-stable sampler for Archimedean frailties,
-reproducible random streams keyed by ``(seed, stream_id)``, and the input
-validators the other modules share.
+Numerical plumbing shared by the rest of the package: the scipy.special
+ufuncs the marginal laws call, the central Student-t quantile with its far
+lower tail repaired, the inverse of the non-central t cdf, a positive-stable
+sampler for Archimedean frailties, reproducible random streams keyed by
+``(seed, stream_id)``, and the input validators the other modules share.
 
 Probabilities are plain floats in [0, 1]; inputs outside their stated
 domains raise ``ValueError``.
@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  RngStream's Philox, loaded with the module rather than on first use
 
-__all__ = [
-    "RngStream",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "student_t_cdf",
-    "student_t_quantile",
-    "positive_stable_sample",
-]
+__all__ = ["RngStream", "positive_stable_sample"]
 
 
 def _load_ufuncs():
@@ -106,14 +99,6 @@ def _probability(x, name):
     return float(arr)
 
 
-def _open_probabilities(p):
-    """``p`` as a float array with every entry in the open interval (0, 1)."""
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("p must lie strictly inside (0, 1)")
-    return arr
-
-
 def _increasing_grid(grid, name):
     """``grid`` as a non-empty, strictly increasing 1-d float array in [0, 1]."""
     arr = _probabilities(grid, name)
@@ -165,37 +150,18 @@ def _match_input(out, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def std_normal_cdf(x):
-    """Standard normal cdf, accurate to well below 1e-12."""
-    arr = _finite_array(x, "x")
-    return _match_input(_special.ndtr(arr), x)
-
-
-def std_normal_quantile(p):
-    """Inverse of :func:`std_normal_cdf` on the open interval (0, 1)."""
-    return _match_input(_special.ndtri(_open_probabilities(p)), p)
-
-
-def student_t_cdf(x, df):
-    """Cdf of the central Student-t distribution with ``df`` degrees of freedom."""
-    idf = _positive_int(df, "df")
-    arr = _finite_array(x, "x")
-    return _match_input(_special.stdtr(idf, arr), x)
-
-
-def student_t_quantile(p, df):
-    """Quantile of the central Student-t distribution.
+def _t_quantile(p, df):
+    """Quantile of the central Student-t law with ``df`` degrees of freedom, for an array p in (0, 1).
 
     ``stdtrit`` fails far in the lower tail for some df (at df = 3 it is 7x
     off at p = 1e-200 and +inf below 1e-238), so entries whose round trip
     misses p by over 1e-12 relative are redone by ``_nct_search``.
     """
-    idf, arr = _positive_int(df, "df"), _open_probabilities(p)
-    x = np.asarray(_special.stdtrit(idf, arr))
-    redo = ~(np.abs(_special.stdtr(idf, x) - arr) <= 1e-12 * arr)
+    x = np.asarray(_special.stdtrit(df, p))
+    redo = ~(np.abs(_special.stdtr(df, x) - p) <= 1e-12 * p)
     if np.any(redo):
-        x[redo] = _nct_search(idf, 0.0, arr[redo])
-    return _match_input(x, p)
+        x[redo] = _nct_search(df, 0.0, p[redo])
+    return x
 
 
 _SEARCH_EDGE = 2.0**511  # nctdtrit searches |y| <= 2**512 only

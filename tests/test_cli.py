@@ -195,7 +195,7 @@ def test_reader_agrees_with_row_by_row_oracle(header, cells, crlf):
         want = _parse_oracle(path, text)
         try:
             got = cli._read_pvalue_csv(path)
-        except cli.CliError as exc:
+        except ValueError as exc:
             got = str(exc)
     if isinstance(want, str):
         assert got == want
@@ -450,3 +450,78 @@ def test_largest_seed_is_accepted(capsys, hand_file):
     seed = str(2**64 - 1)
     assert run_cli(capsys, "analyze", hand_file, "--seed", seed)[0] == 0
     assert run_cli(capsys, "simulate", "--m", "10", "--reps", "2", "--seed", seed)[0] == 0
+
+
+# Each flag that only the library checks, set alone to a bad value: the CLI
+# puts the flag's name on the library's message, in the words of the checks
+# it keeps for its own flags (`--m`, `--pi0`, ...).
+_SINGLE_BAD_FLAG = [
+    (["analyze", "--lambda", "1.5"], "--lambda must lie in (0, 1), got 1.5"),
+    (["simulate", "--lambda", "0"], "--lambda must lie in (0, 1), got 0.0"),
+    (["curves", "--lambda", "nan"], "--lambda must lie in (0, 1), got nan"),
+    (["curves", "--quantity", "cdf", "--lambda", "1.0"], "--lambda must lie in (0, 1), got 1.0"),
+    (["cstar", "--lambda", "-0.1"], "--lambda must lie in (0, 1), got -0.1"),
+    (["analyze", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+    (["simulate", "--seed", str(2**70)], f"--seed must be an unsigned 64-bit integer, got {2**70}"),
+    (["simulate", "--reps", "0"], "--reps must be a positive integer, got 0"),
+    (["simulate", "--workers", "-5"], "--workers must be a positive integer, got -5"),
+    (["cstar", "--resolution", "0.1"], "--resolution must lie in (0, 1e-3], got 0.1"),
+    (["cstar", "--resolution", "nan"], "--resolution must lie in (0, 1e-3], got nan"),
+    (["simulate", "--sigma", "inf"], "--sigma must be positive and finite, got inf"),
+    (["curves", "--model", "two-sample", "--sigma", "0"], "--sigma must be positive and finite, got 0.0"),
+    (["cstar", "--nu", "0.5"], "--nu must be finite and >= 1, got 0.5"),
+    (["simulate", "--copula", "gumbel", "--nu", "nan"], "--nu must be finite and >= 1, got nan"),
+    (["curves", "--n", "0"], "--n must be a positive integer, got 0"),
+    (["cstar", "--model", "two-sample", "--n1", "0"], "--n1 must be a positive integer, got 0"),
+    (["simulate", "--model", "two-sample", "--n2", "-4"], "--n2 must be a positive integer, got -4"),
+]
+
+
+@pytest.mark.parametrize("flags,line", _SINGLE_BAD_FLAG, ids=["_".join(flags) for flags, _ in _SINGLE_BAD_FLAG])
+def test_single_bad_flag_prints_its_line(capsys, hand_file, flags, line):
+    command, *rest = flags
+    base = {"analyze": [hand_file], "simulate": ["--m", "10", "--reps", "2"]}.get(command, ["--m", "10"])
+    code, out, err = run_cli(capsys, command, *base, *rest)
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "curves"])
+def test_unwritable_out_exits_2(capsys, hand_file, tmp_path, command):
+    out = tmp_path / "missing" / "x.csv"
+    argv = {"analyze": [hand_file], "simulate": ["--m", "10", "--reps", "2"], "curves": ["--m", "10"]}[command]
+    code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+    assert (code, err) == (2, f"error: {out}: No such file or directory\n")
+
+
+def test_missing_input_names_its_path(capsys, tmp_path):
+    path = tmp_path / "nope.csv"
+    assert run_cli(capsys, "analyze", str(path)) == (2, "", f"error: {path}: No such file or directory\n")
+
+
+def test_os_error_without_a_path_stays_internal(capsys, monkeypatch):
+    # A closed pipe on stdout, say, is not a bad path the user gave.
+    def broken_pipe(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_cmd_cstar", broken_pipe)
+    assert run_cli(capsys, "cstar") == (1, "", "internal error: [Errno 32] Broken pipe\n")
+
+
+def test_path_is_not_read_as_a_flag(capsys, tmp_path, monkeypatch):
+    # A reader message starts with the path, here one whose first word is a field name.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n must.csv").write_text("value\n0.4\n0.5\n")
+    code, _, err = run_cli(capsys, "analyze", "n must.csv")
+    assert (code, err) == (2, "error: n must.csv: row 1: header must contain a p_lfc column\n")
+
+
+def test_byte_order_mark_is_accepted(capsys, tmp_path):
+    # A spreadsheet's "CSV UTF-8" starts with U+FEFF; the report and the row numbers stay those of the plain file.
+    path = tmp_path / "in.csv"
+    texts = (HAND_CSV, "p_lfc\n0.4\n1.2\n0.3\n", "value\n0.4\n0.5\n", "# note\n\np_lfc\n0.1\nabc\n", "id,p_lfc\na,0.1\nb\n")
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        plain = run_cli(capsys, "analyze", str(path))
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert run_cli(capsys, "analyze", str(path)) == plain
+        assert plain[0] == (0 if text == HAND_CSV else 2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import ndtr, ndtri
 
 from _oracles import dkw_band, ks_critical, normal_quantile, randomize, student_t_cdf as t_cdf_oracle
 from pi0rand.pvalues import (
@@ -17,7 +18,7 @@ from pi0rand.pvalues import (
     stochastic_order_diagnostic,
     validity_diagnostic,
 )
-from pi0rand.statdist import RngStream, std_normal_cdf, std_normal_quantile
+from pi0rand.statdist import RngStream
 
 
 class TestPValueVector:
@@ -60,6 +61,22 @@ class TestLfcPvalues:
             lfc_pvalue_z(np.nan, 10)
         with pytest.raises(ValueError):
             lfc_pvalue_z(0.0, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, [0.1, np.nan]])
+    def test_non_finite_statistic_is_named(self, bad):
+        for pvalue in (lambda t: lfc_pvalue_z(t, 10), lambda t: lfc_pvalue_t(t, 18)):
+            with pytest.raises(ValueError, match="^t_stat must be finite$"):
+                pvalue(bad)
+
+    def test_z_checks_the_statistic_not_the_scaled_product(self):
+        # sqrt(n) * t overflows to inf, but t is finite: p is 0.
+        with np.errstate(over="ignore"):
+            assert lfc_pvalue_z(1e308, 100) == 0.0 and lfc_pvalue_z(-1e308, 100) == 1.0
+
+    def test_scalar_in_float_out(self):
+        for p in (lfc_pvalue_z(0.3, 4), lfc_pvalue_t(0.3, 4), lfc_pvalue_z(np.float64(0.3), 4)):
+            assert type(p) is float
+        assert lfc_pvalue_t(np.array([0.3]), 4).shape == (1,)
 
     def test_t_at_zero(self):
         assert lfc_pvalue_t(0.0, 18) == 0.5
@@ -164,7 +181,7 @@ class TestMarginalLaws:
     def test_z_law_cdf_closed_form(self):
         law = ZTestLaw(-1.0)
         u = np.linspace(0.001, 0.999, 100)
-        expect = std_normal_cdf(std_normal_quantile(u) - 1.0)
+        expect = ndtr(ndtri(u) - 1.0)
         assert_allclose(law.cdf(u), expect, atol=1e-14)
         assert law.cdf(0.0) == 0.0 and law.cdf(1.0) == 1.0
 
@@ -261,7 +278,7 @@ class TestValidityDiagnostic:
         # Second differences of Phi(Phi^-1(u) + 1) go negative: confirm the
         # direction independently, then check the report flags it.
         u = np.linspace(0.001, 0.999, 1000)
-        f = std_normal_cdf(std_normal_quantile(u) + 1.0)
+        f = ndtr(ndtri(u) + 1.0)
         assert np.min(f[2:] - 2.0 * f[1:-1] + f[:-2]) < -1e-9
         report = validity_diagnostic(ZTestLaw(1.0), self.T_GRID, self.C_GRID)
         assert not report.convexity_ok

@@ -234,6 +234,15 @@ class TestRunMc:
         with pytest.raises(ValueError, match="stream id space"):
             self.small_plan(replicates=2**63 + 1)
 
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
+    def test_plan_rejects_bad_seed(self, bad):
+        # Checked when the plan is made, not when a (possibly pooled) replicate block first keys a stream.
+        with pytest.raises(ValueError, match="^seed must be an unsigned 64-bit integer"):
+            self.small_plan(seed=bad)
+
+    def test_plan_keeps_the_seed_as_an_int(self):
+        assert type(self.small_plan(seed=np.uint64(2**64 - 1)).seed) is int
+
     def test_workers_validation(self):
         for bad in (0, -5, 1.5):
             with pytest.raises(ValueError):

@@ -6,15 +6,24 @@ from numpy.testing import assert_allclose
 
 from _oracles import ks_critical, normal_quantile, student_t_cdf as t_cdf_oracle
 from _oracles import normal_cdf as normal_cdf_oracle
-from pi0rand.pvalues import TwoSampleTLaw
-from pi0rand.statdist import (
-    RngStream,
-    positive_stable_sample,
-    std_normal_cdf,
-    std_normal_quantile,
-    student_t_cdf,
-    student_t_quantile,
-)
+from pi0rand.pvalues import TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z
+from pi0rand.statdist import RngStream, _t_quantile, positive_stable_sample
+
+
+# The normal and Student-t cdfs the laws use, read off the API: Phi(x) is the
+# Z-test p-value of -x at n = 1, and F_t(x; df) the t-test p-value of -x.
+def phi(x):
+    return lfc_pvalue_z(-np.asarray(x, dtype=float), 1)
+
+
+def t_cdf(x, df):
+    return lfc_pvalue_t(-np.asarray(x, dtype=float), df)
+
+
+def npdf(x):
+    """Slope of Phi: an error e in Phi^{-1} moves Phi(Phi^{-1}(u) + theta) by about npdf(...) * e."""
+    return np.exp(-0.5 * np.square(x)) / np.sqrt(2.0 * np.pi)
+
 
 # Frozen from the erf power series oracle (60 terms), evaluated pre-build.
 PHI_AT_ONE = 0.8413447460685429
@@ -28,88 +37,100 @@ NCT_MC_3SE = 0.00045
 
 class TestStdNormalCdf:
     def test_zero_is_half(self):
-        assert std_normal_cdf(0.0) == 0.5
+        assert phi(0.0) == 0.5
 
     def test_at_one_matches_series_oracle(self):
         oracle = normal_cdf_oracle(1.0)
         assert abs(oracle - PHI_AT_ONE) < 1e-12
-        assert abs(std_normal_cdf(1.0) - oracle) <= 1e-12
+        assert abs(phi(1.0) - oracle) <= 1e-12
 
     def test_series_oracle_on_grid(self):
         for x in np.linspace(-3.5, 3.5, 29):
-            assert abs(std_normal_cdf(x) - normal_cdf_oracle(x)) <= 1e-12
+            assert abs(phi(x) - normal_cdf_oracle(x)) <= 1e-12
 
     @pytest.mark.parametrize("x", [0.3, 1.7, 2.9])
     def test_symmetry(self, x):
-        assert_allclose(std_normal_cdf(-x), 1.0 - std_normal_cdf(x), atol=1e-15)
+        assert_allclose(phi(-x), 1.0 - phi(x), atol=1e-15)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            std_normal_cdf(np.nan)
+            phi(np.nan)
         with pytest.raises(ValueError):
-            std_normal_cdf(np.inf)
+            phi(np.inf)
 
     def test_monotone_and_in_unit_interval(self):
         grid = np.linspace(-8.0, 8.0, 400)
-        vals = std_normal_cdf(grid)
+        vals = phi(grid)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) >= 0.0)
 
 
 class TestStdNormalQuantile:
+    """Phi^{-1} inside ``ZTestLaw``, whose cdf is u -> Phi(Phi^{-1}(u) + theta) and quantile v -> Phi(Phi^{-1}(v) - theta)."""
+
     def test_median(self):
-        assert std_normal_quantile(0.5) == 0.0
+        assert ZTestLaw(1.0).cdf(0.5) == phi(1.0)
+        assert ZTestLaw(-0.7).quantile(0.5) == phi(0.7)
 
     def test_roundtrip_on_grid(self):
         grid = np.arange(0.01, 1.0, 0.01)
-        assert np.max(np.abs(std_normal_cdf(std_normal_quantile(grid)) - grid)) <= 1e-10
+        law = ZTestLaw(0.7)
+        assert np.max(np.abs(law.quantile(law.cdf(grid)) - grid)) <= 1e-10
 
     def test_inverse_of_series_value(self):
-        assert abs(std_normal_quantile(PHI_AT_ONE) - 1.0) <= 1e-9
+        # Phi^{-1}(PHI_AT_ONE) = 1, so shifting it back by 1 lands on Phi(0).
+        assert abs(ZTestLaw(1.0).quantile(PHI_AT_ONE) - 0.5) <= 1e-9 * npdf(0.0)
 
     def test_bisection_oracle(self):
         # Independent inversion of the series cdf.
-        assert abs(std_normal_quantile(0.95) - normal_quantile(0.95)) <= 1e-9
+        z = normal_quantile(0.95) - 1.0
+        assert abs(ZTestLaw(1.0).quantile(0.95) - normal_cdf_oracle(z)) <= 1e-9 * npdf(z)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_boundary(self, p):
-        with pytest.raises(ValueError):
-            std_normal_quantile(p)
+        # Phi^{-1} never sees a boundary: 0 and 1 are pinned, and values outside [0, 1] are rejected.
+        law = ZTestLaw(1.0)
+        if 0.0 <= p <= 1.0:
+            assert law.quantile(p) == p and law.cdf(p) == p
+        else:
+            with pytest.raises(ValueError):
+                law.quantile(p)
 
     def test_identity_both_ways(self):
         grid = np.linspace(0.001, 0.999, 101)
-        assert np.max(np.abs(std_normal_cdf(std_normal_quantile(grid)) - grid)) <= 1e-9
+        law = ZTestLaw(-1.3)
+        assert np.max(np.abs(law.cdf(law.quantile(grid)) - grid)) <= 1e-9
         x = np.linspace(-3.0, 3.0, 101)
-        assert np.max(np.abs(std_normal_quantile(std_normal_cdf(x)) - x)) <= 1e-9
+        assert np.all(np.abs(law.cdf(phi(x)) - phi(x - 1.3)) <= 1e-9 * npdf(x - 1.3))
 
 
 class TestStudentT:
     @pytest.mark.parametrize("df", [1, 2, 10, 48])
     def test_zero_is_half(self, df):
-        assert student_t_cdf(0.0, df) == 0.5
+        assert t_cdf(0.0, df) == 0.5
 
     def test_cauchy_closed_form(self):
         for x in (-2.0, -0.3, 0.7, 1.9):
-            assert_allclose(student_t_cdf(x, 1), 0.5 + np.arctan(x) / np.pi, atol=1e-12)
+            assert_allclose(t_cdf(x, 1), 0.5 + np.arctan(x) / np.pi, atol=1e-12)
 
     def test_against_incomplete_beta_oracle(self):
         oracle = t_cdf_oracle(2.0, 10)
         assert abs(oracle - T_CDF_2_10) < 1e-13
-        assert abs(student_t_cdf(2.0, 10) - oracle) <= 1e-10
+        assert abs(t_cdf(2.0, 10) - oracle) <= 1e-10
 
     def test_oracle_grid(self):
         for df in (3, 7, 25):
             for x in (-2.5, -0.5, 0.1, 1.2, 3.0):
-                assert abs(student_t_cdf(x, df) - t_cdf_oracle(x, df)) <= 1e-10
+                assert abs(t_cdf(x, df) - t_cdf_oracle(x, df)) <= 1e-10
 
     @pytest.mark.parametrize("df", [0, -3, 2.5])
     def test_rejects_bad_df(self, df):
         with pytest.raises(ValueError):
-            student_t_cdf(1.0, df)
+            t_cdf(1.0, df)
 
     def test_quantile_roundtrip(self):
         p = np.linspace(0.01, 0.99, 25)
-        assert np.max(np.abs(student_t_cdf(student_t_quantile(p, 7), 7) - p)) <= 1e-10
+        assert np.max(np.abs(t_cdf(_t_quantile(p, 7), 7) - p)) <= 1e-10
 
 
 class TestNoncentralT:
@@ -117,7 +138,7 @@ class TestNoncentralT:
 
     def test_zero_ncp_reduces_to_central(self):
         # Off the ncp = 0 short-cut, a tiny ncp gives the central (uniform) law.
-        u = student_t_cdf(np.linspace(-4.0, 4.0, 100), 12)
+        u = t_cdf(np.linspace(-4.0, 4.0, 100), 12)
         assert np.max(np.abs(TwoSampleTLaw(1e-9, 12).cdf(u) - u)) <= 1e-8
 
     def test_monotone_in_ncp(self):
@@ -126,7 +147,7 @@ class TestNoncentralT:
         assert np.all(np.diff(vals) >= -1e-14)
 
     def test_against_mc_oracle(self):
-        assert abs(TwoSampleTLaw(-1.0, 8).cdf(student_t_cdf(1.5, 8)) - NCT_MC_VALUE) <= NCT_MC_3SE
+        assert abs(TwoSampleTLaw(-1.0, 8).cdf(t_cdf(1.5, 8)) - NCT_MC_VALUE) <= NCT_MC_3SE
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -166,7 +187,7 @@ class TestPositiveStable:
 
         rng = RngStream(2024, 18)
         s = positive_stable_sample(0.5, rng, size=100_000)
-        stat = kstest(s, lambda x: 2.0 * std_normal_cdf(-np.sqrt(0.5 / x))).statistic
+        stat = kstest(s, lambda x: 2.0 * phi(-np.sqrt(0.5 / x))).statistic
         assert stat <= ks_critical(100_000)
 
 
@@ -253,5 +274,5 @@ class TestRekey:
 @settings(max_examples=100, deadline=None)
 def test_cdf_monotonicity_property(x, y):
     lo, hi = min(x, y), max(x, y)
-    assert std_normal_cdf(lo) <= std_normal_cdf(hi)
-    assert student_t_cdf(lo, 5) <= student_t_cdf(hi, 5)
+    assert phi(lo) <= phi(hi)
+    assert t_cdf(lo, 5) <= t_cdf(hi, 5)

@@ -18,7 +18,7 @@ from _oracles import ks_critical
 from pi0rand import statdist
 from pi0rand.pvalues import TwoSampleTLaw
 from pi0rand.simkit import ModelSpec, SimulationPlan, gen_lfc_pvalues, run_mc
-from pi0rand.statdist import RngStream, student_t_quantile
+from pi0rand.statdist import RngStream
 
 LAWS = ((1, 0.5), (1, -0.5), (2, 3.0), (18, -1.0), (18, 2.5), (60, 8.0))  # (df, ncp)
 EDGES = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-18, 0.5, 1.0 - 1e-16, 1.0])
@@ -133,10 +133,11 @@ def test_cdf_inverts_quantile_down_to_1e_300(df, ncp, lo):
 
 
 def test_student_t_quantile_repairs_the_far_lower_tail():
-    # stdtrit(3, 1e-200) is off by a factor of 7 and stdtrit(3, 1e-250) is +inf.
+    # The central t quantile inside TwoSampleTLaw.cdf: stdtrit(3, 1e-200) is
+    # off by a factor of 7 and stdtrit(3, 1e-250) is +inf.
     p = np.logspace(-300, -150, 31)
     for df in (3, 5, 18):
-        x = student_t_quantile(p, df)
+        x = statdist._t_quantile(p, df)
         assert np.all(x < 0.0)
         assert_allclose(special.stdtr(df, x), p, rtol=1e-12, atol=0.0)
 
@@ -212,3 +213,11 @@ def test_gumbel_two_sample_run_is_worker_count_invariant():
     parallel = run_mc(plan, workers=2)
     for name in ("mean", "variance", "mse"):
         assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+
+
+@pytest.mark.xfail(strict=True, reason="scipy's nctdtr loses the lower tail of a positive non-centrality (see ROADMAP.md)")
+def test_cdf_is_monotone_in_the_lower_tail_at_the_study_df():
+    # At df 18, ncp -4 the cdf near u = 1e-9 is about 1e-19 and 2-16% off an
+    # mpmath quadrature (two forms agree), and it decreases at places on this grid.
+    u = np.logspace(-12, -6, 601)
+    assert np.all(np.diff(TwoSampleTLaw(-4.0, 18).cdf(u)) >= 0.0)

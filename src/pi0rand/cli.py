@@ -13,17 +13,22 @@ Exit codes: 0 on success, 2 on usage or validation errors (a ``ValueError``
 from the library included) and on an unreadable input or unwritable output
 path, 1 on internal errors. Each input is checked once, where it enters: a
 flag value that a library object checks is checked only there, and ``main``
-names the flag in the library's message.
+names the flag in the library's message. A command reads its input and
+checks its flags before it opens ``--out``, and opens ``--out`` before it
+computes or prints anything: a bad flag leaves an existing file as it was,
+and an unwritable path fails before the work.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _write_text, cstar_search, h_curve
+from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, cstar_search, h_curve
 from .pi0 import schweder_spjotvoll
 from .pvalues import PValueVector, RandomizationRule, randomize_vector
 from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
@@ -127,28 +132,29 @@ _DEFAULT_GRID = "0:0.05:1"
 def _cmd_analyze(args):
     lam, variant = args.lam, args.variant.replace("-", "_")
     p = PValueVector(_read_pvalue_csv(args.input))
-    sel = select_c0(p, lam)
     cfg = EstimatorConfig(lam, variant)
     rng = RngStream(args.seed, 0)
-    prand = randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
-    pi0_rand = schweder_spjotvoll(prand, cfg)
-    pi0_lfc = schweder_spjotvoll(p, cfg)
-    cond = _estimate_from_count(sel.g_max, p.m, lam, variant)
-    lines = [
-        f"m = {p.m}",
-        f"lambda = {lam!r}",
-        f"variant = {variant}",
-        f"candidates = {sel.candidates}",
-        f"c0 = {sel.c0!r}",
-        f"g_max = {sel.g_max!r}",
-        f"conditional_expectation_at_c0 = {cond!r}",
-        f"pi0_hat_at_c0 = {pi0_rand!r}",
-        f"pi0_hat_lfc = {pi0_lfc!r}",
-    ]
-    print("\n".join(lines))
-    if args.out:
-        meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": args.seed}
-        _write_text(args.out, _csv_text(meta, ["p_lfc"], [prand.values]))
+    with _open_text(args.out) if args.out else contextlib.nullcontext() as out:
+        sel = select_c0(p, lam)
+        prand = randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
+        pi0_rand = schweder_spjotvoll(prand, cfg)
+        pi0_lfc = schweder_spjotvoll(p, cfg)
+        cond = _estimate_from_count(sel.g_max, p.m, lam, variant)
+        lines = [
+            f"m = {p.m}",
+            f"lambda = {lam!r}",
+            f"variant = {variant}",
+            f"candidates = {sel.candidates}",
+            f"c0 = {sel.c0!r}",
+            f"g_max = {sel.g_max!r}",
+            f"conditional_expectation_at_c0 = {cond!r}",
+            f"pi0_hat_at_c0 = {pi0_rand!r}",
+            f"pi0_hat_lfc = {pi0_lfc!r}",
+        ]
+        print("\n".join(lines))
+        if out:
+            meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": args.seed}
+            out.write(_csv_text(meta, ["p_lfc"], [prand.values]))
     return 0
 
 
@@ -161,8 +167,9 @@ def _cmd_simulate(args):
         seed=args.seed,
         estimator_variant=args.variant.replace("-", "_"),
     )
-    summary = run_mc(plan, workers=args.workers)
-    _write_text(args.out, summary.to_csv_string())
+    workers = _positive_int(args.workers, "workers")  # run_mc checks it too, but only once the output is open
+    with _open_text(args.out) as out:
+        out.write(run_mc(plan, workers=workers).to_csv_string())
     return 0
 
 
@@ -170,12 +177,13 @@ def _cmd_curves(args):
     lam = _check_lambda(args.lam)  # the cdf tables never read lambda, so only this check would catch it
     spec = _model_spec(args)
     if args.quantity == "h":
-        table = h_curve(spec.population(), lam, _parse_grid(args.c_grid))
+        table = functools.partial(h_curve, spec.population(), lam, _parse_grid(args.c_grid))
     else:
         t = np.linspace(0.0, 1.0, _positive_int(args.t_points, "--t-points"))
         cs = _parse_grid(args.c_grid if args.c_grid != _DEFAULT_GRID else "0,0.25,0.5,0.75,1")
-        table = cdf_curves(spec.marginal_law(args.theta_null), cs, t)
-    _write_text(args.out, table.to_csv_string())
+        table = functools.partial(cdf_curves, spec.marginal_law(args.theta_null), cs, t)
+    with _open_text(args.out) as out:
+        out.write(table().to_csv_string())
     return 0
 
 

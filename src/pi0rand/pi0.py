@@ -17,6 +17,7 @@ marginals only, never on the dependence structure.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -99,12 +100,14 @@ def _csv_text(metadata: dict, header, columns) -> str:
     return "\n".join(lines)
 
 
+def _open_text(path):
+    """``path`` opened to write text with LF line ends, or stdout (left open on exit) when ``path`` is None."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_text(path, text) -> None:
-    """Write ``text`` with LF line ends to ``path``, or to stdout when ``path`` is None."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None."""
+    with _open_text(path) as fh:
         fh.write(text)
 
 
@@ -168,11 +171,17 @@ def _estimate_from_count(k, m, lam, variant):
     return est
 
 
-def _grid_counts(p_sorted: np.ndarray, lam: float, c: np.ndarray):
-    """Per threshold, ``#{p <= lambda*c}`` (zero at c = 0) and ``#{p >= c}``."""
-    n_low = np.where(c > 0.0, np.searchsorted(p_sorted, lam * c, side="right"), 0)
-    n_up_trials = p_sorted.size - np.searchsorted(p_sorted, c, side="left")
-    return n_low, n_up_trials
+def _grid_thresholds(lam: float, c: np.ndarray, cdf=lambda t: t):
+    """The thresholds of ``_grid_counts`` for ``#{p <= lambda*c}`` (-inf at c = 0: nothing) and ``#{p >= c}``.
+
+    Given the cdf F of p = Q(v), they are those on v instead: Q(v) <= t exactly when v <= F(t).
+    """
+    return np.where(c > 0.0, cdf(lam * c), -np.inf), cdf(c)
+
+
+def _grid_counts(x_sorted: np.ndarray, low: np.ndarray, up: np.ndarray):
+    """Per threshold pair, ``#{x <= low}`` and ``#{x >= up}``; a low of -inf counts nothing."""
+    return np.searchsorted(x_sorted, low, side="right"), x_sorted.size - np.searchsorted(x_sorted, up, side="left")
 
 
 def schweder_spjotvoll(p, cfg: EstimatorConfig) -> float:

@@ -200,7 +200,8 @@ class TwoSampleTLaw(MarginalLaw):
 def lfc_pvalue_z(t_stat, n):
     """LFC p-value of the one-sided Z-test, ``1 - Phi(sqrt(n) * t_stat)``."""
     root_n = np.sqrt(_positive_int(n, "n"))
-    return _match_input(_special.ndtr(-root_n * _finite_array(t_stat, "t_stat")), t_stat)
+    with np.errstate(over="ignore"):  # a finite t whose scaled product overflows has p exactly 0 or 1
+        return _match_input(_special.ndtr(-root_n * _finite_array(t_stat, "t_stat")), t_stat)
 
 
 def lfc_pvalue_t(t_stat, df):

@@ -3,21 +3,32 @@
 Two generating models are supported: one-sided Z-tests (per-hypothesis mean
 of n unit-variance normals) and the pooled two-sample t-test. The LFC
 p-values can be made dependent through a Gumbel-Hougaard copula, imposed at
-the p-value level: copula uniforms are pushed through the exact marginal
-quantiles, which preserves the marginals while installing the copula. The
-two-sample quantile inverts the non-central t cdf through a table cached
-per law and per process; the table is a function of the law alone, so it
-leaves the worker-count invariance below intact.
+the p-value level: copula uniforms v are pushed through each group's exact
+marginal quantile Q_g, which preserves the marginals while installing the
+copula. The two-sample quantile inverts the non-central t cdf through a
+table cached per law and per process; only ``gen_lfc_pvalues`` reaches it.
 
 ``run_mc`` replays the estimator across a grid of randomization thresholds
 with a fixed replicate budget. Given the LFC vector p, the estimator sees the
 randomized vector only through N = #{p_rand <= lambda}, and exactly
 N = #{p <= lambda*c} + Binomial(#{p >= c}, lambda) (first term 0 at c = 0),
-so a replicate needs p sorted once and one binomial per grid point.
+so a replicate needs its values sorted once and one binomial per grid point.
+Under the copula p = Q_g(v) within group g, and Q_g is monotone with the
+group's cdf F_g as its inverse, so
+
+    #{Q_g(v) <= t} = #{v <= F_g(t)}    and    #{Q_g(v) >= t} = #{v >= F_g(t)}:
+
+a Gumbel replicate sorts its uniforms group by group and counts them against
+F_g(lambda*c) and F_g(c), mapped once per block, and evaluates no quantile.
+(Where a quantile rounds to exactly 1.0 for v < 1, under a strongly
+conservative null, the count at c = 1 is thus that of the exact p-values,
+below 1, rather than that of the rounded ones.)
+
 Replicate r owns the streams ``(seed, 2r)`` for data and ``(seed, 2r + 1)``
 for the binomials, so results are bitwise identical for any worker count.
 Replicates run in chunks of ``CHUNK_VALUES`` drawn values on one generator
-re-keyed to each stream in turn, with one transform and one sort per chunk;
+re-keyed to each stream in turn, with one transform (none for the copula
+uniforms) and one sort (one per group for the uniforms) per chunk; the
 streams and output bytes are those of one replicate at a time.
 """
 
@@ -29,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
-from .pi0 import _write_text
+from .pi0 import _grid_thresholds, _write_text
 from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _positive_finite, _positive_int
 from .statdist import _probabilities, positive_stable_sample
@@ -177,25 +188,36 @@ def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> PValueVector:
     return PValueVector(_lfc_rows(spec, rng, (None,))[0])
 
 
+def _group_ranges(spec: ModelSpec) -> list:
+    """``(start, stop, law)`` of each effect group's columns in a row."""
+    stops = np.cumsum([count for count, _ in spec.groups])
+    return [(int(b - count), int(b), spec.marginal_law(theta)) for b, (count, theta) in zip(stops, spec.groups)]
+
+
 def _draws_per_replicate(spec: ModelSpec) -> int:
     return spec.m * (spec.n1 + spec.n2 if spec.model == "two_sample" and spec.dependence == "independent" else 1)
 
 
-def _lfc_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
-    """One LFC vector per stream id (``None``: ``rng`` as it stands), drawn row by row, transformed at once."""
-    thetas = spec.thetas()
-    rows, m = len(stream_ids), thetas.size
-    raw = np.empty((rows, _draws_per_replicate(spec)))
+def _draw_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
+    """One row per stream id (``None``: ``rng`` as it stands): a Gumbel model's copula uniforms, else normals."""
+    raw = np.empty((len(stream_ids), _draws_per_replicate(spec)))
     for i, stream_id in enumerate(stream_ids):
         if stream_id is not None:
             rng.rekey(stream_id)
         if spec.dependence == "gumbel":
-            raw[i] = gumbel_uniforms(m, spec.nu, rng)
+            raw[i] = gumbel_uniforms(spec.m, spec.nu, rng)
         else:
             rng.generator.standard_normal(out=raw[i])
+    return raw
+
+
+def _lfc_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
+    """The LFC vectors of ``_draw_rows``, transformed at once."""
+    raw = _draw_rows(spec, rng, stream_ids)
+    thetas = spec.thetas()
+    rows, m = raw.shape[0], thetas.size
     if spec.dependence == "gumbel":
-        parts = np.split(raw, np.cumsum([count for count, _ in spec.groups])[:-1], axis=1)
-        p = np.hstack([spec.marginal_law(theta).quantile(v) for (_, theta), v in zip(spec.groups, parts)])
+        p = np.hstack([law.quantile(raw[:, a:b]) for a, b, law in _group_ranges(spec)])
     elif spec.model == "z":
         p = lfc_pvalue_z(thetas + raw / np.sqrt(spec.n), spec.n)
     else:
@@ -208,17 +230,30 @@ def _lfc_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
     return _probabilities(p, "p-values")
 
 
-def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
+def _count_ranges(plan: SimulationPlan) -> list:
+    """``(start, stop, low, up)`` per column range of a counted row, with the thresholds of that range."""
     c = np.asarray(plan.c_grid)
+    if plan.spec.dependence == "independent":
+        return [(0, plan.spec.m, *_grid_thresholds(plan.lam, c))]
+    return [(a, b, *_grid_thresholds(plan.lam, c, law.cdf)) for a, b, law in _group_ranges(plan.spec)]
+
+
+def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
+    ranges = _count_ranges(plan)
+    rows_of = _draw_rows if plan.spec.dependence == "gumbel" else _lfc_rows  # counted: Gumbel uniforms, else p
     rows = max(1, CHUNK_VALUES // _draws_per_replicate(plan.spec))
     rng = RngStream(plan.seed, 2 * start)
-    out = np.empty((stop - start, c.size))
+    out = np.empty((stop - start, len(plan.c_grid)))
     for first in range(start, stop, rows):
         reps = range(first, min(first + rows, stop))
-        p = _lfc_rows(plan.spec, rng, [2 * r for r in reps])
-        p.sort(axis=1)
+        x = rows_of(plan.spec, rng, [2 * r for r in reps])
+        for a, b, _, _ in ranges:
+            x[:, a:b].sort(axis=1)
         for i, r in enumerate(reps):
-            n_low, n_up_trials = _grid_counts(p[i], plan.lam, c)
+            n_low = n_up_trials = 0
+            for a, b, low, up in ranges:
+                d_low, d_up = _grid_counts(x[i, a:b], low, up)
+                n_low, n_up_trials = n_low + d_low, n_up_trials + d_up
             rng.rekey(2 * r + 1)
             out[r - start] = n_low + rng.generator.binomial(n_up_trials, plan.lam)  # N, exact in a float
     return _estimate_from_count(out, plan.spec.m, plan.lam, plan.estimator_variant)

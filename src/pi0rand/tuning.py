@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.ma  # noqa: F401  np.unique reads np.ma.is_masked; loaded with the module rather than on first use
 
-from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, _grid_counts
+from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, _grid_counts, _grid_thresholds
 from .pvalues import PValueVector
 from .statdist import _increasing_grid, _probabilities, _probability
 
@@ -57,7 +57,7 @@ def g_value(p_lfc: PValueVector, lam: float, c: float) -> float:
 def g_values(p_lfc: PValueVector, lam: float, cs) -> np.ndarray:
     """Vectorized g over many thresholds via binary search on sorted p."""
     lam, cs = _check_lambda(lam), _probabilities(cs, "thresholds")
-    n_le, n_ge = _grid_counts(np.sort(p_lfc.values), lam, cs)
+    n_le, n_ge = _grid_counts(np.sort(p_lfc.values), *_grid_thresholds(lam, cs))
     return lam * n_ge + n_le
 
 

@@ -493,6 +493,36 @@ def test_unwritable_out_exits_2(capsys, hand_file, tmp_path, command):
     assert (code, err) == (2, f"error: {out}: No such file or directory\n")
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate", "curves"])
+def test_unwritable_out_fails_before_the_work(capsys, hand_file, tmp_path, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the output opened")
+
+    for name in ("select_c0", "run_mc", "h_curve"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "missing" / "x.csv"
+    argv = {"analyze": [hand_file], "simulate": ["--m", "10", "--reps", "2"], "curves": ["--m", "10"]}[command]
+    assert run_cli(capsys, command, *argv, "--out", str(out)) == (2, "", f"error: {out}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("analyze", ["--lambda", "1.5"]),
+    ("analyze", ["--seed", "-1"]),
+    ("simulate", ["--reps", "0"]),
+    ("simulate", ["--workers", "0"]),
+    ("simulate", ["--c-grid", "1,0"]),
+    ("curves", ["--quantity", "cdf", "--t-points", "0"]),
+    ("curves", ["--nu", "0.5"]),
+])
+def test_bad_flag_leaves_an_existing_out_alone(capsys, hand_file, tmp_path, command, flags):
+    out = tmp_path / "keep.csv"
+    out.write_text("kept\n")
+    argv = {"analyze": [hand_file], "simulate": ["--m", "10", "--reps", "2"], "curves": ["--m", "10"]}[command]
+    code, stdout, err = run_cli(capsys, command, *argv, *flags, "--out", str(out))
+    assert (code, stdout) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+
+
 def test_missing_input_names_its_path(capsys, tmp_path):
     path = tmp_path / "nope.csv"
     assert run_cli(capsys, "analyze", str(path)) == (2, "", f"error: {path}: No such file or directory\n")

@@ -6,8 +6,8 @@ from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
 
 from _oracles import dkw_band, ks_critical, replicate_block_per_replicate
 from pi0rand import simkit
-from pi0rand.pi0 import _estimate_from_count, h_curve
-from pi0rand.pvalues import PValueVector, RandomizationRule, ZTestLaw, randomize_vector
+from pi0rand.pi0 import _estimate_from_count, _grid_thresholds, h_curve
+from pi0rand.pvalues import MarginalLaw, PValueVector, RandomizationRule, ZTestLaw, randomize_vector
 from pi0rand.simkit import (
     McSummary,
     ModelSpec,
@@ -318,6 +318,50 @@ class TestChunkedKernel:
             assert not np.array_equal(gen_lfc_pvalues(spec, advanced).values, chunk[1])
 
 
+def _two_sample_gumbel(df, ncps, count=200):
+    """Two-sample Gumbel groups of ``count`` hypotheses each, at df = n1 + n2 - 2 and the given ncps."""
+    n1, n2 = {1: (1, 2), 5: (3, 4), 18: (10, 10)}[df]
+    scale = np.sqrt(n1 * n2 / (n1 + n2))
+    return ModelSpec("two_sample", tuple((count, ncp / scale) for ncp in ncps), n1=n1, n2=n2,
+                     dependence="gumbel", nu=2.0)
+
+
+class TestThresholdKernel:
+    """Gumbel replicates count their copula uniforms against thresholds mapped by each group's cdf."""
+
+    GRID = (0.0, 1e-9, 1e-6, 0.05, 0.3276, 0.5, 0.9, 0.999999, 1.0)
+
+    @pytest.mark.parametrize("df, ncps", [(1, (-11.25, 0.0, 4.0)), (5, (-6.0, -1.0, 0.0, 2.5)),
+                                          (18, (-4.0, -1.0, 0.0, 2.5, 4.0))])
+    def test_bitwise_equal_to_the_quantile_oracle(self, df, ncps):
+        # The oracle maps every uniform through its group's quantile and counts the p-values.
+        plan = SimulationPlan(spec=_two_sample_gumbel(df, ncps), c_grid=self.GRID, replicates=300, seed=2**40 + df)
+        assert np.array_equal(_replicate_block(plan, 0, 300), replicate_block_per_replicate(plan, 0, 300))
+
+    def test_run_mc_never_calls_the_quantile(self, monkeypatch):
+        def no_quantile(law, v):
+            raise AssertionError("run_mc called MarginalLaw.quantile")
+
+        monkeypatch.setattr(MarginalLaw, "quantile", no_quantile)
+        for name in ("z-gumbel", "two_sample-gumbel"):
+            run_mc(SimulationPlan(spec=_KERNEL_SPECS[name], replicates=20, seed=5))
+        with pytest.raises(AssertionError):
+            gen_lfc_pvalues(_KERNEL_SPECS["z-gumbel"], RngStream(5, 0))
+
+    def test_a_quantile_rounded_to_one_is_not_replaced_at_c_one(self):
+        # At theta*sqrt(n) = -7.07 the null quantile Q(v) rounds to exactly 1.0 for v above ~0.89, so counting
+        # p-values would randomize about a tenth of the nulls at c = 1. The uniforms below 1 stay below
+        # F(1) = 1, as for the exact p-values, and the mean meets the exact curve; the other columns are the
+        # quantile oracle's.
+        spec = ModelSpec("z", ((700, -1.0), (300, 0.5)), n=50, dependence="gumbel", nu=2.0)
+        plan = SimulationPlan(spec=spec, c_grid=(0.5, 0.9, 1.0), replicates=2000, seed=3)
+        kernel, oracle = _replicate_block(plan, 0, 200), replicate_block_per_replicate(plan, 0, 200)
+        assert np.array_equal(kernel[:, :2], oracle[:, :2]) and not np.array_equal(kernel[:, 2], oracle[:, 2])
+        summary = run_mc(plan)
+        exact = h_curve(spec.population(), plan.lam, plan.c_grid).values["value"]
+        assert np.all(np.abs(summary.mean - exact) <= 4.0 * summary.se_mean)
+
+
 def _merged_histograms(a, b, m, min_count=10):
     """Two count samples histogrammed over 0..m, sparse adjacent bins merged."""
     rows, acc = [], np.zeros(2)
@@ -359,7 +403,7 @@ class TestCountingKernel:
         spec = study_spec()
         for i in range(5):
             p = gen_lfc_pvalues(spec, RngStream(63, i))
-            n_low, n_up_trials = _grid_counts(np.sort(p.values), lam, c)
+            n_low, n_up_trials = _grid_counts(np.sort(p.values), *_grid_thresholds(lam, c))
             mean_n = n_low + lam * n_up_trials
             g = np.array([g_value(p, lam, ck) for ck in c])
             np.testing.assert_allclose(mean_n, g, rtol=1e-12, atol=0.0)
@@ -370,7 +414,7 @@ class TestCountingKernel:
     def test_exact_zeros_and_ones(self):
         values = np.array([0.0, 0.0, 0.2, 0.5, 0.7, 1.0, 1.0, 1.0])
         lam, m = 0.5, values.size
-        n_low, n_up_trials = _grid_counts(values, lam, np.array([0.0, 1.0]))
+        n_low, n_up_trials = _grid_counts(values, *_grid_thresholds(lam, np.array([0.0, 1.0])))
         # c = 0 replaces every p-value, so N is a pure Binomial(m, lambda);
         # c = 1 keeps all p-values below one and replaces the exact ones.
         assert (n_low[0], n_up_trials[0]) == (0, m)

@@ -207,12 +207,21 @@ def test_gumbel_two_sample_groups_follow_their_laws():
 
 def test_gumbel_two_sample_run_is_worker_count_invariant():
     plan = SimulationPlan(spec=two_sample_gumbel(), c_grid=(0.0, 0.5, 1.0), replicates=40, seed=4404)
-    statdist._nct_inverse_table.cache_clear()  # each process builds its own tables
     serial = run_mc(plan, workers=1)
-    statdist._nct_inverse_table.cache_clear()
     parallel = run_mc(plan, workers=2)
     for name in ("mean", "variance", "mse"):
         assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+
+
+def test_gumbel_two_sample_pvalues_do_not_depend_on_the_table_cache():
+    # Each process builds its own inverse tables; a cold cache and a warm one give the same p-values.
+    spec = two_sample_gumbel()
+    statdist._nct_inverse_table.cache_clear()
+    cold = gen_lfc_pvalues(spec, RngStream(4404, 0)).values
+    assert statdist._nct_inverse_table.cache_info().currsize == 2  # one table per group, built by this call
+    warm = gen_lfc_pvalues(spec, RngStream(4404, 0)).values
+    assert statdist._nct_inverse_table.cache_info().hits >= 2
+    assert np.array_equal(cold, warm)
 
 
 @pytest.mark.xfail(strict=True, reason="scipy's nctdtr loses the lower tail of a positive non-centrality (see ROADMAP.md)")

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import g_brute, g_brute_max
-from pi0rand.pi0 import _estimate_from_count, _grid_counts
+from pi0rand.pi0 import _estimate_from_count, _grid_counts, _grid_thresholds
 from pi0rand.pvalues import PValueVector
 from pi0rand.statdist import RngStream
 from pi0rand.tuning import (
@@ -54,7 +54,7 @@ class TestGValue:
         assert g[0] == g[1] == g_value(p, lam, 0.0) == g_value(p, lam, -0.0) == lam * m
         assert np.array_equal(g, [g_value(p, lam, c) for c in cs])
         assert np.array_equal(g, [g_brute(values, lam, c) for c in cs])
-        n_low, n_up_trials = _grid_counts(np.sort(values), lam, cs)
+        n_low, n_up_trials = _grid_counts(np.sort(values), *_grid_thresholds(lam, cs))
         assert np.array_equal(n_low + lam * n_up_trials, g)
         for variant in ("plain", "storey_plus"):
             assert conditional_expectation(p, lam, 0.0, variant) == _estimate_from_count(lam * m, m, lam, variant)

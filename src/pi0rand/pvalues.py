@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .statdist import RngStream, _finite_array, _increasing_grid, _match_input, _nct_inverse, _positive_int
+from .statdist import RngStream, _finite_array, _increasing_grid, _match_input, _nct_search, _positive_int
 from .statdist import _probabilities, _probability, _special, _t_quantile
 
 __all__ = [
@@ -194,7 +194,7 @@ class TwoSampleTLaw(MarginalLaw):
         return np.where(np.isnan(f), x > 0.0, f)
 
     def _quantile_inner(self, v):
-        return _special.stdtr(self.df, _nct_inverse(np.maximum(v, _TINY), self.df, -self.ncp))
+        return _special.stdtr(self.df, _nct_search(self.df, -self.ncp, np.maximum(v, _TINY)))
 
 
 def lfc_pvalue_z(t_stat, n):

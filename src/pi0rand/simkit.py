@@ -5,8 +5,8 @@ of n unit-variance normals) and the pooled two-sample t-test. The LFC
 p-values can be made dependent through a Gumbel-Hougaard copula, imposed at
 the p-value level: copula uniforms v are pushed through each group's exact
 marginal quantile Q_g, which preserves the marginals while installing the
-copula. The two-sample quantile inverts the non-central t cdf through a
-table cached per law and per process; only ``gen_lfc_pvalues`` reaches it.
+copula. The two-sample quantile inverts the non-central t cdf with scipy's
+``nctdtrit``; only ``gen_lfc_pvalues`` calls a quantile, ``run_mc`` none.
 
 ``run_mc`` replays the estimator across a grid of randomization thresholds
 with a fixed replicate budget. Given the LFC vector p, the estimator sees the

@@ -1,10 +1,11 @@
 """Special functions and deterministic random streams.
 
 Numerical plumbing shared by the rest of the package: the scipy.special
-ufuncs the marginal laws call, the central Student-t quantile with its far
-lower tail repaired, the inverse of the non-central t cdf, a positive-stable
-sampler for Archimedean frailties, reproducible random streams keyed by
-``(seed, stream_id)``, and the input validators the other modules share.
+ufuncs the marginal laws call; ``nctdtrit`` continued past its search range,
+which inverts the non-central t cdf and repairs the far lower tail of the
+central Student-t quantile; a positive-stable sampler for Archimedean
+frailties; reproducible random streams keyed by ``(seed, stream_id)``; and
+the input validators the other modules share.
 
 Probabilities are plain floats in [0, 1]; inputs outside their stated
 domains raise ``ValueError``.
@@ -12,7 +13,6 @@ domains raise ``ValueError``.
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import types
@@ -49,7 +49,7 @@ def _load_ufuncs():
     return _ufuncs
 
 
-_special = _load_ufuncs()  # ndtr, ndtri, stdtr, stdtrit, nctdtr, nctdtrit and nct.pdf's kernel _nct_pdf
+_special = _load_ufuncs()  # ndtr, ndtri, stdtr, stdtrit, nctdtr and nctdtrit
 
 _UINT64_BOUND = 2**64
 
@@ -184,65 +184,17 @@ def _nct_search(df, ncp, v):
     return y
 
 
-# Inverse table of the non-central t cdf: nodes uniform in z = Phi^{-1}(v).
-_INV_Z = np.linspace(-8.0, 8.0, 257)
-_INV_H = _INV_Z[1] - _INV_Z[0]
-_INV_STEP_RTOL = 1e-6
-
-
-@functools.lru_cache(maxsize=16)
-def _nct_inverse_table(df, ncp):
-    """Cubic coefficients, one column per interval, of asinh(y) as a function of z.
-
-    The nodes are y = F_nct^{-1}(Phi(z)) from ``nctdtrit``, Newton-polished,
-    with slopes dy/dz = phi(z) / f_nct(y); interpolating asinh(y) rather
-    than y keeps the power-law tails of small df as smooth in z as the body.
-    """
-    v = _special.ndtr(_INV_Z)
-    y = _special.nctdtrit(df, ncp, v)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero density spoils its nodes, and the check catches them
-        y = y - (_special.nctdtr(df, ncp, y) - v) / _special._nct_pdf(y, df, ncp)
-        w = np.arcsinh(y)
-        dw = _INV_H * np.exp(-0.5 * _INV_Z**2) / np.sqrt(2.0 * np.pi)
-        dw /= _special._nct_pdf(y, df, ncp) * np.hypot(1.0, y)
-        dp = np.diff(w)
-    return np.array([w[:-1], dw[:-1], 3.0 * dp - 2.0 * dw[:-1] - dw[1:], dw[:-1] + dw[1:] - 2.0 * dp])
-
-
-def _nct_inverse(v, df, ncp):
-    """The y with ``nctdtr(df, ncp, y) = v``, for an array v in (0, 1).
-
-    A cubic Hermite guess from the per-law table, then one Newton step. An
-    entry is redone by ``_nct_search`` if |Phi^{-1}(v)| > 8 (outside
-    the table), if the result is not finite, or if the Newton step exceeds
-    1e-6 * max(|y|, 1): a step that small leaves an error of order its
-    square, so every value kept from the table has passed that check.
-    """
-    z = _special.ndtri(v)
-    s = (np.clip(z, _INV_Z[0], _INV_Z[-1]) - _INV_Z[0]) / _INV_H
-    k = np.minimum(s.astype(np.intp), _INV_Z.size - 2)
-    s -= k
-    a, b, c, d = _nct_inverse_table(df, ncp)[:, k]
-    y = np.sinh(a + s * (b + s * (c + s * d)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = (_special.nctdtr(df, ncp, y) - v) / _special._nct_pdf(y, df, ncp)
-        y -= step
-    redo = ~(np.abs(step) <= _INV_STEP_RTOL * np.maximum(np.abs(y), 1.0)) | ~np.isfinite(y) | (np.abs(z) > _INV_Z[-1])
-    if np.any(redo):
-        y[redo] = _nct_search(df, ncp, v[redo])
-    return y
-
-
 def positive_stable_sample(alpha, rng: RngStream, size=None):
     """Draw from the positive stable law with Laplace transform exp(-s**alpha).
 
-    Uses the Kanter construction: with U uniform on (0, 1) and W standard
-    exponential,
+    Uses the Kanter construction with U uniform on (0, 1) and W standard
+    exponential, in log space:
 
-        a(U) = sin(alpha*pi*U)**(alpha/(1-alpha)) * sin((1-alpha)*pi*U)
-               / sin(pi*U)**(1/(1-alpha)),
-        S    = (a(U) / W)**((1-alpha)/alpha).
+        log S = log sin(alpha*pi*U) + ((1-alpha)/alpha) log sin((1-alpha)*pi*U)
+                - log sin(pi*U) / alpha - ((1-alpha)/alpha) log W.
 
+    The direct form raises powers of order 1/(1-alpha), which under- and
+    overflow as alpha nears 1 (NaN for a third of the draws at alpha = 1/1.001).
     ``alpha = 1`` is the degenerate boundary case, a point mass at 1.
     """
     if not 0.0 < alpha <= 1.0:
@@ -256,11 +208,7 @@ def positive_stable_sample(alpha, rng: RngStream, size=None):
     tiny = np.finfo(float).tiny
     u = np.where(u == 0.0, tiny, u)
     w = np.where(w == 0.0, tiny, w)
-    pu = np.pi * u
-    a = (
-        np.sin(alpha * pu) ** (alpha / (1.0 - alpha))
-        * np.sin((1.0 - alpha) * pu)
-        / np.sin(pu) ** (1.0 / (1.0 - alpha))
-    )
-    s = (a / w) ** ((1.0 - alpha) / alpha)
+    pu, k = np.pi * u, (1.0 - alpha) / alpha
+    s = np.exp(np.log(np.sin(alpha * pu)) + k * np.log(np.sin((1.0 - alpha) * pu)) - np.log(np.sin(pu)) / alpha
+               - k * np.log(w))
     return float(s) if size is None else s

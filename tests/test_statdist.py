@@ -181,6 +181,16 @@ class TestPositiveStable:
             se = x.std() / np.sqrt(x.size)
             assert abs(x.mean() - np.exp(-np.sqrt(t))) <= 3.0 * se
 
+    @pytest.mark.parametrize("alpha", [1 / 1.01, 1 / 1.001])
+    def test_laplace_transform_near_alpha_one(self, alpha):
+        # E exp(-s S) = exp(-s**alpha); the direct Kanter form gave NaN for a third of the draws at 1/1.001.
+        rng = RngStream(2024, 17)
+        s = positive_stable_sample(alpha, rng, size=1_000_000)
+        for t in (0.5, 1.0, 2.0):
+            x = np.exp(-t * s)
+            se = x.std() / np.sqrt(x.size)
+            assert abs(x.mean() - np.exp(-t**alpha)) <= 3.0 * se
+
     def test_levy_closed_form(self):
         # alpha = 1/2 is the Levy law with scale 1/2: P(S <= x) = 2 Phi(-sqrt(0.5/x)).
         from scipy.stats import kstest

@@ -5,31 +5,29 @@ of n unit-variance normals) and the pooled two-sample t-test. The LFC
 p-values can be made dependent through a Gumbel-Hougaard copula, imposed at
 the p-value level: copula uniforms v are pushed through each group's exact
 marginal quantile Q_g, which preserves the marginals while installing the
-copula. The two-sample quantile inverts the non-central t cdf with scipy's
-``nctdtrit``; only ``gen_lfc_pvalues`` calls a quantile, ``run_mc`` none.
+copula.
 
 ``run_mc`` replays the estimator across a grid of randomization thresholds
 with a fixed replicate budget. Given the LFC vector p, the estimator sees the
 randomized vector only through N = #{p_rand <= lambda}, and exactly
 N = #{p <= lambda*c} + Binomial(#{p >= c}, lambda) (first term 0 at c = 0),
-so a replicate needs its values sorted once and one binomial per grid point.
-Under the copula p = Q_g(v) within group g, and Q_g is monotone with the
-group's cdf F_g as its inverse, so
+so a replicate needs one binomial per grid point. Every model draws a row x
+with p = P(x), P increasing: the statistic with P = ndtr (z) or the central
+t cdf (two-sample), or the copula uniforms with P = Q_g on group g. With
+P^-1 the inverse (the cdf F_g of Q_g; -inf at 0 and +inf at 1 for a statistic),
 
-    #{Q_g(v) <= t} = #{v <= F_g(t)}    and    #{Q_g(v) >= t} = #{v >= F_g(t)}:
+    #{P(x) <= t} = #{x <= P^-1(t)}    and    #{P(x) >= t} = #{x >= P^-1(t)},
 
-a Gumbel replicate sorts its uniforms group by group and counts them against
-F_g(lambda*c) and F_g(c), mapped once per block, and evaluates no quantile.
-(Where a quantile rounds to exactly 1.0 for v < 1, under a strongly
-conservative null, the count at c = 1 is thus that of the exact p-values,
-below 1, rather than that of the rounded ones.)
+so a replicate sorts its row (per group for the uniforms) and counts it
+against P^-1(lambda*c) and P^-1(c), mapped once per block. It evaluates
+neither P nor a quantile, and counts the exact p-values also where P(x)
+rounds to 1.0 under a strongly conservative null.
 
 Replicate r owns the streams ``(seed, 2r)`` for data and ``(seed, 2r + 1)``
 for the binomials, so results are bitwise identical for any worker count.
 Replicates run in chunks of ``CHUNK_VALUES`` drawn values on one generator
-re-keyed to each stream in turn, with one transform (none for the copula
-uniforms) and one sort (one per group for the uniforms) per chunk; the
-streams and output bytes are those of one replicate at a time.
+re-keyed to each stream in turn, with one transform and one sort per chunk;
+the streams and output bytes are those of one replicate at a time.
 """
 
 from __future__ import annotations
@@ -41,9 +39,9 @@ import numpy as np
 
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
 from .pi0 import _grid_thresholds, _write_text
-from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
-from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _positive_finite, _positive_int
-from .statdist import _probabilities, positive_stable_sample
+from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, randomized_cdf
+from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _log_positive_stable
+from .statdist import _positive_finite, _positive_int, _special, _t_quantile
 
 __all__ = [
     "ModelSpec",
@@ -174,32 +172,29 @@ def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
     """Uniform marginals coupled by the Gumbel-Hougaard copula.
 
     Frailty construction: with S positive stable of index 1/nu and E_j iid
-    standard exponential, ``V_j = exp(-(E_j / S)**(1/nu))``.
+    standard exponential, ``V_j = exp(-(E_j / S)**(1/nu))``, formed from log S
+    as ``exp(-E_j**(1/nu) * exp(-log S / nu))``: S overflows at large nu.
     """
     m = _positive_int(m, "m")
     _check_nu(nu)
-    s = positive_stable_sample(1.0 / nu, rng)
+    log_s = _log_positive_stable(1.0 / nu, rng)
     e = rng.generator.standard_exponential(m)
-    return np.exp(-((e / s) ** (1.0 / nu)))
+    return np.exp(-(e ** (1.0 / nu)) * np.exp(-log_s / nu))
 
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> PValueVector:
     """Generate one LFC p-value vector from the model."""
-    return PValueVector(_lfc_rows(spec, rng, (None,))[0])
-
-
-def _group_ranges(spec: ModelSpec) -> list:
-    """``(start, stop, law)`` of each effect group's columns in a row."""
-    stops = np.cumsum([count for count, _ in spec.groups])
-    return [(int(b - count), int(b), spec.marginal_law(theta)) for b, (count, theta) in zip(stops, spec.groups)]
+    x = _counted_rows(spec, rng, (None,))[0]
+    return PValueVector(np.hstack([to_p(x[a:b]) for a, b, to_p, _ in _count_maps(spec)]))
 
 
 def _draws_per_replicate(spec: ModelSpec) -> int:
     return spec.m * (spec.n1 + spec.n2 if spec.model == "two_sample" and spec.dependence == "independent" else 1)
 
 
-def _draw_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
-    """One row per stream id (``None``: ``rng`` as it stands): a Gumbel model's copula uniforms, else normals."""
+def _counted_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
+    """One row per stream id (``None``: ``rng`` as it stands) of the values a replicate counts: a Gumbel
+    model's copula uniforms, else x = -sqrt(n) * (theta + mean noise) for z and x = -T for two-sample."""
     raw = np.empty((len(stream_ids), _draws_per_replicate(spec)))
     for i, stream_id in enumerate(stream_ids):
         if stream_id is not None:
@@ -208,45 +203,41 @@ def _draw_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
             raw[i] = gumbel_uniforms(spec.m, spec.nu, rng)
         else:
             rng.generator.standard_normal(out=raw[i])
-    return raw
-
-
-def _lfc_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
-    """The LFC vectors of ``_draw_rows``, transformed at once."""
-    raw = _draw_rows(spec, rng, stream_ids)
+    if spec.dependence == "gumbel":
+        return raw
     thetas = spec.thetas()
     rows, m = raw.shape[0], thetas.size
+    if spec.model == "z":
+        with np.errstate(over="ignore"):  # a finite theta whose scaled product overflows has p exactly 0 or 1
+            return -np.sqrt(spec.n) * (thetas + raw / np.sqrt(spec.n))
+    x = thetas[:, None] + spec.sigma * raw[:, : m * spec.n1].reshape(rows, m, spec.n1)
+    y = spec.sigma * raw[:, m * spec.n1 :].reshape(rows, m, spec.n2)
+    xbar, ybar, df = x.mean(axis=-1), y.mean(axis=-1), spec.n1 + spec.n2 - 2
+    pooled = (((x - xbar[..., None]) ** 2).sum(axis=-1) + ((y - ybar[..., None]) ** 2).sum(axis=-1)) / df
+    return -np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
+
+
+def _count_maps(spec: ModelSpec) -> list:
+    """``(start, stop, to_p, from_p)`` per column range of a counted row: ``to_p`` maps its values to their
+    p-values, increasing, and ``from_p`` maps a p-value threshold back to the counted scale."""
     if spec.dependence == "gumbel":
-        p = np.hstack([law.quantile(raw[:, a:b]) for a, b, law in _group_ranges(spec)])
-    elif spec.model == "z":
-        p = lfc_pvalue_z(thetas + raw / np.sqrt(spec.n), spec.n)
-    else:
-        x = thetas[:, None] + spec.sigma * raw[:, : m * spec.n1].reshape(rows, m, spec.n1)
-        y = spec.sigma * raw[:, m * spec.n1 :].reshape(rows, m, spec.n2)
-        xbar, ybar, df = x.mean(axis=-1), y.mean(axis=-1), spec.n1 + spec.n2 - 2
-        pooled = (((x - xbar[..., None]) ** 2).sum(axis=-1) + ((y - ybar[..., None]) ** 2).sum(axis=-1)) / df
-        tstat = np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
-        p = lfc_pvalue_t(tstat, df)
-    return _probabilities(p, "p-values")
-
-
-def _count_ranges(plan: SimulationPlan) -> list:
-    """``(start, stop, low, up)`` per column range of a counted row, with the thresholds of that range."""
-    c = np.asarray(plan.c_grid)
-    if plan.spec.dependence == "independent":
-        return [(0, plan.spec.m, *_grid_thresholds(plan.lam, c))]
-    return [(a, b, *_grid_thresholds(plan.lam, c, law.cdf)) for a, b, law in _group_ranges(plan.spec)]
+        stops, laws = np.cumsum([count for count, _ in spec.groups]), [spec.marginal_law(t) for _, t in spec.groups]
+        return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, _), law in zip(stops, spec.groups, laws)]
+    if spec.model == "z":
+        return [(0, spec.m, _special.ndtr, _special.ndtri)]
+    df = spec.n1 + spec.n2 - 2
+    return [(0, spec.m, lambda x: _special.stdtr(df, x), lambda p: _t_quantile(p, df))]
 
 
 def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
-    ranges = _count_ranges(plan)
-    rows_of = _draw_rows if plan.spec.dependence == "gumbel" else _lfc_rows  # counted: Gumbel uniforms, else p
+    c = np.asarray(plan.c_grid)
+    ranges = [(a, b, *_grid_thresholds(plan.lam, c, from_p)) for a, b, _, from_p in _count_maps(plan.spec)]
     rows = max(1, CHUNK_VALUES // _draws_per_replicate(plan.spec))
     rng = RngStream(plan.seed, 2 * start)
     out = np.empty((stop - start, len(plan.c_grid)))
     for first in range(start, stop, rows):
         reps = range(first, min(first + rows, stop))
-        x = rows_of(plan.spec, rng, [2 * r for r in reps])
+        x = _counted_rows(plan.spec, rng, [2 * r for r in reps])
         for a, b, _, _ in ranges:
             x[:, a:b].sort(axis=1)
         for i, r in enumerate(reps):

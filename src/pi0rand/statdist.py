@@ -151,13 +151,14 @@ def _match_input(out, x):
 
 
 def _t_quantile(p, df):
-    """Quantile of the central Student-t law with ``df`` degrees of freedom, for an array p in (0, 1).
+    """Quantile of the central Student-t law with ``df`` degrees of freedom, for an array p in [0, 1].
 
+    p = 0 maps to -inf and p = 1 to +inf (``stdtrit`` gives +inf at both).
     ``stdtrit`` fails far in the lower tail for some df (at df = 3 it is 7x
     off at p = 1e-200 and +inf below 1e-238), so entries whose round trip
     misses p by over 1e-12 relative are redone by ``_nct_search``.
     """
-    x = np.asarray(_special.stdtrit(df, p))
+    x = np.where(p > 0.0, _special.stdtrit(df, p), -np.inf)
     redo = ~(np.abs(_special.stdtr(df, x) - p) <= 1e-12 * p)
     if np.any(redo):
         x[redo] = _nct_search(df, 0.0, p[redo])
@@ -184,8 +185,8 @@ def _nct_search(df, ncp, v):
     return y
 
 
-def positive_stable_sample(alpha, rng: RngStream, size=None):
-    """Draw from the positive stable law with Laplace transform exp(-s**alpha).
+def _log_positive_stable(alpha, rng: RngStream, size=None):
+    """log S for S positive stable with Laplace transform exp(-s**alpha).
 
     Uses the Kanter construction with U uniform on (0, 1) and W standard
     exponential, in log space:
@@ -194,14 +195,15 @@ def positive_stable_sample(alpha, rng: RngStream, size=None):
                 - log sin(pi*U) / alpha - ((1-alpha)/alpha) log W.
 
     The direct form raises powers of order 1/(1-alpha), which under- and
-    overflow as alpha nears 1 (NaN for a third of the draws at alpha = 1/1.001).
-    ``alpha = 1`` is the degenerate boundary case, a point mass at 1.
+    overflow as alpha nears 1 (NaN for a third of the draws at alpha = 1/1.001);
+    and S itself leaves the doubles as alpha nears 0, where log S does not.
+    ``alpha = 1`` is the degenerate boundary case, a point mass at S = 1.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
     gen = rng.generator
     if alpha == 1.0:
-        return 1.0 if size is None else np.ones(size)
+        return 0.0 if size is None else np.zeros(size)
     u = np.asarray(gen.random(size))
     w = np.asarray(gen.standard_exponential(size))
     # Guard the measure-zero draws where the formula degenerates in floats.
@@ -209,6 +211,12 @@ def positive_stable_sample(alpha, rng: RngStream, size=None):
     u = np.where(u == 0.0, tiny, u)
     w = np.where(w == 0.0, tiny, w)
     pu, k = np.pi * u, (1.0 - alpha) / alpha
-    s = np.exp(np.log(np.sin(alpha * pu)) + k * np.log(np.sin((1.0 - alpha) * pu)) - np.log(np.sin(pu)) / alpha
-               - k * np.log(w))
-    return float(s) if size is None else s
+    log_s = (np.log(np.sin(alpha * pu)) + k * np.log(np.sin((1.0 - alpha) * pu)) - np.log(np.sin(pu)) / alpha
+             - k * np.log(w))
+    return float(log_s) if size is None else log_s
+
+
+def positive_stable_sample(alpha, rng: RngStream, size=None):
+    """Draw from the positive stable law with Laplace transform exp(-s**alpha): ``exp`` of ``_log_positive_stable``."""
+    log_s = _log_positive_stable(alpha, rng, size)
+    return _match_input(np.exp(log_s), log_s)

@@ -167,6 +167,14 @@ class TestGumbelUniforms:
         for coord in (0, 1):
             assert _ks_uniform(gumbel_pairs[:, coord]) <= ks_critical(gumbel_pairs.shape[0])
 
+    def test_no_frailty_overflow_at_large_nu(self):
+        # At nu = 200 the frailty S overflowed for these streams, and each whole vector was exactly 1.0 with
+        # an overflow warning only.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stream_id in (2, 24, 57):
+                assert np.all(gumbel_uniforms(100, 200.0, RngStream(9, stream_id)) < 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gumbel_uniforms(10, 0.9, RngStream(0, 0))
@@ -310,13 +318,15 @@ class TestChunkedKernel:
         assert serial.to_csv_string() == parallel.to_csv_string()
 
     def test_gen_lfc_pvalues_is_one_row(self):
-        # The public generator is one row of a chunk, drawn from the stream as it stands.
+        # The public generator maps one counted row of a chunk to its p-values, drawn from the stream as it stands.
         for spec in _KERNEL_SPECS.values():
-            chunk = simkit._lfc_rows(spec, RngStream(81, 0), [4, 6, 8])
-            assert np.array_equal(gen_lfc_pvalues(spec, RngStream(81, 6)).values, chunk[1])
+            chunk = simkit._counted_rows(spec, RngStream(81, 0), [4, 6, 8])
+            assert np.array_equal(simkit._counted_rows(spec, RngStream(81, 6), [None])[0], chunk[1])
+            p = gen_lfc_pvalues(spec, RngStream(81, 6)).values
+            assert all(np.array_equal(p[a:b], to_p(chunk[1, a:b])) for a, b, to_p, _ in simkit._count_maps(spec))
             advanced = RngStream(81, 6)
             advanced.generator.random(3)
-            assert not np.array_equal(gen_lfc_pvalues(spec, advanced).values, chunk[1])
+            assert not np.array_equal(gen_lfc_pvalues(spec, advanced).values, p)
 
 
 def _two_sample_gumbel(df, ncps, count=200):
@@ -362,12 +372,16 @@ class TestThresholdKernel:
         exact = h_curve(spec.population(), plan.lam, plan.c_grid).values["value"]
         assert np.all(np.abs(summary.mean - exact) <= 4.0 * summary.se_mean)
 
-    @pytest.mark.xfail(strict=True, reason="the independent kernel counts rounded p-values (see ROADMAP.md)")
-    def test_an_independent_quantile_rounded_to_one_is_not_replaced_at_c_one(self):
-        # The case above without the copula: ndtr rounds about a tenth of the null p-values to exactly 1.0,
-        # the c = 1 column randomizes them, and its mean is ~285 SE below h(0.5, 1).
-        spec = ModelSpec("z", ((700, -1.0), (300, 0.5)), n=50, dependence="independent")
-        plan = SimulationPlan(spec=spec, c_grid=(0.5, 0.9, 1.0), replicates=2000, seed=3)
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("z", ((700, -1.0), (300, 0.5)), n=50),
+        ModelSpec("two_sample", ((700, -32.0 / np.sqrt(5.0)), (300, 2.5 / np.sqrt(5.0))), n1=10, n2=10),
+    ], ids=["z", "two_sample"])
+    def test_an_independent_quantile_rounded_to_one_is_not_replaced_at_c_one(self, spec):
+        # The case above without the copula, and its two-sample analogue at ncp -32: ndtr rounds about a tenth
+        # of the null p-values to exactly 1.0, stdtr about three quarters. Counted as p-values, the c = 1 column
+        # randomized them and its mean was ~285 (z) and ~440 (two-sample) SE below h(0.5, 1).
+        replicates = 2000 if spec.model == "z" else 500
+        plan = SimulationPlan(spec=spec, c_grid=(0.5, 0.9, 1.0), replicates=replicates, seed=3)
         summary = run_mc(plan)
         exact = h_curve(spec.population(), plan.lam, plan.c_grid).values["value"]
         assert np.all(np.abs(summary.mean - exact) <= 4.0 * summary.se_mean)

@@ -132,6 +132,11 @@ class TestStudentT:
         p = np.linspace(0.01, 0.99, 25)
         assert np.max(np.abs(t_cdf(_t_quantile(p, 7), 7) - p)) <= 1e-10
 
+    @pytest.mark.parametrize("df", [1, 3, 18])
+    def test_quantile_endpoints(self, df):
+        # stdtrit gives +inf at p = 0 as at p = 1.
+        assert np.array_equal(_t_quantile(np.array([0.0, 0.5, 1.0]), df), [-np.inf, 0.0, np.inf])
+
 
 class TestNoncentralT:
     """The non-central t cdf through the two-sample law: ``TwoSampleTLaw(-ncp, df).cdf(F_t(x)) = F_nct(x; df, ncp)``."""

@@ -181,7 +181,7 @@ def _grid_thresholds(lam: float, c: np.ndarray, cdf=lambda t: t):
 
 def _grid_counts(x_sorted: np.ndarray, low: np.ndarray, up: np.ndarray):
     """Per threshold pair, ``#{x <= low}`` and ``#{x >= up}``; a low of -inf counts nothing."""
-    return np.searchsorted(x_sorted, low, side="right"), x_sorted.size - np.searchsorted(x_sorted, up, side="left")
+    return x_sorted.searchsorted(low, side="right"), x_sorted.size - x_sorted.searchsorted(up, side="left")
 
 
 def schweder_spjotvoll(p, cfg: EstimatorConfig) -> float:

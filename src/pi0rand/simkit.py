@@ -27,7 +27,9 @@ Replicate r owns the streams ``(seed, 2r)`` for data and ``(seed, 2r + 1)``
 for the binomials, so results are bitwise identical for any worker count.
 Replicates run in chunks of ``CHUNK_VALUES`` drawn values on one generator
 re-keyed to each stream in turn, with one transform and one sort per chunk;
-the streams and output bytes are those of one replicate at a time.
+the streams and output bytes are those of one replicate at a time. Under a
+Gumbel copula each row draws its frailty in stream order, and log S and the
+copula uniforms are formed once per chunk.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
 from .pi0 import _grid_thresholds, _write_text
 from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, randomized_cdf
-from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _log_positive_stable
+from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
 from .statdist import _positive_finite, _positive_int, _special, _t_quantile
 
 __all__ = [
@@ -104,6 +106,8 @@ class ModelSpec:
         if self.dependence not in DEPENDENCE:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
         _check_nu(self.nu)
+        with np.errstate(over="ignore"):  # a finite effect can overflow once scaled; its law rejects the inf
+            self.population()
 
     @property
     def m(self) -> int:
@@ -169,17 +173,35 @@ class McSummary:
 
 
 def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
-    """Uniform marginals coupled by the Gumbel-Hougaard copula.
+    """Uniform marginals coupled by the Gumbel-Hougaard copula: one row of ``_gumbel_rows``.
 
     Frailty construction: with S positive stable of index 1/nu and E_j iid
     standard exponential, ``V_j = exp(-(E_j / S)**(1/nu))``, formed from log S
     as ``exp(-E_j**(1/nu) * exp(-log S / nu))``: S overflows at large nu.
+    The frailty's U and W are drawn before the E_j; in a chunk each row draws
+    its own in stream order, and log S and V are formed once for the chunk.
     """
-    m = _positive_int(m, "m")
     _check_nu(nu)
-    log_s = _log_positive_stable(1.0 / nu, rng)
-    e = rng.generator.standard_exponential(m)
-    return np.exp(-(e ** (1.0 / nu)) * np.exp(-log_s / nu))
+    return _gumbel_rows(_positive_int(m, "m"), nu, rng, (None,))[0]
+
+
+def _gumbel_rows(m: int, nu: float, rng: RngStream, stream_ids) -> np.ndarray:
+    """``gumbel_uniforms`` per stream id (``None``: ``rng`` as it stands), one vector pass for the chunk."""
+    alpha, uw, e = 1.0 / nu, np.empty((2, len(stream_ids))), np.empty((len(stream_ids), m))
+    for i, gen in enumerate(_streams(rng, stream_ids)):
+        if alpha < 1.0:  # at nu = 1, S = 1 and no frailty is drawn
+            uw[:, i] = gen.random(), gen.standard_exponential()
+        gen.standard_exponential(out=e[i])
+    log_s = _kanter_log_stable(alpha, *uw) if alpha < 1.0 else np.zeros(len(stream_ids))
+    return np.exp(-(e**alpha) * np.exp(-log_s / nu)[:, None])
+
+
+def _streams(rng: RngStream, stream_ids):
+    """Re-key ``rng`` to each stream id in turn (``None``: leave it as it stands) and yield its generator."""
+    for stream_id in stream_ids:
+        if stream_id is not None:
+            rng.rekey(stream_id)
+        yield rng.generator
 
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> PValueVector:
@@ -195,16 +217,11 @@ def _draws_per_replicate(spec: ModelSpec) -> int:
 def _counted_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
     """One row per stream id (``None``: ``rng`` as it stands) of the values a replicate counts: a Gumbel
     model's copula uniforms, else x = -sqrt(n) * (theta + mean noise) for z and x = -T for two-sample."""
-    raw = np.empty((len(stream_ids), _draws_per_replicate(spec)))
-    for i, stream_id in enumerate(stream_ids):
-        if stream_id is not None:
-            rng.rekey(stream_id)
-        if spec.dependence == "gumbel":
-            raw[i] = gumbel_uniforms(spec.m, spec.nu, rng)
-        else:
-            rng.generator.standard_normal(out=raw[i])
     if spec.dependence == "gumbel":
-        return raw
+        return _gumbel_rows(spec.m, spec.nu, rng, stream_ids)
+    raw = np.empty((len(stream_ids), _draws_per_replicate(spec)))
+    for row, gen in zip(raw, _streams(rng, stream_ids)):
+        gen.standard_normal(out=row)
     thetas = spec.thetas()
     rows, m = raw.shape[0], thetas.size
     if spec.model == "z":

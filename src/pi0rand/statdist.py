@@ -125,6 +125,9 @@ class RngStream:
     def __post_init__(self):
         self.seed = _checked_uint64(self.seed, "seed")
         self._generator = np.random.Generator(np.random.Philox(key=0))
+        zeros, self._key = np.zeros(4, np.uint64), np.array([self.seed, 0], np.uint64)
+        self._state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": self._key},
+                       "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self.rekey(self.stream_id)
 
     @property
@@ -132,11 +135,9 @@ class RngStream:
         return self._generator
 
     def rekey(self, stream_id) -> None:
-        """Restart as the stream ``(seed, stream_id)``: the state of a fresh ``Philox`` with that key."""
-        self.stream_id = _checked_uint64(stream_id, "stream_id")
-        zeros, key = np.zeros(4, np.uint64), np.array([self.seed, self.stream_id], np.uint64)
-        self._generator.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                                               "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        """Restart as the stream ``(seed, stream_id)``: a fresh ``Philox``'s state, set from the one dict (copied)."""
+        self.stream_id = self._key[1] = _checked_uint64(stream_id, "stream_id")
+        self._generator.bit_generator.state = self._state
 
 
 def _finite_array(x, name):
@@ -189,7 +190,7 @@ def _log_positive_stable(alpha, rng: RngStream, size=None):
     """log S for S positive stable with Laplace transform exp(-s**alpha).
 
     Uses the Kanter construction with U uniform on (0, 1) and W standard
-    exponential, in log space:
+    exponential, drawn in that order, in log space:
 
         log S = log sin(alpha*pi*U) + ((1-alpha)/alpha) log sin((1-alpha)*pi*U)
                 - log sin(pi*U) / alpha - ((1-alpha)/alpha) log W.
@@ -201,19 +202,21 @@ def _log_positive_stable(alpha, rng: RngStream, size=None):
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    gen = rng.generator
     if alpha == 1.0:
         return 0.0 if size is None else np.zeros(size)
-    u = np.asarray(gen.random(size))
-    w = np.asarray(gen.standard_exponential(size))
+    log_s = _kanter_log_stable(alpha, rng.generator.random(size), rng.generator.standard_exponential(size))
+    return float(log_s) if size is None else log_s
+
+
+def _kanter_log_stable(alpha, u, w):
+    """``_log_positive_stable`` for 0 < alpha < 1 from its U and W draws ``u`` and ``w`` (floats or arrays)."""
     # Guard the measure-zero draws where the formula degenerates in floats.
     tiny = np.finfo(float).tiny
     u = np.where(u == 0.0, tiny, u)
     w = np.where(w == 0.0, tiny, w)
     pu, k = np.pi * u, (1.0 - alpha) / alpha
-    log_s = (np.log(np.sin(alpha * pu)) + k * np.log(np.sin((1.0 - alpha) * pu)) - np.log(np.sin(pu)) / alpha
-             - k * np.log(w))
-    return float(log_s) if size is None else log_s
+    return (np.log(np.sin(alpha * pu)) + k * np.log(np.sin((1.0 - alpha) * pu)) - np.log(np.sin(pu)) / alpha
+            - k * np.log(w))
 
 
 def positive_stable_sample(alpha, rng: RngStream, size=None):

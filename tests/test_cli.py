@@ -1,13 +1,14 @@
 import hashlib
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pi0rand import cli
+from pi0rand import cli, simkit
 from pi0rand.cli import main
 from pi0rand.pvalues import PValueVector
 from pi0rand.statdist import RngStream
@@ -307,6 +308,17 @@ class TestSimulate:
     def test_bad_pi0(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--pi0", "1.4", "--reps", "10")
         assert code == 2 and "--pi0" in err
+
+    @pytest.mark.parametrize("model, message", [("z", "theta_scaled"), ("two-sample", "ncp")])
+    def test_effect_that_overflows_once_scaled_exits_2_before_the_work(self, capsys, monkeypatch, model, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replicate ran before the model was checked")
+
+        monkeypatch.setattr(simkit, "_replicate_block", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--model", model, "--theta-alt", "1e308", "--reps", "3000")
+        assert (code, out, err) == (2, "", f"error: {message} must be finite\n")
 
     @pytest.mark.parametrize("grid", ["0.5,0.2", "0:0.3:1", "0:2:1", "0.3:0.1:0.2", "-inf:0.1:1", "0:1", "a:0.1:1", "0,x"])
     def test_bad_grid_names_the_flag(self, capsys, grid):

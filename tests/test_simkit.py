@@ -85,6 +85,18 @@ class TestModelSpec:
             with pytest.raises(ValueError, match="finite"):
                 ModelSpec("z", ((5, 0.0), (5, bad)))
 
+    def test_effect_that_overflows_once_scaled_rejected_at_construction(self):
+        # A finite theta whose theta * sqrt(n), or sqrt(n1 n2 / (n1 + n2)) theta / sigma, overflows used to pass
+        # here and fail only after every replicate had run.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta_scaled must be finite"):
+                ModelSpec("z", ((5, 0.0), (5, 1e308)), n=50)
+            with pytest.raises(ValueError, match="ncp must be finite"):
+                ModelSpec("two_sample", ((5, -1e308), (5, 0.5)), n1=10, n2=10)
+            with pytest.raises(ValueError, match="ncp must be finite"):
+                ModelSpec("two_sample", ((5, 0.0), (5, 1.0)), n1=10, n2=10, sigma=1e-308)
+
     def test_fractional_group_count_rejected(self):
         # A count of 2.5 used to be truncated to 2 without a word.
         for groups in (((2.5, 0.0), (3, 1.0)), ((3, 0.0), (np.nan, 1.0))):
@@ -293,18 +305,21 @@ _KERNEL_SPECS = {
     "two_sample-gumbel": ModelSpec("two_sample", ((700, -0.3), (300, 0.8)), n1=5, n2=6,
                                    dependence="gumbel", nu=2.0),
 }
+# Every frailty branch of the chunked Gumbel rows: nothing drawn (nu = 1), alpha just below 1, and a
+# frailty S that overflows the doubles for a share of the draws (nu = 200).
+_FRAILTY_SPECS = {f"z-gumbel-nu{nu:g}": study_spec(dependence="gumbel", nu=nu) for nu in (1.0, 1.001, 200.0)}
 
 
 class TestChunkedKernel:
     """Chunked generation on one re-keyed stream reproduces the per-replicate kernel."""
 
-    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
+    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS) + sorted(_FRAILTY_SPECS))
     @pytest.mark.parametrize("chunk_values", [1, 3000, simkit.CHUNK_VALUES])
     def test_bitwise_equal_to_per_replicate_oracle(self, name, chunk_values, monkeypatch):
         # Replicates 5..42 start and end inside a chunk for every chunk size
         # above one row (3 or 8 rows at m = 1000, 2 or 7 at m*(n1 + n2) = 1100).
         monkeypatch.setattr(simkit, "CHUNK_VALUES", chunk_values)
-        plan = SimulationPlan(spec=_KERNEL_SPECS[name], replicates=42, seed=2**63 + 5,
+        plan = SimulationPlan(spec={**_KERNEL_SPECS, **_FRAILTY_SPECS}[name], replicates=42, seed=2**63 + 5,
                               estimator_variant="storey_plus" if "gumbel" in name else "plain")
         expected = replicate_block_per_replicate(plan, 5, 42)
         assert np.array_equal(_replicate_block(plan, 5, 42), expected)

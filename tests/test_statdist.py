@@ -265,6 +265,11 @@ _LEFTOVERS = {
 _KEYS = [0, 1, 2**63, 2**64 - 1]
 
 
+def _philox(seed, stream_id):
+    """The stream ``(seed, stream_id)`` built by numpy alone, without ``RngStream``."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], np.uint64)))
+
+
 class TestRekey:
     @pytest.mark.parametrize("leftover", sorted(_LEFTOVERS))
     @pytest.mark.parametrize("seed", _KEYS)
@@ -274,9 +279,21 @@ class TestRekey:
             _LEFTOVERS[leftover](rng.generator)
             rng.rekey(stream_id)
             assert (rng.seed, rng.stream_id) == (seed, stream_id)
-            fresh = RngStream(seed, stream_id)
-            for got, want in zip(_draws(rng.generator), _draws(fresh.generator)):
+            for got, want in zip(_draws(rng.generator), _draws(_philox(seed, stream_id))):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("leftover", sorted(_LEFTOVERS))
+    def test_two_streams_rekeyed_and_drawn_alternately(self, leftover):
+        # Each stream re-keys from its own state dict: one's re-key or draws never reach the other.
+        a, b = RngStream(11, 0), RngStream(2**64 - 1, 0)
+        for stream_id in _KEYS:
+            a.rekey(stream_id)
+            b.rekey(stream_id ^ 1)
+            want_a, want_b = _philox(11, stream_id), _philox(2**64 - 1, stream_id ^ 1)
+            for gen in (a.generator, b.generator, want_a, want_b):
+                _LEFTOVERS[leftover](gen)
+            assert all(np.array_equal(got, want) for got, want in zip(_draws(a.generator), _draws(want_a)))
+            assert all(np.array_equal(got, want) for got, want in zip(_draws(b.generator), _draws(want_b)))
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
     def test_rejects_bad_id(self, bad):

@@ -14,9 +14,10 @@ from the library included) and on an unreadable input or unwritable output
 path, 1 on internal errors. Each input is checked once, where it enters: a
 flag value that a library object checks is checked only there, and ``main``
 names the flag in the library's message. A command reads its input and
-checks its flags before it opens ``--out``, and opens ``--out`` before it
-computes or prints anything: a bad flag leaves an existing file as it was,
-and an unwritable path fails before the work.
+checks its flags (a cdf table, which is cheap, is built to check its labels)
+before it opens ``--out``, and opens ``--out`` before any other work or print:
+a bad flag leaves an existing file as it was, and an unwritable path fails
+before the work.
 """
 
 from __future__ import annotations
@@ -38,28 +39,32 @@ from .tuning import select_c0
 __all__ = ["main"]
 
 # The flag of each library field the CLI passes through unchecked, by the first word of the library's message.
-_FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers",
+_FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers", "c_list": "--c-grid",
           "resolution": "--resolution", "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
 
 
 def _read_pvalue_csv(path):
+    """The p_lfc column of a CSV, read in one pass; only a fault walks the rows again, to name its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = fh.read().removeprefix("\ufeff")  # the byte-order mark of a spreadsheet's "CSV UTF-8"
     lines = raw.replace("\r\n", "\n").split("\n")
-    values = _bulk_column([s for s in map(str.strip, lines) if s and s[0] != "#"])
-    if values is not None and len(values) >= 2:
-        return values
-    # Some row is bad, or there are fewer than two: re-read row by row to raise the first fault by its physical line.
-    rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]
-    if not rows:
+    rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    columns = [col.strip() for col in rows[0].split(",")] if rows else []
+    with contextlib.suppress(ValueError):  # a header without p_lfc is a fault too
+        col, cells = columns.index("p_lfc"), rows[1:]
+        if len(columns) > 1:  # a row with the wrong field count gets a cell that float() rejects
+            cells = [fields[col] if len(fields) == len(columns) else "" for fields in (r.split(",") for r in cells)]
+        values = np.fromiter(map(float, cells), float, len(cells))  # a one-column row with a comma fails too
+        if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
+            return values
+    if not rows:  # a fault: walk the same rows, each matched to its physical line, and raise the first
         raise ValueError(f"{path}: empty input")
-    header_no, header = rows[0]
-    columns = [col.strip() for col in header.split(",")]
+    numbered = enumerate(lines, 1)  # blank and comment lines never strip to a row, so the rows match in order
+    line_nos = (next(no for no, line in numbered if line.strip() == row) for row in rows)
+    header_no = next(line_nos)
     if "p_lfc" not in columns:
         raise ValueError(f"{path}: row {header_no}: header must contain a p_lfc column")
-    col = columns.index("p_lfc")
-    for line_no, line in rows[1:]:
-        fields = line.split(",")
+    for line_no, fields in zip(line_nos, (row.split(",") for row in rows[1:])):
         if len(fields) != len(columns):
             raise ValueError(f"{path}: row {line_no}: expected {len(columns)} fields")
         try:
@@ -69,24 +74,6 @@ def _read_pvalue_csv(path):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{path}: row {line_no}: p_lfc value {v!r} outside [0, 1]")
     raise ValueError(f"{path}: need at least two p-values, got {len(rows) - 1}")
-
-
-def _bulk_column(rows):
-    """The p_lfc column read with ``float`` in bulk passes, or None if any row is bad."""
-    columns = [col.strip() for col in rows[0].split(",")] if rows else []
-    if "p_lfc" not in columns:
-        return None
-    cells, col = rows[1:], columns.index("p_lfc")
-    if len(columns) > 1:
-        split = [row.split(",") for row in cells]
-        if any(len(fields) != len(columns) for fields in split):
-            return None
-        cells = [fields[col] for fields in split]
-    try:  # float() rejects commas, so a one-column row with extra fields fails here
-        values = np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        return None
-    return values if np.all((values >= 0.0) & (values <= 1.0)) else None
 
 
 def _parse_grid(text):
@@ -181,7 +168,8 @@ def _cmd_curves(args):
     else:
         t = np.linspace(0.0, 1.0, _positive_int(args.t_points, "--t-points"))
         cs = _parse_grid(args.c_grid if args.c_grid != _DEFAULT_GRID else "0,0.25,0.5,0.75,1")
-        table = functools.partial(cdf_curves, spec.marginal_law(args.theta_null), cs, t)
+        built = cdf_curves(spec.marginal_law(args.theta_null), cs, t)  # cheap, and it checks the labels
+        table = lambda: built
     with _open_text(args.out) as out:
         out.write(table().to_csv_string())
     return 0

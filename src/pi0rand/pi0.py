@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pvalues import PValueVector, _randomized_cdf
-from .statdist import _increasing_grid, _positive_int, _probability
+from .statdist import _increasing_grid, _positive_int, _probabilities, _probability
 
 __all__ = [
     "EstimatorConfig",
@@ -73,9 +73,9 @@ class PopulationSpec:
     def __post_init__(self):
         groups = tuple((_positive_int(count, "group count"), law) for count, law in self.groups)
         if not groups:
-            raise ValueError("population needs at least one group")
+            raise ValueError("groups must be non-empty")
         if sum(count for count, _ in groups) < 2:
-            raise ValueError("population needs m >= 2 hypotheses")
+            raise ValueError("need m >= 2 hypotheses")
         object.__setattr__(self, "groups", groups)
 
     @property
@@ -150,8 +150,8 @@ class CurveTable:
 
 
 def _count_at_most(p, t):
-    """``(#{p_j <= t}, m)`` for a PValueVector or a non-empty 1-d array of p-values."""
-    values = p.values if isinstance(p, PValueVector) else np.asarray(p, dtype=float)
+    """``(#{p_j <= t}, m)`` for a PValueVector or a non-empty 1-d array of p-values in [0, 1]."""
+    values = p.values if isinstance(p, PValueVector) else _probabilities(p, "p-values")
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a non-empty 1-d p-value array")
     return int(np.count_nonzero(values <= t)), values.size
@@ -159,7 +159,9 @@ def _count_at_most(p, t):
 
 def ecdf(p, t) -> float:
     """Right-continuous empirical cdf of the p-values, ``#{p_j <= t} / m``."""
-    k, m = _count_at_most(p, float(t))
+    if np.isnan(t := float(t)):
+        raise ValueError("t must be a number, got nan")
+    k, m = _count_at_most(p, t)
     return k / m
 
 

@@ -84,17 +84,11 @@ class ModelSpec:
     sigma: float = 1.0
     dependence: str = "independent"
     nu: float = 1.0
+    _population: PopulationSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        groups = tuple((_positive_int(count, "group count"), float(theta)) for count, theta in self.groups)
-        if not groups:
-            raise ValueError("groups must be non-empty")
-        _finite_array([theta for _, theta in groups], "group effects")
-        if sum(count for count, _ in groups) < 2:
-            raise ValueError("need m >= 2 hypotheses")
-        object.__setattr__(self, "groups", groups)
         if self.model == "z":
             object.__setattr__(self, "n", _positive_int(self.n, "n"))
         else:
@@ -106,15 +100,18 @@ class ModelSpec:
         if self.dependence not in DEPENDENCE:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
         _check_nu(self.nu)
+        thetas = _finite_array([float(theta) for _, theta in self.groups], "group effects").tolist()
         with np.errstate(over="ignore"):  # a finite effect can overflow once scaled; its law rejects the inf
-            self.population()
+            pop = PopulationSpec(tuple((count, self.marginal_law(t)) for (count, _), t in zip(self.groups, thetas)))
+        object.__setattr__(self, "groups", tuple((count, t) for (count, _), t in zip(pop.groups, thetas)))
+        object.__setattr__(self, "_population", pop)  # it checks the group counts, the non-empty groups and m
 
     @property
     def m(self) -> int:
-        return sum(count for count, _ in self.groups)
+        return self._population.m
 
     @property
-    def pi0(self) -> float:
+    def pi0(self) -> float:  # from theta <= 0: a two-sample theta > 0 whose ncp underflows to 0 has a null law
         return sum(count for count, theta in self.groups if theta <= 0.0) / self.m
 
     def thetas(self) -> np.ndarray:
@@ -127,7 +124,7 @@ class ModelSpec:
         return TwoSampleTLaw(ncp, self.n1 + self.n2 - 2)
 
     def population(self) -> PopulationSpec:
-        return PopulationSpec(tuple((count, self.marginal_law(theta)) for count, theta in self.groups))
+        return self._population
 
 
 @dataclass(frozen=True)
@@ -238,8 +235,9 @@ def _count_maps(spec: ModelSpec) -> list:
     """``(start, stop, to_p, from_p)`` per column range of a counted row: ``to_p`` maps its values to their
     p-values, increasing, and ``from_p`` maps a p-value threshold back to the counted scale."""
     if spec.dependence == "gumbel":
-        stops, laws = np.cumsum([count for count, _ in spec.groups]), [spec.marginal_law(t) for _, t in spec.groups]
-        return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, _), law in zip(stops, spec.groups, laws)]
+        groups = spec.population().groups
+        stops = np.cumsum([count for count, _ in groups])
+        return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, law) in zip(stops, groups)]
     if spec.model == "z":
         return [(0, spec.m, _special.ndtr, _special.ndtri)]
     df = spec.n1 + spec.n2 - 2
@@ -326,6 +324,10 @@ def cdf_curves(law: MarginalLaw, c_list, t_grid) -> CurveTable:
     t = _increasing_grid(t_grid, "t_grid")
     if len(c_list) == 0:
         raise ValueError("c_list must be non-empty")
-    values = {f"c={float(c):g}": randomized_cdf(t, c, law) for c in c_list}
+    labels = [f"c={float(c):g}" for c in c_list]
+    clash = [float(c) for c, label in zip(c_list, labels) if labels.count(label) > 1]
+    if clash:  # a later column would replace an earlier one under the same label
+        raise ValueError(f"c_list must have distinct labels, but thresholds {clash} share one")
+    values = {label: randomized_cdf(t, c, law) for label, c in zip(labels, c_list)}
     meta = {"quantity": "cdf", "law": repr(law)}
     return CurveTable(t, values, metadata=meta, x_name="t")

@@ -186,11 +186,11 @@ def _nct_search(df, ncp, v):
     return y
 
 
-def _log_positive_stable(alpha, rng: RngStream, size=None):
-    """log S for S positive stable with Laplace transform exp(-s**alpha).
+def _kanter_log_stable(alpha, u, w):
+    """log S for S positive stable with Laplace transform exp(-s**alpha), 0 < alpha < 1.
 
     Uses the Kanter construction with U uniform on (0, 1) and W standard
-    exponential, drawn in that order, in log space:
+    exponential (the draws ``u`` and ``w``, floats or arrays), in log space:
 
         log S = log sin(alpha*pi*U) + ((1-alpha)/alpha) log sin((1-alpha)*pi*U)
                 - log sin(pi*U) / alpha - ((1-alpha)/alpha) log W.
@@ -198,18 +198,7 @@ def _log_positive_stable(alpha, rng: RngStream, size=None):
     The direct form raises powers of order 1/(1-alpha), which under- and
     overflow as alpha nears 1 (NaN for a third of the draws at alpha = 1/1.001);
     and S itself leaves the doubles as alpha nears 0, where log S does not.
-    ``alpha = 1`` is the degenerate boundary case, a point mass at S = 1.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if alpha == 1.0:
-        return 0.0 if size is None else np.zeros(size)
-    log_s = _kanter_log_stable(alpha, rng.generator.random(size), rng.generator.standard_exponential(size))
-    return float(log_s) if size is None else log_s
-
-
-def _kanter_log_stable(alpha, u, w):
-    """``_log_positive_stable`` for 0 < alpha < 1 from its U and W draws ``u`` and ``w`` (floats or arrays)."""
     # Guard the measure-zero draws where the formula degenerates in floats.
     tiny = np.finfo(float).tiny
     u = np.where(u == 0.0, tiny, u)
@@ -220,6 +209,10 @@ def _kanter_log_stable(alpha, u, w):
 
 
 def positive_stable_sample(alpha, rng: RngStream, size=None):
-    """Draw from the positive stable law with Laplace transform exp(-s**alpha): ``exp`` of ``_log_positive_stable``."""
-    log_s = _log_positive_stable(alpha, rng, size)
+    """Draw S with Laplace transform exp(-s**alpha): 1 at alpha = 1, else ``exp(_kanter_log_stable)`` of U, then W."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+    if alpha == 1.0:
+        return 1.0 if size is None else np.ones(size)
+    log_s = _kanter_log_stable(alpha, rng.generator.random(size), rng.generator.standard_exponential(size))
     return _match_input(np.exp(log_s), log_s)

@@ -144,6 +144,24 @@ def ks_critical(n: int) -> float:
     return 1.63 / math.sqrt(n)
 
 
+def gumbel_uniforms_reference(m: int, nu: float, seed: int, stream_id: int) -> np.ndarray:
+    """Gumbel-Hougaard copula uniforms written out from a plain Philox generator keyed ``[seed, stream_id]``.
+
+    For nu > 1 it draws U and then W for the Kanter frailty S of index 1/nu
+    and writes log S out scalar by scalar; then it draws the m exponentials
+    E_j and forms V_j = exp(-exp((log E_j - log S) / nu)).
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+    log_s = 0.0
+    if nu > 1.0:
+        a = 1.0 / nu
+        u, w = gen.random(), gen.standard_exponential()
+        log_s = (math.log(math.sin(a * math.pi * u)) + (1.0 - a) / a * math.log(math.sin((1.0 - a) * math.pi * u))
+                 - math.log(math.sin(math.pi * u)) / a - (1.0 - a) / a * math.log(w))
+    e = gen.standard_exponential(m)
+    return np.exp(-np.exp((np.log(e) - log_s) / nu))
+
+
 def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     """The Monte Carlo kernel as one loop over replicates, with fresh streams.
 

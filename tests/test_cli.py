@@ -179,20 +179,23 @@ _CELLS = ["0.5", " 0.25 ", "1", "0", "-0.0", "1e-5", "1_0", "0x1", "abc", "nan",
 
 
 @given(
-    header=st.sampled_from(["p_lfc", "id,p_lfc", "value", "# only a comment"]),
+    header=st.sampled_from(["p_lfc", "id,p_lfc", "id,p_lfc,note", "value", "# only a comment"]),
     cells=st.lists(st.sampled_from(_CELLS), max_size=8),
     crlf=st.booleans(),
+    preamble=st.sampled_from([[], ["# made by a tool"], ["", "  # note", ""]]),
+    bom=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_reader_agrees_with_row_by_row_oracle(header, cells, crlf):
-    # Same values bit for bit, or the same first-error diagnostic.
+def test_reader_agrees_with_row_by_row_oracle(header, cells, crlf, preamble, bom):
+    # Same values bit for bit, or the same first-error diagnostic; a byte-order mark changes neither.
     ncols = header.count(",") + 1
-    lines = [header] + [cell if ncols == 1 or cell.strip() in ("", "#") else f"k,{cell}" for cell in cells]
+    lines = [c if ncols == 1 or c.strip() in ("", "#") else ",".join(["k", c, "x"][:ncols]) for c in cells]
+    lines = preamble + [header] + lines
     text = ("\r\n" if crlf else "\n").join(lines) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write("\ufeff" * bom + text)
         want = _parse_oracle(path, text)
         try:
             got = cli._read_pvalue_csv(path)
@@ -484,6 +487,8 @@ _SINGLE_BAD_FLAG = [
     (["cstar", "--nu", "0.5"], "--nu must be finite and >= 1, got 0.5"),
     (["simulate", "--copula", "gumbel", "--nu", "nan"], "--nu must be finite and >= 1, got nan"),
     (["curves", "--n", "0"], "--n must be a positive integer, got 0"),
+    (["curves", "--quantity", "cdf", "--c-grid", "0.1,0.1000001,0.5"],  # %g prints both as c=0.1
+     "--c-grid must have distinct labels, but thresholds [0.1, 0.1000001] share one"),
     (["cstar", "--model", "two-sample", "--n1", "0"], "--n1 must be a positive integer, got 0"),
     (["simulate", "--model", "two-sample", "--n2", "-4"], "--n2 must be a positive integer, got -4"),
 ]
@@ -525,6 +530,7 @@ def test_unwritable_out_fails_before_the_work(capsys, hand_file, tmp_path, monke
     ("simulate", ["--c-grid", "1,0"]),
     ("curves", ["--quantity", "cdf", "--t-points", "0"]),
     ("curves", ["--nu", "0.5"]),
+    ("curves", ["--quantity", "cdf", "--c-grid", "0.1,0.1000001"]),
 ])
 def test_bad_flag_leaves_an_existing_out_alone(capsys, hand_file, tmp_path, command, flags):
     out = tmp_path / "keep.csv"

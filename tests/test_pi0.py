@@ -46,6 +46,12 @@ class TestEcdf:
         p = PValueVector([0.25, 0.25, 0.8])
         assert ecdf(p, 0.25) == pytest.approx(2.0 / 3.0)
 
+    def test_nan_threshold_rejected(self):
+        # A NaN t compared false everywhere, so the ecdf read 0.0.
+        for p in (PValueVector([0.1, 0.5]), np.array([0.1, 0.5])):
+            with pytest.raises(ValueError, match="t must be a number"):
+                ecdf(p, float("nan"))
+
 
 class TestSchwederSpjotvoll:
     CFG = EstimatorConfig(0.5, "plain")
@@ -80,6 +86,14 @@ class TestSchwederSpjotvoll:
         count = sum(1 for v in values if v <= lam)
         expect = (1.0 - count / 3.0) / (1.0 - lam)
         assert schweder_spjotvoll(PValueVector(values), EstimatorConfig(lam)) == expect
+
+    @pytest.mark.parametrize("values", [[0.1, np.nan], [0.1, 1.5], [0.1, np.nan, 3.0], [-0.2, 0.4], [0.3, np.inf]])
+    def test_raw_array_outside_unit_interval_rejected(self, values):
+        # A plain array skipped the range check of PValueVector: NaN and 1.5 counted as above lambda.
+        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+            schweder_spjotvoll(np.array(values), self.CFG)
+        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+            ecdf(np.array(values), 0.5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

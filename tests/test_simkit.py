@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
 
-from _oracles import dkw_band, ks_critical, replicate_block_per_replicate
+from _oracles import dkw_band, gumbel_uniforms_reference, ks_critical, replicate_block_per_replicate
 from pi0rand import simkit
 from pi0rand.pi0 import _estimate_from_count, _grid_thresholds, h_curve
 from pi0rand.pvalues import MarginalLaw, PValueVector, RandomizationRule, ZTestLaw, randomize_vector
@@ -97,6 +97,27 @@ class TestModelSpec:
             with pytest.raises(ValueError, match="ncp must be finite"):
                 ModelSpec("two_sample", ((5, 0.0), (5, 1.0)), n1=10, n2=10, sigma=1e-308)
 
+    def test_population_is_built_once(self, monkeypatch):
+        # The laws are built and the groups checked at construction; run_mc reads them and builds no law.
+        spec = ModelSpec("two_sample", ((6, -0.2), (4, 0.7)), n1=4, n2=5, dependence="gumbel", nu=2.0)
+        assert spec.population() is spec.population() and spec.m == spec.population().m == 10
+
+        def no_law(self, theta):
+            raise AssertionError("called ModelSpec.marginal_law")
+
+        monkeypatch.setattr(ModelSpec, "marginal_law", no_law)
+        for name in sorted(_KERNEL_SPECS):
+            summary = run_mc(SimulationPlan(spec=_KERNEL_SPECS[name], replicates=9, seed=3))
+            assert summary.metadata["spec"] == _KERNEL_SPECS[name].population().digest()
+        summary = run_mc(SimulationPlan(spec=spec, replicates=9, seed=3))
+        assert summary.metadata["spec"] == spec.population().digest()
+
+    def test_pi0_counts_nonpositive_effects(self):
+        # An effect of 5e-324 is an alternative, though its ncp underflows to 0 and its law is the null law.
+        spec = ModelSpec("two_sample", ((6, 0.0), (4, 5e-324)), n1=5, n2=5, sigma=4.0)
+        assert spec.population().groups[1][1].ncp == 0.0 and spec.population().pi0 == 1.0
+        assert spec.pi0 == 0.6
+
     def test_fractional_group_count_rejected(self):
         # A count of 2.5 used to be truncated to 2 without a word.
         for groups in (((2.5, 0.0), (3, 1.0)), ((3, 0.0), (np.nan, 1.0))):
@@ -186,6 +207,16 @@ class TestGumbelUniforms:
             warnings.simplefilter("error")
             for stream_id in (2, 24, 57):
                 assert np.all(gumbel_uniforms(100, 200.0, RngStream(9, stream_id)) < 1.0)
+
+    @pytest.mark.parametrize("nu", [1.0, 1.001, 2.0, 5.0, 200.0, 1000.0])
+    def test_matches_the_written_out_reference(self, nu):
+        # The reference draws from a plain Philox generator and writes the Kanter log S out in scalar math.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stream_id in range(200):
+                want = gumbel_uniforms_reference(50, nu, 2**63 + 11, stream_id)
+                got = gumbel_uniforms(50, nu, RngStream(2**63 + 11, stream_id))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -514,3 +545,9 @@ class TestCdfCurves:
             cdf_curves(ZTestLaw(0.0), [], np.linspace(0, 1, 5))
         with pytest.raises(ValueError):
             cdf_curves(ZTestLaw(0.0), [0.5], np.array([0.5, 0.2]))
+
+    @pytest.mark.parametrize("c_list", [[0.1, 0.1000001, 0.5], [0.5, 0.25, 0.5]])
+    def test_thresholds_sharing_a_label_rejected(self, c_list):
+        # Columns are labelled c=%g: a second threshold with the first one's label used to replace its column.
+        with pytest.raises(ValueError, match=r"distinct labels, but thresholds \[(0.1, 0.1000001|0.5, 0.5)\]"):
+            cdf_curves(ZTestLaw(0.0), c_list, np.linspace(0, 1, 5))

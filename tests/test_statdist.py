@@ -1,3 +1,4 @@
+import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,17 @@ class TestPositiveStable:
         rng = RngStream(3, 0)
         assert positive_stable_sample(1.0, rng) == 1.0
         assert np.all(positive_stable_sample(1.0, rng, size=10) == 1.0)
+
+    def test_draws_are_frozen(self):
+        # Scalar draws are floats, and the bytes of scalar and sized draws are pinned for alpha from 1 to 1e-3.
+        digest = hashlib.sha256()
+        with np.errstate(over="ignore"):  # S leaves the doubles at alpha = 1e-3
+            for alpha in (1.0, 1 / 1.001, 0.9, 0.5, 0.1, 0.01, 1e-3):
+                rng = RngStream(2024, 5)
+                draws = [positive_stable_sample(alpha, rng) for _ in range(3)]
+                assert all(type(d) is float for d in draws)
+                digest.update(np.array(draws).tobytes() + positive_stable_sample(alpha, rng, size=(2, 5)).tobytes())
+        assert digest.hexdigest()[:16] == "d7b0a98212a8a784"
 
     @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5])
     def test_rejects_bad_alpha(self, alpha):

@@ -25,6 +25,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gzip  # noqa: F401  np.loadtxt's DataSource imports it on first use; loaded with the module instead
+import os
+import re
+import stat
 import sys
 
 import numpy as np
@@ -38,33 +42,49 @@ from .tuning import select_c0
 
 __all__ = ["main"]
 
+# The suffixes that numpy's DataSource opens through a decompressor rather than as text.
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
 # The flag of each library field the CLI passes through unchecked, by the first word of the library's message.
 _FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers", "c_list": "--c-grid",
           "resolution": "--resolution", "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
 
 
 def _read_pvalue_csv(path):
-    """The p_lfc column of a CSV, read in one pass; only a fault walks the rows again, to name its line."""
+    """The p_lfc column of a CSV: numpy's C reader takes a plain file, a row walk the rest and names the first fault."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = fh.read().removeprefix("\ufeff")  # the byte-order mark of a spreadsheet's "CSV UTF-8"
-    lines = raw.replace("\r\n", "\n").split("\n")
-    rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
-    columns = [col.strip() for col in rows[0].split(",")] if rows else []
-    with contextlib.suppress(ValueError):  # a header without p_lfc is a fault too
-        col, cells = columns.index("p_lfc"), rows[1:]
-        if len(columns) > 1:  # a row with the wrong field count gets a cell that float() rejects
-            cells = [fields[col] if len(fields) == len(columns) else "" for fields in (r.split(",") for r in cells)]
-        values = np.fromiter(map(float, cells), float, len(cells))  # a one-column row with a comma fails too
-        if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
-            return values
-    if not rows:  # a fault: walk the same rows, each matched to its physical line, and raise the first
-        raise ValueError(f"{path}: empty input")
-    numbered = enumerate(lines, 1)  # blank and comment lines never strip to a row, so the rows match in order
-    line_nos = (next(no for no, line in numbered if line.strip() == row) for row in rows)
-    header_no = next(line_nos)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # a pipe could not be read a second time
+    header_no, start, header = 0, 0, ""
+    while not header or header[0] == "#":  # the header is the first line that strips to neither "" nor a comment
+        if start > len(raw):
+            raise ValueError(f"{path}: empty input")
+        end = raw.find("\n", start)
+        end = len(raw) if end < 0 else end
+        header_no, header, start = header_no + 1, raw[start:end].strip(), end + 1
+    columns = [col.strip() for col in header.split(",")]
     if "p_lfc" not in columns:
         raise ValueError(f"{path}: row {header_no}: header must contain a p_lfc column")
-    for line_no, fields in zip(line_nos, (row.split(",") for row in rows[1:])):
+    col = columns.index("p_lfc")
+    full_path = os.path.abspath(path)  # never read as a URL by numpy's DataSource
+    plain = (regular and not full_path.endswith(_DECOMPRESSED)
+             and ("\r" not in raw or raw.count("\r") == raw.count("\r\n"))  # numpy would end a line at a lone CR too
+             and raw.find("#", start) < 0  # comment lines are the walk's to skip
+             and all(raw.find(ch, start) < 0 for ch in "\x1c\x1d\x1e\x1f")  # numpy strips them off a field, float() not
+             and re.compile(r"[^\r\n]").search(raw, start) is not None)  # numpy warns on a file of no rows
+    table = None
+    if plain:
+        with contextlib.suppress(ValueError, OSError):  # numpy rejects the text, or cannot open the file again
+            table = np.loadtxt(full_path, delimiter=",", comments=None, skiprows=header_no, encoding="utf-8", ndmin=2)
+    if table is not None and table.shape[1] == len(columns) and len(table) >= 2:
+        values = table[:, col]
+        if np.all((values >= 0.0) & (values <= 1.0)):
+            return values
+    values = []  # the walk, line by line from the header on
+    for line_no, row in enumerate(map(str.strip, raw[start:].replace("\r\n", "\n").split("\n")), header_no + 1):
+        if not row or row[0] == "#":
+            continue
+        fields = row.split(",")
         if len(fields) != len(columns):
             raise ValueError(f"{path}: row {line_no}: expected {len(columns)} fields")
         try:
@@ -73,7 +93,10 @@ def _read_pvalue_csv(path):
             raise ValueError(f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number") from exc
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{path}: row {line_no}: p_lfc value {v!r} outside [0, 1]")
-    raise ValueError(f"{path}: need at least two p-values, got {len(rows) - 1}")
+        values.append(v)
+    if len(values) < 2:
+        raise ValueError(f"{path}: need at least two p-values, got {len(values)}")
+    return np.array(values)
 
 
 def _parse_grid(text):
@@ -141,7 +164,7 @@ def _cmd_analyze(args):
         print("\n".join(lines))
         if out:
             meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": args.seed}
-            out.write(_csv_text(meta, ["p_lfc"], [prand.values]))
+            out.writelines(_csv_text(meta, ["p_lfc"], [prand.values]))
     return 0
 
 

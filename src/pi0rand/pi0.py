@@ -91,13 +91,17 @@ class PopulationSpec:
         return hashlib.sha1(repr(self.groups).encode()).hexdigest()[:12]
 
 
-def _csv_text(metadata: dict, header, columns) -> str:
-    """``# key=value`` lines, the header row, then the columns row by row as ``repr(float)``."""
-    lines = [f"# {key}={val}" for key, val in metadata.items()] + [",".join(header)]
-    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
-    lines.extend(map(",".join, zip(*cells)))
-    lines.append("")  # the final line end, without copying the joined text once more
-    return "\n".join(lines)
+_CSV_BLOCK_ROWS = 1 << 15
+
+
+def _csv_text(metadata: dict, header, columns):
+    """``# key=value`` lines, the header row, then the columns row by row as ``repr(float)``, as blocks of text."""
+    yield "".join(f"# {key}={val}\n" for key, val in metadata.items()) + ",".join(header) + "\n"
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = np.column_stack([col[lo:lo + _CSV_BLOCK_ROWS] for col in columns])
+        yield row * len(block) % tuple(block.ravel().tolist())  # one format call per block, cells in row order
 
 
 def _open_text(path):
@@ -143,17 +147,23 @@ class CurveTable:
         return self.values[name]
 
     def to_csv_string(self) -> str:
-        return _csv_text(self.metadata, [self.x_name, *self.values], [self.x, *self.values.values()])
+        return "".join(_csv_text(self.metadata, [self.x_name, *self.values], [self.x, *self.values.values()]))
 
     def save(self, path) -> None:
         _write_text(path, self.to_csv_string())
 
 
-def _count_at_most(p, t):
-    """``(#{p_j <= t}, m)`` for a PValueVector or a non-empty 1-d array of p-values in [0, 1]."""
+def _pvalue_array(p) -> np.ndarray:
+    """The values of a PValueVector, or of a plain array checked to be non-empty, 1-d and in [0, 1]."""
     values = p.values if isinstance(p, PValueVector) else _probabilities(p, "p-values")
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a non-empty 1-d p-value array")
+    return values
+
+
+def _count_at_most(p, t):
+    """``(#{p_j <= t}, m)`` for a PValueVector or a plain p-value array."""
+    values = _pvalue_array(p)
     return int(np.count_nonzero(values <= t)), values.size
 
 

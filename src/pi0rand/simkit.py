@@ -163,7 +163,7 @@ class McSummary:
 
     def to_csv_string(self) -> str:
         cols = [self.c_grid, self.mean, self.variance, self.mse, self.bias, self.se_mean]
-        return _csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols)
+        return "".join(_csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols))
 
     def save(self, path) -> None:
         _write_text(path, self.to_csv_string())

@@ -12,6 +12,9 @@ g. Since g only changes value at the points {p_j} and {p_j / lambda}, it
 suffices to evaluate it on that finite candidate set (clipped to [0, 1] and
 extended by the endpoints); on the open interval between two adjacent
 candidates g never exceeds the value at the right one.
+
+Each function takes the observed p-values as a ``PValueVector`` or as a plain
+1-d array, which it checks to be non-empty and in [0, 1].
 """
 
 from __future__ import annotations
@@ -20,10 +23,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique reads np.ma.is_masked; loaded with the module rather than on first use
 
-from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, _grid_counts, _grid_thresholds
-from .pvalues import PValueVector
+from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, _grid_counts, _grid_thresholds, _pvalue_array
 from .statdist import _increasing_grid, _probabilities, _probability
 
 __all__ = [
@@ -49,29 +50,30 @@ class CandidateSet:
         return self.points.size
 
 
-def g_value(p_lfc: PValueVector, lam: float, c: float) -> float:
+def g_value(p_lfc, lam: float, c: float) -> float:
     """g at the single threshold ``c``."""
     return float(g_values(p_lfc, lam, _probability(c, "c")))
 
 
-def g_values(p_lfc: PValueVector, lam: float, cs) -> np.ndarray:
+def g_values(p_lfc, lam: float, cs) -> np.ndarray:
     """Vectorized g over many thresholds via binary search on sorted p."""
     lam, cs = _check_lambda(lam), _probabilities(cs, "thresholds")
-    n_le, n_ge = _grid_counts(np.sort(p_lfc.values), *_grid_thresholds(lam, cs))
+    n_le, n_ge = _grid_counts(np.sort(_pvalue_array(p_lfc)), *_grid_thresholds(lam, cs))
     return lam * n_ge + n_le
 
 
 def _candidate_points(values: np.ndarray, lam: float) -> np.ndarray:
     """Sorted, deduplicated {0, 1} U {p_j} U {p_j / lambda <= 1}."""
     q = values / lam
-    points = np.unique(np.concatenate([[0.0, 1.0], values, q[q <= 1.0]]))
+    points = np.sort(np.concatenate([[0.0, 1.0], values, q[q <= 1.0]]))
+    points = points[np.append(True, points[1:] != points[:-1])]  # the first of each run of equal points
     points[0] = 0.0  # the endpoint, even when some p_j is -0.0
     return points
 
 
-def candidate_set(p_lfc: PValueVector, lam: float) -> CandidateSet:
+def candidate_set(p_lfc, lam: float) -> CandidateSet:
     """Build {p_j} and {p_j / lambda} clipped to [0, 1], plus the endpoints."""
-    return CandidateSet(_candidate_points(p_lfc.values, _check_lambda(lam)))
+    return CandidateSet(_candidate_points(_pvalue_array(p_lfc), _check_lambda(lam)))
 
 
 class SelectionResult(NamedTuple):
@@ -81,25 +83,25 @@ class SelectionResult(NamedTuple):
     candidates: int
 
 
-def select_c0(p_lfc: PValueVector, lam: float = 0.5) -> SelectionResult:
+def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
     """Pick the smallest maximizer of g over the candidate set.
 
     Pure function of ``(p_lfc, lambda)``; the returned conditional
     expectation is the plain-variant value at the selected threshold, and
     ``candidates`` is the size of the candidate set.
     """
-    lam = _check_lambda(lam)
-    points = _candidate_points(p_lfc.values, lam)
+    lam, values = _check_lambda(lam), _pvalue_array(p_lfc)
+    points = _candidate_points(values, lam)
     g = g_values(p_lfc, lam, points)
     i = int(np.argmax(g))
     c0 = float(points[i])
     g_max = float(g[i])
-    cond = _estimate_from_count(g_max, p_lfc.m, lam, "plain")
+    cond = _estimate_from_count(g_max, values.size, lam, "plain")
     return SelectionResult(c0, g_max, cond, points.size)
 
 
-def conditional_expectation(p_lfc: PValueVector, lam: float, c: float, variant: str = "plain") -> float:
+def conditional_expectation(p_lfc, lam: float, c: float, variant: str = "plain") -> float:
     """Conditional expectation of the estimator given the observed p-values."""
     g = g_value(p_lfc, lam, c)
     EstimatorConfig(lam, variant)  # reuse its validation
-    return _estimate_from_count(g, p_lfc.m, lam, variant)
+    return _estimate_from_count(g, _pvalue_array(p_lfc).size, lam, variant)

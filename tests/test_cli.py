@@ -175,25 +175,29 @@ def _parse_oracle(path, text):
     return np.array(values)
 
 
-_CELLS = ["0.5", " 0.25 ", "1", "0", "-0.0", "1e-5", "1_0", "0x1", "abc", "nan", "inf", "1.5", "0.1,0.2", "", "  ", "# c"]
+_CELLS = ["0.5", " 0.25 ", "1", "0", "-0.0", "1e-5", "1_0", "0x1", "abc", "nan", "inf", "1.5", "0.1,0.2", "", "  ",
+          "# c", "0.1\r0.2", "0.5\r", "0.5#x", "0_5", "\t0.5", " 0.5", "\u0660.\u0665", "0.5\x00", "0.5 0.6", "1e5000",
+          "infinity", "\x1c0.5", "0.5\x1f", "\xa00.5"]
 
 
 @given(
     header=st.sampled_from(["p_lfc", "id,p_lfc", "id,p_lfc,note", "value", "# only a comment"]),
     cells=st.lists(st.sampled_from(_CELLS), max_size=8),
+    filler=st.sampled_from([("k", "x"), ("7", "-1e9")]),  # numeric neighbours let numpy read a multi-column file
     crlf=st.booleans(),
     preamble=st.sampled_from([[], ["# made by a tool"], ["", "  # note", ""]]),
     bom=st.booleans(),
+    name=st.sampled_from(["in.csv", "in.csv.gz", "in.xz"]),  # numpy would open these two through a decompressor
 )
-@settings(max_examples=300, deadline=None)
-def test_reader_agrees_with_row_by_row_oracle(header, cells, crlf, preamble, bom):
+@settings(max_examples=500, deadline=None)
+def test_reader_agrees_with_row_by_row_oracle(header, cells, filler, crlf, preamble, bom, name):
     # Same values bit for bit, or the same first-error diagnostic; a byte-order mark changes neither.
     ncols = header.count(",") + 1
-    lines = [c if ncols == 1 or c.strip() in ("", "#") else ",".join(["k", c, "x"][:ncols]) for c in cells]
+    lines = [c if ncols == 1 or c.strip() in ("", "#") else ",".join([filler[0], c, filler[1]][:ncols]) for c in cells]
     lines = preamble + [header] + lines
     text = ("\r\n" if crlf else "\n").join(lines) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "in.csv")
+        path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\ufeff" * bom + text)
         want = _parse_oracle(path, text)
@@ -205,6 +209,83 @@ def test_reader_agrees_with_row_by_row_oracle(header, cells, crlf, preamble, bom
         assert got == want
     else:
         assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_reader_is_bitwise_float_at_scale(tmp_path):
+    # 300,000 rows in the spellings a tool may write, shortest repr or not; numpy's parse is float()'s, bit for bit.
+    gen = RngStream(7, 0).generator
+    values = gen.random(300_000) ** gen.integers(1, 60, 300_000)  # down into the subnormals
+    values[:6] = (0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 0.5)
+    spellings = ("{!r}", "{:.17g}", "{:.25f}", "{:.3e}", "{:.20E}", " {!r} ", "+{!r}", "{:.0f}")
+    cells = [spellings[k].format(v) for k, v in zip(gen.integers(0, len(spellings), values.size), values.tolist())]
+    path = tmp_path / "in.csv"
+    path.write_text("p_lfc\n" + "\n".join(cells) + "\n")
+    want = np.fromiter(map(float, cells), float, len(cells))
+    assert np.array_equal(cli._read_pvalue_csv(str(path)).view(np.uint64), want.view(np.uint64))
+
+
+_NUMPY_TAKES = [
+    ("in.csv", "p_lfc\n0.1\n0.2\n", True),
+    ("in.csv", "\ufeff# made by a tool\n\np_lfc\r\n0.1\r\n\r\n0.2\r\n", True),  # a preamble, CRLF, a blank row
+    ("in.csv", "id,p_lfc\n1,0.1\n2, 0.2\n", True),
+    ("in.csv", "p_lfc\n0.1,0.2\n0.3,0.4\n", True),  # numpy reads two columns under a header of one
+    ("in.csv", "p_lfc\n0.1\n# mid-file comment\n0.2\n", False),
+    ("in.csv", "p_lfc\n0.1\n0.2\r0.3\n", False),  # a lone CR
+    ("in.csv", "id,p_lfc\n1,\x1c0.1\n2,0.2\n", False),  # float() keeps \x1c-\x1f inside a field
+    ("in.csv", "p_lfc\n\n\r\n", False),  # no rows
+    ("in.csv.gz", "p_lfc\n0.1\n0.2\n", False),
+]
+
+
+@pytest.mark.parametrize("name,text,parsed_by_numpy", _NUMPY_TAKES)
+def test_reader_gives_numpy_only_a_plain_file(tmp_path, monkeypatch, name, text, parsed_by_numpy):
+    # The fast parse sees only files it reads as the walk does; the rest, like its own rejects, go to the walk.
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(args) or loadtxt(*args, **kwargs))
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8", newline="")
+    want = _parse_oracle(str(path), text.removeprefix("\ufeff"))
+    try:
+        got = cli._read_pvalue_csv(str(path))
+    except ValueError as exc:
+        got = str(exc)
+    assert len(calls) == parsed_by_numpy
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_reader_reads_a_pipe_once(recwarn):
+    # A pipe cannot be read a second time, so numpy never reopens one; the walk reads the text already read.
+    read, write = os.pipe()
+    os.write(write, b"p_lfc\n0.25\n0.5\n")
+    os.close(write)
+    try:
+        got = cli._read_pvalue_csv(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    assert got.tolist() == [0.25, 0.5] and not recwarn.list
+
+
+# sha256 of `analyze --out` written before the randomized CSV was written in blocks of 2^15 rows
+# (x86-64, numpy 2.4): one block less one row, one block, one block and a row, and four blocks.
+_FROZEN_ANALYZE_SHA256 = {
+    2**15 - 1: "5f9cece8da21c36977ea9e96a0aedba1a248325e8a13c37be6b1fa9ed3ced146",
+    2**15: "97450b1f05910a32e15cf8e6f7b37256e03b4d618bf11f72dc0189ce4afa3403",
+    2**15 + 1: "4dd89a1b5712dc226c38afde7cad290f7116c6c71077e8d6a02b57e83391c61f",
+    10**5: "fba52bbf53516befeeceb61b39701c196ddaa4ceb003ce5691a464e0ef703098",
+}
+
+
+@pytest.mark.parametrize("m", sorted(_FROZEN_ANALYZE_SHA256))
+def test_analyze_csv_bytes_are_frozen(capsys, tmp_path, m):
+    p = np.random.Generator(np.random.PCG64(m)).beta(0.5, 1.5, m)
+    src, out = tmp_path / "p.csv", tmp_path / "out.csv"
+    src.write_text("p_lfc\n" + "".join(repr(v) + "\n" for v in p.tolist()))
+    code, _, err = run_cli(capsys, "analyze", str(src), "--seed", "7", "--out", str(out))
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _FROZEN_ANALYZE_SHA256[m]
 
 
 def test_analyze_end_to_end_at_1e5(capsys, tmp_path):

@@ -270,15 +270,16 @@ class TestCurveTable:
             CurveTable(np.array([0.1, 0.2]), {"value": np.array([1.0])})
 
 
-@pytest.mark.parametrize("columns,rows", [(1, 0), (1, 1001), (2, 7), (6, 1001)])
+@pytest.mark.parametrize("columns,rows", [(1, 0), (1, 1001), (2, 7), (6, 1001), (2, (1 << 15) + 1)])
 def test_csv_text_matches_row_first_oracle(columns, rows):
+    # The blocks of text, joined, are the row-first text; the last case spans two blocks.
     gen = RngStream(41, columns).generator
     cols = [gen.standard_normal(rows) * 10.0 ** gen.integers(-320, 300, rows) for _ in range(columns)]
     if rows:
         cols[0][0], cols[-1][-1] = -0.0, 5e-324
     cols[-1] = cols[-1].tolist()  # a list column is read as floats too
     meta, header = {"quantity": "x", "seed": 3}, [f"k{i}" for i in range(columns)]
-    assert _csv_text(meta, header, cols) == csv_text_row_first(meta, header, cols)
+    assert "".join(_csv_text(meta, header, cols)) == csv_text_row_first(meta, header, cols)
 
 
 @given(

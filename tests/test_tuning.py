@@ -294,3 +294,36 @@ class TestCandidateEdgeCases:
         p = PValueVector(RngStream(26, 0).generator.random(5000))
         sel = select_c0(p, 0.5)
         assert sel.candidates == len(candidate_set(p, 0.5)) == len(_candidate_oracle(p.values, 0.5))
+
+
+# Each entry point at a fixed lambda and threshold, as a function of the p-values alone.
+_ENTRY_POINTS = {
+    "g_value": lambda p: g_value(p, 0.5, 0.3),
+    "g_values": lambda p: g_values(p, 0.5, np.array([0.0, 0.3, 0.5, 1.0])),
+    "candidate_set": lambda p: candidate_set(p, 0.5).points,
+    "select_c0": lambda p: select_c0(p, 0.5),
+    "conditional_expectation": lambda p: conditional_expectation(p, 0.5, 0.3, "storey_plus"),
+}
+
+
+class TestPlainArrays:
+    """A plain array of p-values is checked and read as its PValueVector is."""
+
+    @pytest.mark.parametrize("call", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.1])
+    def test_non_finite_or_out_of_range_is_rejected(self, call, bad):
+        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+            call(np.array([0.1, bad, 0.3]))
+
+    @pytest.mark.parametrize("call", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("shape", [(0,), (1, 3)])
+    def test_empty_or_two_dimensional_is_rejected(self, call, shape):
+        with pytest.raises(ValueError, match="expected a non-empty 1-d p-value array"):
+            call(np.full(shape, 0.25))
+
+    @pytest.mark.parametrize("call", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS.keys())
+    def test_array_matches_its_pvalue_vector(self, call):
+        values = RngStream(5, 0).generator.random(200)
+        values[:4] = (0.0, 1.0, 0.5, 0.15)
+        got, want = call(values), call(PValueVector(values))
+        assert np.array_equal(got, want) and type(got) is type(want)

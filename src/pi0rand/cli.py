@@ -51,7 +51,10 @@ _FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "worke
 
 
 def _read_pvalue_csv(path):
-    """The p_lfc column of a CSV: numpy's C reader takes a plain file, a row walk the rest and names the first fault."""
+    """The p_lfc column of a CSV.
+
+    numpy's C reader takes a plain file, one pass in Python any other, and only a fault walks the lines, to name its own.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = fh.read().removeprefix("\ufeff")  # the byte-order mark of a spreadsheet's "CSV UTF-8"
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # a pipe could not be read a second time
@@ -69,19 +72,27 @@ def _read_pvalue_csv(path):
     full_path = os.path.abspath(path)  # never read as a URL by numpy's DataSource
     plain = (regular and not full_path.endswith(_DECOMPRESSED)
              and ("\r" not in raw or raw.count("\r") == raw.count("\r\n"))  # numpy would end a line at a lone CR too
-             and raw.find("#", start) < 0  # comment lines are the walk's to skip
+             and raw.find("#", start) < 0  # comment lines are Python's to skip
              and all(raw.find(ch, start) < 0 for ch in "\x1c\x1d\x1e\x1f")  # numpy strips them off a field, float() not
              and re.compile(r"[^\r\n]").search(raw, start) is not None)  # numpy warns on a file of no rows
-    table = None
     if plain:
         with contextlib.suppress(ValueError, OSError):  # numpy rejects the text, or cannot open the file again
             table = np.loadtxt(full_path, delimiter=",", comments=None, skiprows=header_no, encoding="utf-8", ndmin=2)
-    if table is not None and table.shape[1] == len(columns) and len(table) >= 2:
-        values = table[:, col]
-        if np.all((values >= 0.0) & (values <= 1.0)):
+            if table.shape[1] == len(columns) and len(table) >= 2:
+                values = table[:, col]
+                if np.all((values >= 0.0) & (values <= 1.0)):
+                    return values
+    lines = raw.replace("\r\n", "\n").split("\n")  # numpy did not take the file: one pass in Python
+    del lines[:header_no]
+    rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    with contextlib.suppress(ValueError):
+        cells = rows
+        if len(columns) > 1:  # a row with the wrong field count gets a cell that float() rejects
+            cells = [fields[col] if len(fields) == len(columns) else "" for fields in (r.split(",") for r in rows)]
+        values = np.fromiter(map(float, cells), float, len(cells))  # a one-column row with a comma fails too
+        if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
             return values
-    values = []  # the walk, line by line from the header on
-    for line_no, row in enumerate(map(str.strip, raw[start:].replace("\r\n", "\n").split("\n")), header_no + 1):
+    for line_no, row in enumerate(map(str.strip, lines), header_no + 1):  # a fault: walk the lines and raise the first
         if not row or row[0] == "#":
             continue
         fields = row.split(",")
@@ -93,10 +104,7 @@ def _read_pvalue_csv(path):
             raise ValueError(f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number") from exc
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{path}: row {line_no}: p_lfc value {v!r} outside [0, 1]")
-        values.append(v)
-    if len(values) < 2:
-        raise ValueError(f"{path}: need at least two p-values, got {len(values)}")
-    return np.array(values)
+    raise ValueError(f"{path}: need at least two p-values, got {len(rows)}")
 
 
 def _parse_grid(text):

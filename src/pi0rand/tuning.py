@@ -57,8 +57,12 @@ def g_value(p_lfc, lam: float, c: float) -> float:
 
 def g_values(p_lfc, lam: float, cs) -> np.ndarray:
     """Vectorized g over many thresholds via binary search on sorted p."""
-    lam, cs = _check_lambda(lam), _probabilities(cs, "thresholds")
-    n_le, n_ge = _grid_counts(np.sort(_pvalue_array(p_lfc)), *_grid_thresholds(lam, cs))
+    return _g_values(_pvalue_array(p_lfc), _check_lambda(lam), _probabilities(cs, "thresholds"))
+
+
+def _g_values(values: np.ndarray, lam: float, cs) -> np.ndarray:
+    """g for p-values, lambda and thresholds that are already checked."""
+    n_le, n_ge = _grid_counts(np.sort(values), *_grid_thresholds(lam, cs))
     return lam * n_ge + n_le
 
 
@@ -92,7 +96,7 @@ def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
     """
     lam, values = _check_lambda(lam), _pvalue_array(p_lfc)
     points = _candidate_points(values, lam)
-    g = g_values(p_lfc, lam, points)
+    g = _g_values(values, lam, points)
     i = int(np.argmax(g))
     c0 = float(points[i])
     g_max = float(g[i])
@@ -102,6 +106,7 @@ def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
 
 def conditional_expectation(p_lfc, lam: float, c: float, variant: str = "plain") -> float:
     """Conditional expectation of the estimator given the observed p-values."""
-    g = g_value(p_lfc, lam, c)
+    values = _pvalue_array(p_lfc)
+    g = float(_g_values(values, _check_lambda(lam), _probability(c, "c")))
     EstimatorConfig(lam, variant)  # reuse its validation
-    return _estimate_from_count(g, _pvalue_array(p_lfc).size, lam, variant)
+    return _estimate_from_count(g, values.size, lam, variant)

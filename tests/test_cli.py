@@ -145,6 +145,8 @@ class TestAnalyzeParsing:
         assert code == 2 and "row 3: expected 1 fields" in err
         code, _, err = self.analyze_text(capsys, tmp_path, "id,p_lfc\na,0.1\nb\nc,abc\n")
         assert code == 2 and "row 3: expected 2 fields" in err
+        code, _, err = self.analyze_text(capsys, tmp_path, "id,p_lfc\na,0.1\nb,0.2,x\nc,0.3\n")
+        assert code == 2 and "row 3: expected 2 fields" in err  # an extra field, though p_lfc reads
 
 
 def _parse_oracle(path, text):
@@ -228,6 +230,8 @@ _NUMPY_TAKES = [
     ("in.csv", "p_lfc\n0.1\n0.2\n", True),
     ("in.csv", "\ufeff# made by a tool\n\np_lfc\r\n0.1\r\n\r\n0.2\r\n", True),  # a preamble, CRLF, a blank row
     ("in.csv", "id,p_lfc\n1,0.1\n2, 0.2\n", True),
+    ("in.csv", "id,p_lfc\ngene1,0.1\ngene2,0.2\n", True),  # numpy rejects a text column
+    ("in.csv", "id,p_lfc\ngene#1,0.1\ngene#2,0.2\n", False),
     ("in.csv", "p_lfc\n0.1,0.2\n0.3,0.4\n", True),  # numpy reads two columns under a header of one
     ("in.csv", "p_lfc\n0.1\n# mid-file comment\n0.2\n", False),
     ("in.csv", "p_lfc\n0.1\n0.2\r0.3\n", False),  # a lone CR
@@ -239,7 +243,7 @@ _NUMPY_TAKES = [
 
 @pytest.mark.parametrize("name,text,parsed_by_numpy", _NUMPY_TAKES)
 def test_reader_gives_numpy_only_a_plain_file(tmp_path, monkeypatch, name, text, parsed_by_numpy):
-    # The fast parse sees only files it reads as the walk does; the rest, like its own rejects, go to the walk.
+    # numpy sees only files it reads as float() does; the rest, like its own rejects, go to the pass in Python.
     calls, loadtxt = [], np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(args) or loadtxt(*args, **kwargs))
     path = tmp_path / name
@@ -257,7 +261,7 @@ def test_reader_gives_numpy_only_a_plain_file(tmp_path, monkeypatch, name, text,
 
 
 def test_reader_reads_a_pipe_once(recwarn):
-    # A pipe cannot be read a second time, so numpy never reopens one; the walk reads the text already read.
+    # A pipe cannot be read a second time, so numpy never reopens one; Python parses the text already read.
     read, write = os.pipe()
     os.write(write, b"p_lfc\n0.25\n0.5\n")
     os.close(write)

@@ -108,18 +108,21 @@ def test_fresh_process_pool_writes_the_serial_bytes(tmp_path):
 
 def test_cli_main_imports_nothing_at_run_time(tmp_path):
     # Every module a serial run needs is loaded with pi0rand.cli, so no import lands inside main. The first
-    # p-value file is numpy's to parse; the comment in the middle of the second sends it through the row walk.
-    pvalues, commented = tmp_path / "p.csv", tmp_path / "commented.csv"
+    # p-value file is numpy's to parse; the comment in the middle of the second sends it through the pass in
+    # Python, and the bad cell in the third through the walk that names it.
+    pvalues, commented, faulty = tmp_path / "p.csv", tmp_path / "commented.csv", tmp_path / "faulty.csv"
     rows = [f"{(7 * j % 997) / 997}\n" for j in range(1, 500)]
     pvalues.write_text("p_lfc\n" + "".join(rows))
     commented.write_text("p_lfc\n" + "".join(rows[:250]) + "# a comment\n" + "".join(rows[250:]))
+    faulty.write_text("p_lfc\n" + "".join(rows[:250]) + "abc\n" + "".join(rows[250:]))
     code = ("import sys; from pi0rand.cli import main; before = set(sys.modules); out = sys.argv[1]; "
             "assert main(['analyze', sys.argv[2], '--lambda', '0.5', '--seed', '3', '--out', out]) == 0; "
             "assert main(['analyze', sys.argv[3], '--lambda', '0.5', '--seed', '3', '--out', out]) == 0; "
+            "assert main(['analyze', sys.argv[4], '--lambda', '0.5', '--seed', '3']) == 2; "
             "assert main(['simulate', '--model', 'z', '--m', '100', '--reps', '3', '--out', out]) == 0; "
             "assert main(['simulate', '--model', 'two-sample', '--m', '100', '--copula', 'gumbel', '--nu', '2', "
             "'--reps', '3', '--out', out]) == 0; "
             "assert main(['cstar', '--model', 'two-sample']) == 0; "
             "assert main(['curves', '--out', out]) == 0; "
             "print('new:', *sorted(set(sys.modules) - before))")
-    assert _run(code, str(tmp_path / "out.csv"), str(pvalues), str(commented)).splitlines()[-1] == "new:"
+    assert _run(code, str(tmp_path / "out.csv"), str(pvalues), str(commented), str(faulty)).splitlines()[-1] == "new:"

@@ -56,7 +56,11 @@ def _read_pvalue_csv(path):
     numpy's C reader takes a plain file, one pass in Python any other, and only a fault walks the lines, to name its own.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = fh.read().removeprefix("\ufeff")  # the byte-order mark of a spreadsheet's "CSV UTF-8"
+        try:
+            raw = fh.read().removeprefix("\ufeff")  # the byte-order mark of a spreadsheet's "CSV UTF-8"
+        except UnicodeDecodeError as exc:  # read() decodes the whole file in one call, so exc.object is all of it
+            row = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # a pipe could not be read a second time
     header_no, start, header = 0, 0, ""
     while not header or header[0] == "#":  # the header is the first line that strips to neither "" nor a comment
@@ -144,7 +148,7 @@ def _model_spec(args):
     return ModelSpec(groups=groups, sigma=args.sigma, dependence=args.copula, nu=args.nu, **design)
 
 
-_DEFAULT_GRID = "0:0.05:1"
+_DEFAULT_GRID = {"h": "0:0.05:1", "cdf": "0,0.25,0.5,0.75,1"}  # by --quantity; simulate takes h's
 
 
 def _cmd_analyze(args):
@@ -194,11 +198,11 @@ def _cmd_simulate(args):
 def _cmd_curves(args):
     lam = _check_lambda(args.lam)  # the cdf tables never read lambda, so only this check would catch it
     spec = _model_spec(args)
+    cs = _parse_grid(_DEFAULT_GRID[args.quantity] if args.c_grid is None else args.c_grid)
     if args.quantity == "h":
-        table = functools.partial(h_curve, spec.population(), lam, _parse_grid(args.c_grid))
+        table = functools.partial(h_curve, spec.population(), lam, cs)
     else:
         t = np.linspace(0.0, 1.0, _positive_int(args.t_points, "--t-points"))
-        cs = _parse_grid(args.c_grid if args.c_grid != _DEFAULT_GRID else "0,0.25,0.5,0.75,1")
         built = cdf_curves(spec.marginal_law(args.theta_null), cs, t)  # cheap, and it checks the labels
         table = lambda: built
     with _open_text(args.out) as out:
@@ -248,7 +252,7 @@ def _build_parser():
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--variant", choices=("plain", "storey-plus"), default="plain")
     simulate.add_argument("--reps", type=int, default=10_000)
-    simulate.add_argument("--c-grid", default=_DEFAULT_GRID)
+    simulate.add_argument("--c-grid", default=_DEFAULT_GRID["h"])
     simulate.add_argument("--workers", type=int, default=1)
     simulate.add_argument("--out", help="output CSV path (default stdout)")
     simulate.set_defaults(func=_cmd_simulate)
@@ -257,7 +261,7 @@ def _build_parser():
     _add_model_flags(curves)
     curves.add_argument("--lambda", dest="lam", type=float, default=0.5)
     curves.add_argument("--quantity", choices=("h", "cdf"), default="h")
-    curves.add_argument("--c-grid", default=_DEFAULT_GRID)
+    curves.add_argument("--c-grid", help=f"default {_DEFAULT_GRID['h']}, or {_DEFAULT_GRID['cdf']} for --quantity cdf")
     curves.add_argument("--t-points", type=int, default=1001)
     curves.add_argument("--out", help="output CSV path (default stdout)")
     curves.set_defaults(func=_cmd_curves)

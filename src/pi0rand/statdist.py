@@ -3,9 +3,10 @@
 Numerical plumbing shared by the rest of the package: the scipy.special
 ufuncs the marginal laws call; ``nctdtrit`` continued past its search range,
 which inverts the non-central t cdf and repairs the far lower tail of the
-central Student-t quantile; a positive-stable sampler for Archimedean
-frailties; reproducible random streams keyed by ``(seed, stream_id)``; and
-the input validators the other modules share.
+central Student-t quantile; the log of a positive-stable draw, from which
+``simkit`` forms the Gumbel copula's frailties; reproducible random streams
+keyed by ``(seed, stream_id)``; and the input validators the other modules
+share.
 
 Probabilities are plain floats in [0, 1]; inputs outside their stated
 domains raise ``ValueError``.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  RngStream's Philox, loaded with the module rather than on first use
 
-__all__ = ["RngStream", "positive_stable_sample"]
+__all__ = ["RngStream"]
 
 
 def _load_ufuncs():
@@ -207,12 +208,3 @@ def _kanter_log_stable(alpha, u, w):
     return (np.log(np.sin(alpha * pu)) + k * np.log(np.sin((1.0 - alpha) * pu)) - np.log(np.sin(pu)) / alpha
             - k * np.log(w))
 
-
-def positive_stable_sample(alpha, rng: RngStream, size=None):
-    """Draw S with Laplace transform exp(-s**alpha): 1 at alpha = 1, else ``exp(_kanter_log_stable)`` of U, then W."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if alpha == 1.0:
-        return 1.0 if size is None else np.ones(size)
-    log_s = _kanter_log_stable(alpha, rng.generator.random(size), rng.generator.standard_exponential(size))
-    return _match_input(np.exp(log_s), log_s)

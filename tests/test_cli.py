@@ -128,6 +128,18 @@ class TestAnalyzeParsing:
         code, _, err = self.analyze_text(capsys, tmp_path, text)
         assert code == 2 and "row 9: p_lfc value 1.5 outside [0, 1]" in err
 
+    @pytest.mark.parametrize("data,row", [
+        (b"p_\xfflfc\n0.1\n0.2\n", 1),
+        (b"# caf\xe9\np_lfc\n0.1\n0.2\n", 1),
+        (b"p_lfc\r\n0.1\r\n\xff\r\n0.2\r\n", 3),
+        (b"\xef\xbb\xbfp_lfc\n" + b"0.5\n" * 30_000 + b"0.\xe9\n0.5\n", 30_002),  # past any read-ahead chunk
+    ], ids=["header", "comment", "crlf", "deep"])
+    def test_non_utf8_byte_names_file_and_row(self, capsys, tmp_path, data, row):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: row {row}: not UTF-8 text\n")
+
     def test_nan_and_inf_out_of_range(self, capsys, tmp_path):
         for bad in ("nan", "inf", "-inf"):
             code, _, err = self.analyze_text(capsys, tmp_path, f"p_lfc\n0.1\n{bad}\n0.3\n")
@@ -514,6 +526,16 @@ class TestCurvesAndCstar:
         lines = out_path.read_text().strip().split("\n")
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header.startswith("t,c=0")
+
+    @pytest.mark.parametrize("grid,columns", [(None, 5), ("0:0.05:1", 21), ("0:0.05:1.0", 21), ("0,1", 2)])
+    def test_cdf_grid_default_and_explicit(self, capsys, grid, columns):
+        # The cdf table defaults to c = 0, 0.25, ..., 1, but any --c-grid given, even h's default, is kept.
+        code, out, _ = run_cli(capsys, "curves", "--quantity", "cdf", "--t-points", "3",
+                               *(("--c-grid", grid) if grid else ()))
+        header = next(ln for ln in out.split("\n") if not ln.startswith("#"))
+        assert code == 0 and header.count(",c=") == columns
+        if grid is None:
+            assert header == "t,c=0,c=0.25,c=0.5,c=0.75,c=1"
 
     def test_bad_grid_rejected(self, capsys):
         for grid in ("0,2", "0.5,0.2"):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from _oracles import ks_critical, normal_quantile, student_t_cdf as t_cdf_oracle
 from _oracles import normal_cdf as normal_cdf_oracle
 from pi0rand.pvalues import TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z
-from pi0rand.statdist import RngStream, _t_quantile, positive_stable_sample
+from pi0rand.statdist import RngStream, _kanter_log_stable, _t_quantile
 
 
 # The normal and Student-t cdfs the laws use, read off the API: Phi(x) is the
@@ -167,32 +167,25 @@ class TestNoncentralT:
         assert np.max(np.abs(law.cdf(law.quantile(p)) - p)) <= 1e-8
 
 
+def log_stable(alpha, rng, size=None):
+    """log S of positive-stable draws: U, then W, from ``rng``, as each Gumbel row in ``simkit`` draws its frailty."""
+    return _kanter_log_stable(alpha, rng.generator.random(size), rng.generator.standard_exponential(size))
+
+
 class TestPositiveStable:
-    def test_alpha_one_degenerate(self):
-        rng = RngStream(3, 0)
-        assert positive_stable_sample(1.0, rng) == 1.0
-        assert np.all(positive_stable_sample(1.0, rng, size=10) == 1.0)
-
     def test_draws_are_frozen(self):
-        # Scalar draws are floats, and the bytes of scalar and sized draws are pinned for alpha from 1 to 1e-3.
+        # The bytes of scalar and sized draws of log S are pinned for alpha from 1/1.001 to 1e-3.
         digest = hashlib.sha256()
-        with np.errstate(over="ignore"):  # S leaves the doubles at alpha = 1e-3
-            for alpha in (1.0, 1 / 1.001, 0.9, 0.5, 0.1, 0.01, 1e-3):
-                rng = RngStream(2024, 5)
-                draws = [positive_stable_sample(alpha, rng) for _ in range(3)]
-                assert all(type(d) is float for d in draws)
-                digest.update(np.array(draws).tobytes() + positive_stable_sample(alpha, rng, size=(2, 5)).tobytes())
-        assert digest.hexdigest()[:16] == "d7b0a98212a8a784"
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5])
-    def test_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValueError):
-            positive_stable_sample(alpha, RngStream(0, 0))
+        for alpha in (1 / 1.001, 0.9, 0.5, 0.1, 0.01, 1e-3):
+            rng = RngStream(2024, 5)
+            draws = [log_stable(alpha, rng) for _ in range(3)]
+            digest.update(np.array(draws).tobytes() + log_stable(alpha, rng, size=(2, 5)).tobytes())
+        assert digest.hexdigest()[:16] == "452310bc7a348171"
 
     def test_laplace_transform_alpha_half(self):
         # E exp(-s S) = exp(-sqrt(s)) for alpha = 1/2.
         rng = RngStream(2024, 17)
-        s = positive_stable_sample(0.5, rng, size=1_000_000)
+        s = np.exp(log_stable(0.5, rng, size=1_000_000))
         for t in (0.5, 1.0, 2.0):
             x = np.exp(-t * s)
             se = x.std() / np.sqrt(x.size)
@@ -202,7 +195,7 @@ class TestPositiveStable:
     def test_laplace_transform_near_alpha_one(self, alpha):
         # E exp(-s S) = exp(-s**alpha); the direct Kanter form gave NaN for a third of the draws at 1/1.001.
         rng = RngStream(2024, 17)
-        s = positive_stable_sample(alpha, rng, size=1_000_000)
+        s = np.exp(log_stable(alpha, rng, size=1_000_000))
         for t in (0.5, 1.0, 2.0):
             x = np.exp(-t * s)
             se = x.std() / np.sqrt(x.size)
@@ -213,7 +206,7 @@ class TestPositiveStable:
         from scipy.stats import kstest
 
         rng = RngStream(2024, 18)
-        s = positive_stable_sample(0.5, rng, size=100_000)
+        s = np.exp(log_stable(0.5, rng, size=100_000))
         stat = kstest(s, lambda x: 2.0 * phi(-np.sqrt(0.5 / x))).statistic
         assert stat <= ks_critical(100_000)
 

@@ -68,16 +68,16 @@ def main():
     p = gen_lfc_pvalues(spec, RngStream(args.seed, 0))
     cands = candidate_set(p, LAM)
     g_meta = {"quantity": "g", "lambda": repr(LAM), "seed": args.seed}
-    CurveTable(cands.points, {"value": g_values(p, LAM, cands.points)}, metadata=g_meta).save(out / "g_curve.csv")
+    CurveTable(cands, {"value": g_values(p, LAM, cands)}, metadata=g_meta).save(out / "g_curve.csv")
     sel = select_c0(p, LAM)
     prand = randomize_vector(p, RandomizationRule.constant(sel.c0), RngStream(args.seed, 1))
-    for kind, values in (("lfc", p.values), ("randomized", prand.values)):
+    for kind, values in (("lfc", p), ("randomized", prand)):
         xs, counts = np.unique(values, return_counts=True)
         ecdf = {"value": np.cumsum(counts) / values.size}
         CurveTable(xs, ecdf, metadata={"quantity": "ecdf", "kind": kind}, x_name="t").save(out / f"ecdf_{kind}.csv")
 
     cfg = EstimatorConfig(LAM, "plain")
-    print(f"candidates = {len(cands)}, c0 = {sel.c0:.4f} (g_max = {sel.g_max})")
+    print(f"candidates = {cands.size}, c0 = {sel.c0:.4f} (g_max = {sel.g_max})")
     print(f"pi0_hat at c0 = {schweder_spjotvoll(prand, cfg):.4f}, "
           f"from the LFC p-values = {schweder_spjotvoll(p, cfg):.4f}, true pi0 = {spec.pi0}")
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, cstar_search, h_curve
 from .pi0 import schweder_spjotvoll
-from .pvalues import PValueVector, RandomizationRule, randomize_vector
+from .pvalues import RandomizationRule, randomize_vector
 from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
 from .statdist import RngStream, _finite_array, _increasing_grid, _positive_int, _probability
 from .tuning import select_c0
@@ -47,7 +47,7 @@ _DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 # The flag of each library field the CLI passes through unchecked, by the first word of the library's message.
 _FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers", "c_list": "--c-grid",
-          "resolution": "--resolution", "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
+          "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
 
 
 def _read_pvalue_csv(path):
@@ -153,7 +153,7 @@ _DEFAULT_GRID = {"h": "0:0.05:1", "cdf": "0,0.25,0.5,0.75,1"}  # by --quantity; 
 
 def _cmd_analyze(args):
     lam, variant = args.lam, args.variant.replace("-", "_")
-    p = PValueVector(_read_pvalue_csv(args.input))
+    p = _read_pvalue_csv(args.input)
     cfg = EstimatorConfig(lam, variant)
     rng = RngStream(args.seed, 0)
     with _open_text(args.out) if args.out else contextlib.nullcontext() as out:
@@ -161,9 +161,9 @@ def _cmd_analyze(args):
         prand = randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
         pi0_rand = schweder_spjotvoll(prand, cfg)
         pi0_lfc = schweder_spjotvoll(p, cfg)
-        cond = _estimate_from_count(sel.g_max, p.m, lam, variant)
+        cond = _estimate_from_count(sel.g_max, p.size, lam, variant)
         lines = [
-            f"m = {p.m}",
+            f"m = {p.size}",
             f"lambda = {lam!r}",
             f"variant = {variant}",
             f"candidates = {sel.candidates}",
@@ -176,7 +176,7 @@ def _cmd_analyze(args):
         print("\n".join(lines))
         if out:
             meta = {"kind": "randomized", "lambda": repr(lam), "c0": repr(sel.c0), "seed": args.seed}
-            out.writelines(_csv_text(meta, ["p_lfc"], [prand.values]))
+            out.writelines(_csv_text(meta, ["p_lfc"], [prand]))
     return 0
 
 
@@ -211,7 +211,7 @@ def _cmd_curves(args):
 
 
 def _cmd_cstar(args):
-    result = cstar_search(_model_spec(args).population(), args.lam, args.resolution)
+    result = cstar_search(_model_spec(args).population(), args.lam)
     print(f"c_star = {result.c_star!r}")
     print(f"h_min = {result.h_min!r}")
     return 0
@@ -269,7 +269,6 @@ def _build_parser():
     cstar = subs.add_parser("cstar", help="exact bias-minimizing threshold")
     _add_model_flags(cstar)
     cstar.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    cstar.add_argument("--resolution", type=float, default=1e-3)
     cstar.set_defaults(func=_cmd_cstar)
 
     return parser

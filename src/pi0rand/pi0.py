@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pvalues import PValueVector, _randomized_cdf
-from .statdist import _increasing_grid, _positive_int, _probabilities, _probability
+from .pvalues import _randomized_cdf
+from .statdist import _increasing_grid, _positive_int, _probability, _pvalue_array
 
 __all__ = [
     "EstimatorConfig",
@@ -153,16 +153,8 @@ class CurveTable:
         _write_text(path, self.to_csv_string())
 
 
-def _pvalue_array(p) -> np.ndarray:
-    """The values of a PValueVector, or of a plain array checked to be non-empty, 1-d and in [0, 1]."""
-    values = p.values if isinstance(p, PValueVector) else _probabilities(p, "p-values")
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("expected a non-empty 1-d p-value array")
-    return values
-
-
 def _count_at_most(p, t):
-    """``(#{p_j <= t}, m)`` for a PValueVector or a plain p-value array."""
+    """``(#{p_j <= t}, m)`` for a p-value array."""
     values = _pvalue_array(p)
     return int(np.count_nonzero(values <= t)), values.size
 
@@ -256,22 +248,18 @@ def _golden_section(f, lo: float, hi: float, xtol: float = 1e-9):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def cstar_search(spec: PopulationSpec, lam: float, resolution: float = 1e-3) -> CStarResult:
+def cstar_search(spec: PopulationSpec, lam: float) -> CStarResult:
     """Minimize ``h(lambda, .)`` over [0, 1].
 
-    Grid search at the given resolution (required <= 1e-3) brackets the
-    minimum; golden-section refinement then narrows it down. Ties resolve
-    to the smallest minimizer, so flat stretches return their left end.
+    A grid of step 1e-3 brackets the minimum; golden-section refinement
+    then narrows it down to 1e-9. Ties resolve to the smallest minimizer,
+    so flat stretches return their left end.
     """
-    if not 0.0 < resolution <= 1e-3:
-        raise ValueError(f"resolution must lie in (0, 1e-3], got {resolution!r}")
-    n = int(np.ceil(1.0 / resolution))
-    grid = np.linspace(0.0, 1.0, n + 1)
+    grid = np.linspace(0.0, 1.0, 1001)
     h = h_curve(spec, lam, grid).column()
     i = int(np.argmin(h))
     best_c, best_h = float(grid[i]), float(h[i])
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, n)])
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
     x, fx = _golden_section(lambda c: h_value(spec, lam, c), lo, hi)
     if fx < best_h or (fx == best_h and x < best_c):
         best_c, best_h = float(x), float(fx)

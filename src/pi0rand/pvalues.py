@@ -29,10 +29,9 @@ from typing import Union
 import numpy as np
 
 from .statdist import RngStream, _finite_array, _increasing_grid, _match_input, _nct_search, _positive_int
-from .statdist import _probabilities, _probability, _special, _t_quantile
+from .statdist import _probabilities, _probability, _pvalue_array, _special, _t_quantile
 
 __all__ = [
-    "PValueVector",
     "RandomizationRule",
     "ZTestLaw",
     "TwoSampleTLaw",
@@ -48,26 +47,6 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class PValueVector:
-    """Ordered collection of m >= 2 p-values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _probabilities(np.array(self.values, dtype=float, copy=True), "p-values")
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("a p-value vector needs at least two entries")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def m(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -89,10 +68,6 @@ class RandomizationRule:
     @classmethod
     def constant(cls, c: float) -> "RandomizationRule":
         return cls(c, c)
-
-    @classmethod
-    def uniform(cls, a: float, b: float) -> "RandomizationRule":
-        return cls(a, b)
 
     def thresholds(self, rng: Union[RngStream, None], size):
         """Per-hypothesis thresholds; consumes ``size`` draws only if low < high."""
@@ -210,20 +185,20 @@ def lfc_pvalue_t(t_stat, df):
     return _match_input(_special.stdtr(idf, -_finite_array(t_stat, "t_stat")), t_stat)
 
 
-def randomize_vector(p_lfc: PValueVector, rule: RandomizationRule, rng: RngStream) -> PValueVector:
-    """Randomize a whole p-value vector.
+def randomize_vector(p_lfc, rule: RandomizationRule, rng: RngStream) -> np.ndarray:
+    """Randomize a whole p-value array.
 
     Element j consumes uniform draw j from the stream; a rule with
     low < high draws its per-hypothesis thresholds after the uniforms.
     """
-    values = p_lfc.values
+    values = _pvalue_array(p_lfc)
     m = values.size
     u = rng.generator.random(m)  # fresh, so the replaced entries are written into it
     r = rule.thresholds(rng, m)
     lower = values < r
     if np.any(lower):
         u[lower] = values[lower] / r[lower]
-    return PValueVector(u)
+    return u
 
 
 def _randomized_cdf(t, c, law: MarginalLaw):

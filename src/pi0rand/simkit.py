@@ -41,7 +41,7 @@ import numpy as np
 
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
 from .pi0 import _grid_thresholds, _write_text
-from .pvalues import MarginalLaw, PValueVector, TwoSampleTLaw, ZTestLaw, randomized_cdf
+from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
 from .statdist import _positive_finite, _positive_int, _special, _t_quantile
 
@@ -201,10 +201,10 @@ def _streams(rng: RngStream, stream_ids):
         yield rng.generator
 
 
-def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> PValueVector:
+def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     """Generate one LFC p-value vector from the model."""
     x = _counted_rows(spec, rng, (None,))[0]
-    return PValueVector(np.hstack([to_p(x[a:b]) for a, b, to_p, _ in _count_maps(spec)]))
+    return np.hstack([to_p(x[a:b]) for a, b, to_p, _ in _count_maps(spec)])
 
 
 def _draws_per_replicate(spec: ModelSpec) -> int:

@@ -100,6 +100,14 @@ def _probability(x, name):
     return float(arr)
 
 
+def _pvalue_array(p):
+    """``p`` as a non-empty 1-d float array with every entry in [0, 1]."""
+    arr = _probabilities(p, "p-values")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("expected a non-empty 1-d p-value array")
+    return arr
+
+
 def _increasing_grid(grid, name):
     """``grid`` as a non-empty, strictly increasing 1-d float array in [0, 1]."""
     arr = _probabilities(grid, name)

@@ -13,46 +13,26 @@ suffices to evaluate it on that finite candidate set (clipped to [0, 1] and
 extended by the endpoints); on the open interval between two adjacent
 candidates g never exceeds the value at the right one.
 
-Each function takes the observed p-values as a ``PValueVector`` or as a plain
-1-d array, which it checks to be non-empty and in [0, 1].
+Each function takes the observed p-values as a 1-d array (or a list), which it
+checks to be non-empty and in [0, 1].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, _grid_counts, _grid_thresholds, _pvalue_array
-from .statdist import _increasing_grid, _probabilities, _probability
+from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, _grid_counts, _grid_thresholds
+from .statdist import _probabilities, _probability, _pvalue_array
 
 __all__ = [
-    "CandidateSet",
     "SelectionResult",
-    "g_value",
     "g_values",
     "candidate_set",
     "select_c0",
     "conditional_expectation",
 ]
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Sorted, deduplicated threshold candidates."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _increasing_grid(self.points, "candidate points"))
-
-    def __len__(self) -> int:
-        return self.points.size
-
-
-def g_value(p_lfc, lam: float, c: float) -> float:
-    """g at the single threshold ``c``."""
-    return float(g_values(p_lfc, lam, _probability(c, "c")))
 
 
 def g_values(p_lfc, lam: float, cs) -> np.ndarray:
@@ -75,9 +55,9 @@ def _candidate_points(values: np.ndarray, lam: float) -> np.ndarray:
     return points
 
 
-def candidate_set(p_lfc, lam: float) -> CandidateSet:
-    """Build {p_j} and {p_j / lambda} clipped to [0, 1], plus the endpoints."""
-    return CandidateSet(_candidate_points(_pvalue_array(p_lfc), _check_lambda(lam)))
+def candidate_set(p_lfc, lam: float) -> np.ndarray:
+    """Build {p_j} and {p_j / lambda} clipped to [0, 1], plus the endpoints, sorted and deduplicated."""
+    return _candidate_points(_pvalue_array(p_lfc), _check_lambda(lam))
 
 
 class SelectionResult(NamedTuple):

@@ -17,7 +17,7 @@ from pi0rand.pi0 import (
     h_value,
     schweder_spjotvoll,
 )
-from pi0rand.pvalues import PValueVector, RandomizationRule, TwoSampleTLaw, ZTestLaw, randomize_vector
+from pi0rand.pvalues import RandomizationRule, TwoSampleTLaw, ZTestLaw, randomize_vector
 from pi0rand.simkit import ModelSpec
 from pi0rand.statdist import RngStream
 
@@ -34,21 +34,21 @@ def lfc_null_population():
 
 class TestEcdf:
     def test_at_one(self):
-        assert ecdf(PValueVector([0.2, 0.7, 1.0]), 1.0) == 1.0
+        assert ecdf(np.array([0.2, 0.7, 1.0]), 1.0) == 1.0
 
     def test_direct_count(self):
-        assert ecdf(PValueVector([0.1, 0.5, 0.9]), 0.5) == pytest.approx(2.0 / 3.0)
+        assert ecdf(np.array([0.1, 0.5, 0.9]), 0.5) == pytest.approx(2.0 / 3.0)
 
     def test_at_zero(self):
-        assert ecdf(PValueVector([0.1, 0.5, 0.9]), 0.0) == 0.0
+        assert ecdf(np.array([0.1, 0.5, 0.9]), 0.0) == 0.0
 
     def test_right_continuity(self):
-        p = PValueVector([0.25, 0.25, 0.8])
+        p = np.array([0.25, 0.25, 0.8])
         assert ecdf(p, 0.25) == pytest.approx(2.0 / 3.0)
 
     def test_nan_threshold_rejected(self):
         # A NaN t compared false everywhere, so the ecdf read 0.0.
-        for p in (PValueVector([0.1, 0.5]), np.array([0.1, 0.5])):
+        for p in ([0.1, 0.5], np.array([0.1, 0.5])):
             with pytest.raises(ValueError, match="t must be a number"):
                 ecdf(p, float("nan"))
 
@@ -58,22 +58,22 @@ class TestSchwederSpjotvoll:
 
     def test_all_above_lambda(self):
         # ecdf(lambda) = 0, so the estimate is 1 / (1 - lambda).
-        assert schweder_spjotvoll(PValueVector([0.6, 0.7, 0.9]), self.CFG) == 2.0
+        assert schweder_spjotvoll(np.array([0.6, 0.7, 0.9]), self.CFG) == 2.0
 
     def test_all_below_lambda(self):
-        assert schweder_spjotvoll(PValueVector([0.1, 0.2, 0.3]), self.CFG) == 0.0
+        assert schweder_spjotvoll(np.array([0.1, 0.2, 0.3]), self.CFG) == 0.0
 
     def test_direct_arithmetic(self):
-        p = PValueVector([0.1, 0.2, 0.6, 0.8])
+        p = np.array([0.1, 0.2, 0.6, 0.8])
         assert schweder_spjotvoll(p, self.CFG) == 1.0
 
     def test_not_clipped_above_one(self):
-        p = PValueVector([0.9, 0.95, 0.99, 0.7])
+        p = np.array([0.9, 0.95, 0.99, 0.7])
         cfg = EstimatorConfig(0.6, "plain")
         assert schweder_spjotvoll(p, cfg) == pytest.approx(2.5)
 
     def test_storey_plus_shift(self):
-        p = PValueVector([0.1, 0.2, 0.6, 0.8])
+        p = np.array([0.1, 0.2, 0.6, 0.8])
         for lam in (0.25, 0.5, 0.75):
             plain = schweder_spjotvoll(p, EstimatorConfig(lam, "plain"))
             plus = schweder_spjotvoll(p, EstimatorConfig(lam, "storey_plus"))
@@ -85,11 +85,11 @@ class TestSchwederSpjotvoll:
         lam = 0.37
         count = sum(1 for v in values if v <= lam)
         expect = (1.0 - count / 3.0) / (1.0 - lam)
-        assert schweder_spjotvoll(PValueVector(values), EstimatorConfig(lam)) == expect
+        assert schweder_spjotvoll(values, EstimatorConfig(lam)) == expect
 
     @pytest.mark.parametrize("values", [[0.1, np.nan], [0.1, 1.5], [0.1, np.nan, 3.0], [-0.2, 0.4], [0.3, np.inf]])
     def test_raw_array_outside_unit_interval_rejected(self, values):
-        # A plain array skipped the range check of PValueVector: NaN and 1.5 counted as above lambda.
+        # A plain array once skipped the range check: NaN and 1.5 counted as above lambda.
         with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
             schweder_spjotvoll(np.array(values), self.CFG)
         with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
@@ -189,12 +189,8 @@ class TestCstarSearch:
         assert result.c_star == 0.0
         assert result.h_min == 1.0
 
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            cstar_search(interior_null_population(), 0.5, resolution=0.01)
-
     def test_refinement_beats_grid(self):
-        coarse = cstar_search(interior_null_population(), 0.5, resolution=1e-3)
+        coarse = cstar_search(interior_null_population(), 0.5)
         grid = np.linspace(0.0, 1.0, 1001)
         h = h_curve(interior_null_population(), 0.5, grid).column()
         assert coarse.h_min <= float(np.min(h))
@@ -291,4 +287,4 @@ def test_estimator_matches_count_oracle(lam, values):
     arr = np.array(values)
     count = int(np.sum(arr <= lam))
     expect = (1.0 - count / arr.size) / (1.0 - lam)
-    assert schweder_spjotvoll(PValueVector(arr), EstimatorConfig(lam)) == expect
+    assert schweder_spjotvoll(arr, EstimatorConfig(lam)) == expect

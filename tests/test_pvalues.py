@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
 
 from _oracles import dkw_band, ks_critical, normal_quantile, randomize, student_t_cdf as t_cdf_oracle
+from pi0rand.pi0 import EstimatorConfig, schweder_spjotvoll
 from pi0rand.pvalues import (
-    PValueVector,
     RandomizationRule,
     TwoSampleTLaw,
     ZTestLaw,
@@ -20,24 +20,26 @@ from pi0rand.pvalues import (
     stochastic_order_diagnostic,
     validity_diagnostic,
 )
-from pi0rand.statdist import RngStream
+from pi0rand.statdist import RngStream, _pvalue_array
 
 
 class TestPValueVector:
+    """A p-value vector is a 1-d float array, checked by each function that takes one."""
+
     def test_holds_values(self):
-        p = PValueVector([0.1, 0.9])
-        assert p.m == 2 and len(p) == 2
-        assert np.array_equal(p.values, [0.1, 0.9])
+        p = _pvalue_array([0.1, 0.9])
+        assert type(p) is np.ndarray and p.dtype == float and p.shape == (2,)
+        assert np.array_equal(p, [0.1, 0.9])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            PValueVector([0.1, 1.2])
-        with pytest.raises(ValueError):
-            PValueVector([-0.01, 0.5])
+        for values in ([0.1, 1.2], [-0.01, 0.5]):
+            with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+                randomize_vector(values, RandomizationRule.constant(0.5), RngStream(6, 0))
 
     def test_rejects_short_vectors(self):
-        with pytest.raises(ValueError):
-            PValueVector([0.5])
+        # The estimator alone needs two p-values; the other functions take one.
+        with pytest.raises(ValueError, match="m >= 2"):
+            schweder_spjotvoll(np.array([0.5]), EstimatorConfig())
 
 
 class TestLfcPvalues:
@@ -98,7 +100,7 @@ class TestLfcPvalues:
 
 def randomize_one(p, c):
     """randomize_vector on (p, p) under the constant rule c: the first output and the uniform it drew."""
-    out = randomize_vector(PValueVector([p, p]), RandomizationRule.constant(c), RngStream(6, 0)).values[0]
+    out = randomize_vector(np.array([p, p]), RandomizationRule.constant(c), RngStream(6, 0))[0]
     return out, RngStream(6, 0).generator.random(2)[0]
 
 
@@ -126,13 +128,13 @@ class TestRandomize:
 
     def test_uniform_rule_needs_rng(self):
         with pytest.raises(ValueError):
-            RandomizationRule.uniform(0.2, 0.6).thresholds(None, 3)
+            RandomizationRule(0.2, 0.6).thresholds(None, 3)
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             RandomizationRule.constant(1.3)
         with pytest.raises(ValueError):
-            RandomizationRule.uniform(0.6, 0.2)
+            RandomizationRule(0.6, 0.2)
         with pytest.raises(ValueError):
             RandomizationRule(-0.1, 0.5)
 
@@ -148,36 +150,36 @@ class TestRandomize:
 
 class TestRandomizeVector:
     def test_threshold_one_returns_input(self):
-        p = PValueVector(np.linspace(0.05, 0.95, 10))
+        p = np.linspace(0.05, 0.95, 10)
         out = randomize_vector(p, RandomizationRule.constant(1.0), RngStream(1, 2))
-        assert np.array_equal(out.values, p.values)
+        assert np.array_equal(out, p)
 
     def test_threshold_zero_returns_uniform_draws(self):
-        p = PValueVector(np.linspace(0.05, 0.95, 10))
+        p = np.linspace(0.05, 0.95, 10)
         out = randomize_vector(p, RandomizationRule.constant(0.0), RngStream(1, 2))
         expect = RngStream(1, 2).generator.random(10)
-        assert np.array_equal(out.values, expect)
+        assert np.array_equal(out, expect)
 
     def test_reproducible(self):
-        p = PValueVector(np.linspace(0.05, 0.95, 10))
+        p = np.linspace(0.05, 0.95, 10)
         a = randomize_vector(p, RandomizationRule.constant(0.4), RngStream(5, 6))
         b = randomize_vector(p, RandomizationRule.constant(0.4), RngStream(5, 6))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_degenerate_uniform_matches_constant_bitwise(self):
-        p = PValueVector(RngStream(8, 0).generator.random(500))
+        p = RngStream(8, 0).generator.random(500)
         for c in (0.0, 0.3276, 1.0):
             a = randomize_vector(p, RandomizationRule.constant(c), RngStream(9, 1))
-            b = randomize_vector(p, RandomizationRule.uniform(c, c), RngStream(9, 1))
-            assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+            b = randomize_vector(p, RandomizationRule(c, c), RngStream(9, 1))
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_matches_scalar_randomize(self):
-        p = PValueVector([0.1, 0.45, 0.52, 0.9])
+        p = np.array([0.1, 0.45, 0.52, 0.9])
         rng = RngStream(3, 3)
         out = randomize_vector(p, RandomizationRule.constant(0.5), rng)
         u = RngStream(3, 3).generator.random(4)
-        expect = [randomize(pv, uv, RandomizationRule.constant(0.5)) for pv, uv in zip(p.values, u)]
-        assert np.array_equal(out.values, np.array(expect))
+        expect = [randomize(pv, uv, RandomizationRule.constant(0.5)) for pv, uv in zip(p, u)]
+        assert np.array_equal(out, np.array(expect))
 
 
 class TestMarginalLaws:
@@ -257,8 +259,8 @@ class TestRandomizedCdf:
         for theta, c, stream in ((-1.0, 0.5, 0), (2.5, 0.3, 1)):
             law = ZTestLaw(theta)
             rng = RngStream(314159, stream)
-            p_lfc = PValueVector(law.quantile(rng.generator.random(n)))
-            out = randomize_vector(p_lfc, RandomizationRule.constant(c), rng).values
+            p_lfc = law.quantile(rng.generator.random(n))
+            out = randomize_vector(p_lfc, RandomizationRule.constant(c), rng)
             t = np.linspace(0.01, 0.99, 99)
             emp = np.searchsorted(np.sort(out), t, side="right") / n
             assert np.max(np.abs(emp - randomized_cdf(t, c, law))) <= dkw_band(n)
@@ -344,9 +346,9 @@ class TestDoublyRandomized:
         # randomized p-value stochastically below under a convex null law.
         n = 100_000
         law = ZTestLaw(-1.0)
-        p = PValueVector(law.quantile(RngStream(77, 0).generator.random(n)))
-        lo = randomize_vector(p, RandomizationRule.uniform(0.1, 0.4), RngStream(78, 1)).values
-        hi = randomize_vector(p, RandomizationRule.uniform(0.5, 0.9), RngStream(78, 2)).values
+        p = law.quantile(RngStream(77, 0).generator.random(n))
+        lo = randomize_vector(p, RandomizationRule(0.1, 0.4), RngStream(78, 1))
+        hi = randomize_vector(p, RandomizationRule(0.5, 0.9), RngStream(78, 2))
         t = np.linspace(0.02, 0.98, 49)
         f_lo = np.searchsorted(np.sort(lo), t, side="right") / n
         f_hi = np.searchsorted(np.sort(hi), t, side="right") / n

@@ -8,7 +8,7 @@ from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
 from _oracles import dkw_band, gumbel_uniforms_reference, ks_critical, replicate_block_per_replicate
 from pi0rand import simkit
 from pi0rand.pi0 import _estimate_from_count, _grid_thresholds, h_curve
-from pi0rand.pvalues import MarginalLaw, PValueVector, RandomizationRule, ZTestLaw, randomize_vector
+from pi0rand.pvalues import MarginalLaw, RandomizationRule, ZTestLaw, randomize_vector
 from pi0rand.simkit import (
     McSummary,
     ModelSpec,
@@ -22,7 +22,7 @@ from pi0rand.simkit import (
     run_mc,
 )
 from pi0rand.statdist import RngStream
-from pi0rand.tuning import conditional_expectation, g_value
+from pi0rand.tuning import conditional_expectation, g_values
 
 
 def _ks_uniform(sample):
@@ -131,14 +131,14 @@ class TestGenLfcPvalues:
         # 100 vectors of m=1000 pooled: N = 1e5 draws under the LFC.
         spec = ModelSpec("z", ((1000, 0.0),), n=50)
         pooled = np.concatenate(
-            [gen_lfc_pvalues(spec, RngStream(31, i)).values for i in range(100)]
+            [gen_lfc_pvalues(spec, RngStream(31, i)) for i in range(100)]
         )
         assert _ks_uniform(pooled) <= ks_critical(pooled.size)
 
     def test_alternative_matches_closed_form_law(self):
         spec = ModelSpec("z", ((1000, 2.5 / np.sqrt(50)),), n=50)
         pooled = np.concatenate(
-            [gen_lfc_pvalues(spec, RngStream(32, i)).values for i in range(100)]
+            [gen_lfc_pvalues(spec, RngStream(32, i)) for i in range(100)]
         )
         t = np.linspace(0.001, 0.999, 200)
         emp = np.searchsorted(np.sort(pooled), t, side="right") / pooled.size
@@ -148,7 +148,7 @@ class TestGenLfcPvalues:
     def test_lfc_two_sample_is_uniform(self):
         spec = ModelSpec("two_sample", ((200, 0.0),), n1=6, n2=8, sigma=1.7)
         pooled = np.concatenate(
-            [gen_lfc_pvalues(spec, RngStream(33, i)).values for i in range(100)]
+            [gen_lfc_pvalues(spec, RngStream(33, i)) for i in range(100)]
         )
         assert _ks_uniform(pooled) <= ks_critical(pooled.size)
 
@@ -158,7 +158,7 @@ class TestGenLfcPvalues:
         # coordinate across independent calls are iid; pool those.
         spec = study_spec(dependence="gumbel", nu=2.0, m=100)
         reps = 3000
-        draws = np.array([gen_lfc_pvalues(spec, RngStream(34, i)).values for i in range(reps)])
+        draws = np.array([gen_lfc_pvalues(spec, RngStream(34, i)) for i in range(reps)])
         t = np.linspace(0.001, 0.999, 200)
         for coord, law in ((0, ZTestLaw(-1.0)), (99, ZTestLaw(2.5))):
             col = np.sort(draws[:, coord])
@@ -167,8 +167,8 @@ class TestGenLfcPvalues:
 
     def test_reproducible(self):
         spec = study_spec()
-        a = gen_lfc_pvalues(spec, RngStream(35, 0)).values
-        b = gen_lfc_pvalues(spec, RngStream(35, 0)).values
+        a = gen_lfc_pvalues(spec, RngStream(35, 0))
+        b = gen_lfc_pvalues(spec, RngStream(35, 0))
         assert np.array_equal(a, b)
 
 
@@ -368,11 +368,11 @@ class TestChunkedKernel:
         for spec in _KERNEL_SPECS.values():
             chunk = simkit._counted_rows(spec, RngStream(81, 0), [4, 6, 8])
             assert np.array_equal(simkit._counted_rows(spec, RngStream(81, 6), [None])[0], chunk[1])
-            p = gen_lfc_pvalues(spec, RngStream(81, 6)).values
+            p = gen_lfc_pvalues(spec, RngStream(81, 6))
             assert all(np.array_equal(p[a:b], to_p(chunk[1, a:b])) for a, b, to_p, _ in simkit._count_maps(spec))
             advanced = RngStream(81, 6)
             advanced.generator.random(3)
-            assert not np.array_equal(gen_lfc_pvalues(spec, advanced).values, p)
+            assert not np.array_equal(gen_lfc_pvalues(spec, advanced), p)
 
 
 def _two_sample_gumbel(df, ncps, count=200):
@@ -472,7 +472,7 @@ class TestCountingKernel:
             p = gen_lfc_pvalues(spec, RngStream(plan.seed, 2 * r))
             for k, c in enumerate(plan.c_grid):
                 prand = randomize_vector(p, RandomizationRule.constant(c), rng)
-                n_explicit[r, k] = np.count_nonzero(prand.values <= plan.lam)
+                n_explicit[r, k] = np.count_nonzero(prand <= plan.lam)
         for k in range(len(plan.c_grid)):
             table = _merged_histograms(n_kernel[:, k], n_explicit[:, k], spec.m)
             assert chi2_contingency(table).pvalue > 1e-3
@@ -484,12 +484,11 @@ class TestCountingKernel:
         spec = study_spec()
         for i in range(5):
             p = gen_lfc_pvalues(spec, RngStream(63, i))
-            n_low, n_up_trials = _grid_counts(np.sort(p.values), *_grid_thresholds(lam, c))
+            n_low, n_up_trials = _grid_counts(np.sort(p), *_grid_thresholds(lam, c))
             mean_n = n_low + lam * n_up_trials
-            g = np.array([g_value(p, lam, ck) for ck in c])
-            np.testing.assert_allclose(mean_n, g, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(mean_n, g_values(p, lam, c), rtol=1e-12, atol=0.0)
             cond = np.array([conditional_expectation(p, lam, ck) for ck in c])
-            np.testing.assert_allclose(_estimate_from_count(mean_n, p.m, lam, "plain"), cond,
+            np.testing.assert_allclose(_estimate_from_count(mean_n, p.size, lam, "plain"), cond,
                                        rtol=1e-12, atol=0.0)
 
     def test_exact_zeros_and_ones(self):
@@ -500,12 +499,11 @@ class TestCountingKernel:
         # c = 1 keeps all p-values below one and replaces the exact ones.
         assert (n_low[0], n_up_trials[0]) == (0, m)
         assert (n_low[1], n_up_trials[1]) == (4, 3)
-        p = PValueVector(values)
         draws = 4000
         for k, c in enumerate((0.0, 1.0)):
             rng = RngStream(64, k)
             n = np.array([
-                np.count_nonzero(randomize_vector(p, RandomizationRule.constant(c), rng).values <= lam)
+                np.count_nonzero(randomize_vector(values, RandomizationRule.constant(c), rng) <= lam)
                 for _ in range(draws)
             ])
             extra = n - n_low[k]

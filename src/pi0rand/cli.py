@@ -33,12 +33,12 @@ import sys
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, cstar_search, h_curve
-from .pi0 import schweder_spjotvoll
-from .pvalues import RandomizationRule, randomize_vector
+from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, _schweder_spjotvoll
+from .pi0 import cstar_search, h_curve
+from .pvalues import RandomizationRule, _randomize_vector
 from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
 from .statdist import RngStream, _finite_array, _increasing_grid, _positive_int, _probability
-from .tuning import select_c0
+from .tuning import _select_c0
 
 __all__ = ["main"]
 
@@ -153,14 +153,14 @@ _DEFAULT_GRID = {"h": "0:0.05:1", "cdf": "0,0.25,0.5,0.75,1"}  # by --quantity; 
 
 def _cmd_analyze(args):
     lam, variant = args.lam, args.variant.replace("-", "_")
-    p = _read_pvalue_csv(args.input)
+    p = _read_pvalue_csv(args.input)  # checked here, once: at least two values, each in [0, 1]
     cfg = EstimatorConfig(lam, variant)
     rng = RngStream(args.seed, 0)
     with _open_text(args.out) if args.out else contextlib.nullcontext() as out:
-        sel = select_c0(p, lam)
-        prand = randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
-        pi0_rand = schweder_spjotvoll(prand, cfg)
-        pi0_lfc = schweder_spjotvoll(p, cfg)
+        sel = _select_c0(p, lam)
+        prand = _randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
+        pi0_rand = _schweder_spjotvoll(prand, cfg)
+        pi0_lfc = _schweder_spjotvoll(p, cfg)
         cond = _estimate_from_count(sel.g_max, p.size, lam, variant)
         lines = [
             f"m = {p.size}",

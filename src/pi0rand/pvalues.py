@@ -191,7 +191,11 @@ def randomize_vector(p_lfc, rule: RandomizationRule, rng: RngStream) -> np.ndarr
     Element j consumes uniform draw j from the stream; a rule with
     low < high draws its per-hypothesis thresholds after the uniforms.
     """
-    values = _pvalue_array(p_lfc)
+    return _randomize_vector(_pvalue_array(p_lfc), rule, rng)
+
+
+def _randomize_vector(values: np.ndarray, rule: RandomizationRule, rng: RngStream) -> np.ndarray:
+    """``randomize_vector`` for p-values that are already checked."""
     m = values.size
     u = rng.generator.random(m)  # fresh, so the replaced entries are written into it
     r = rule.thresholds(rng, m)

@@ -34,13 +34,12 @@ copula uniforms are formed once per chunk.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
-from .pi0 import _grid_thresholds, _write_text
+from .pi0 import _grid_thresholds, _process_pool, _usable_cpus, _write_text
 from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
 from .statdist import _positive_finite, _positive_int, _special, _t_quantile
@@ -266,8 +265,8 @@ def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
 
 
 def _blocks(reps: int, workers: int) -> list:
-    """Contiguous non-empty replicate ranges, one per worker and at most one per CPU."""
-    n = min(workers, reps, os.cpu_count() or 1)
+    """Contiguous non-empty replicate ranges, one per worker and at most one per usable CPU."""
+    n = min(workers, reps, _usable_cpus())
     bounds = np.linspace(0, reps, n + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -283,13 +282,9 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     """
     reps = plan.replicates
     blocks = _blocks(reps, _positive_int(workers, "workers"))
-    if len(blocks) == 1:
-        mat = _replicate_block(plan, 0, reps)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [pool.submit(_replicate_block, plan, a, b) for a, b in blocks]
-            mat = np.concatenate([fut.result() for fut in futures])
+    with _process_pool(len(blocks) - 1) as pool:  # the caller runs block 0, the pool the others
+        futures = [pool.submit(_replicate_block, plan, a, b) for a, b in blocks[1:]]
+        mat = np.concatenate([_replicate_block(plan, *blocks[0]), *(fut.result() for fut in futures)])
     pi0 = plan.spec.pi0
     mean = mat.mean(axis=0)
     variance = mat.var(axis=0)

@@ -1,5 +1,8 @@
 import hashlib
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pi0rand import cli, simkit
+from pi0rand import cli, pi0, simkit
 from pi0rand.cli import main
 from pi0rand.statdist import RngStream
 from pi0rand.tuning import conditional_expectation
@@ -339,6 +342,67 @@ def test_analyze_end_to_end_at_1e5(capsys, tmp_path):
     assert out.read_bytes() == layout.encode()
 
 
+@pytest.mark.parametrize("rows", [127, 128, 129, 1001])
+def test_split_analyze_out_is_the_one_part_file(capsys, tmp_path, split_writer, rows):
+    # The part boundary at 2 x 64 rows, one row either side of it, and an odd count; 1, 2 and 3 parts.
+    use_cpus, pools = split_writer
+    src = tmp_path / "p.csv"
+    src.write_text("p_lfc\n" + "".join(f"{v!r}\n" for v in RngStream(47, rows).generator.random(rows).tolist()))
+    runs = []
+    for cpus in (1, 2, 3):
+        use_cpus(cpus)
+        out = tmp_path / f"out{cpus}.csv"
+        code, report, err = run_cli(capsys, "analyze", str(src), "--seed", "5", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert multiprocessing.active_children() == []  # every worker is joined before main returns
+        runs.append((report, out.read_bytes()))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert pools == [min(rows // pi0._CSV_PART_ROWS, cpus) - 1 for cpus in (1, 2, 3)]
+
+
+def test_split_cdf_table_is_the_one_part_table(capsys, split_writer):
+    use_cpus, pools = split_writer
+    texts = []
+    for cpus in (1, 3):
+        use_cpus(cpus)
+        code, out, err = run_cli(capsys, "curves", "--quantity", "cdf", "--t-points", "1001")
+        assert (code, err) == (0, "")
+        texts.append(out)
+    assert texts[1] == texts[0] and pools == [0, 2]
+    assert multiprocessing.active_children() == []
+
+
+def _split_analyze(tmp_path, prelude=""):
+    """``analyze --out`` on 1001 rows in a fresh interpreter, with parts of 64 rows and two usable CPUs, stdout
+    redirected to a file; returns the exit code and the stdout and stderr texts."""
+    src, out, stdout = tmp_path / "p.csv", tmp_path / "out.csv", tmp_path / "stdout.txt"
+    src.write_text("p_lfc\n" + "".join(f"{v!r}\n" for v in RngStream(53, 0).generator.random(1001).tolist()))
+    code = ("import multiprocessing, sys\nfrom pi0rand import cli, pi0\n" + prelude +
+            "pi0._CSV_PART_ROWS = 64\npi0._usable_cpus = lambda: 2\ncode = cli.main(sys.argv[1:])\n"
+            "assert multiprocessing.active_children() == [] and 'concurrent.futures' in sys.modules\n"
+            "sys.exit(code)\n")
+    src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # with a file, the child's stdout is then block-buffered
+    with open(stdout, "w") as fh:
+        proc = subprocess.run([sys.executable, "-c", code, "analyze", str(src), "--seed", "2", "--out", str(out)],
+                              stdout=fh, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    return proc.returncode, stdout.read_text(), proc.stderr
+
+
+def test_report_is_printed_once_when_a_pool_starts(tmp_path):
+    # A worker forked with the report still in the stdout buffer would print it again as it exits.
+    code, report, err = _split_analyze(tmp_path)
+    assert (code, err) == (0, "")
+    assert report.count("m = 1001\n") == 1 and len(report.splitlines()) == 9
+
+
+def test_a_failing_worker_exits_1_without_a_traceback(tmp_path):
+    fail = "def fail(columns):\n    raise RuntimeError('a part failed')\npi0._csv_part = fail\n"
+    code, _, err = _split_analyze(tmp_path, fail)
+    assert (code, err) == (1, "internal error: a part failed\n")
+
+
 @pytest.mark.parametrize("variant", ["plain", "storey-plus"])
 def test_analyze_reports_the_library_conditional_expectation(capsys, tmp_path, variant):
     lam, values = 0.3, RngStream(31, 0).generator.random(2000)
@@ -620,7 +684,7 @@ def test_unwritable_out_fails_before_the_work(capsys, hand_file, tmp_path, monke
     def no_work(*args, **kwargs):
         raise AssertionError("the work started before the output opened")
 
-    for name in ("select_c0", "run_mc", "h_curve"):
+    for name in ("_select_c0", "run_mc", "h_curve"):
         monkeypatch.setattr(cli, name, no_work)
     out = tmp_path / "missing" / "x.csv"
     argv = {"analyze": [hand_file], "simulate": ["--m", "10", "--reps", "2"], "curves": ["--m", "10"]}[command]

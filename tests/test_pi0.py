@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import csv_text_row_first
+from pi0rand import pi0
 from pi0rand.pi0 import (
     CurveTable,
     EstimatorConfig,
@@ -276,6 +279,33 @@ def test_csv_text_matches_row_first_oracle(columns, rows):
     cols[-1] = cols[-1].tolist()  # a list column is read as floats too
     meta, header = {"quantity": "x", "seed": 3}, [f"k{i}" for i in range(columns)]
     assert "".join(_csv_text(meta, header, cols)) == csv_text_row_first(meta, header, cols)
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_csv_text_is_the_one_part_text(split_writer, cpus, columns):
+    # One row either side of, and at, each part boundary, and an odd count: the bytes of one part, from
+    # min(rows // part, cpus) parts, that is a pool of one process fewer.
+    use_cpus, pools = split_writer
+    use_cpus(cpus)
+    gen, part = RngStream(43, columns).generator, pi0._CSV_PART_ROWS
+    counts = [k * part + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [1001]
+    for rows in counts:
+        cols = [gen.standard_normal(rows) * 10.0 ** gen.integers(-320, 300, rows) for _ in range(columns)]
+        meta, header = {"rows": rows}, [f"k{i}" for i in range(columns)]
+        assert "".join(_csv_text(meta, header, cols)) == csv_text_row_first(meta, header, cols)
+    assert pools == [max(1, min(rows // part, cpus)) - 1 for rows in counts]
+
+
+def test_a_writer_left_early_shuts_its_pool_down(split_writer):
+    # As when writing a part fails: the caller stops reading, and closing the writer joins its workers.
+    use_cpus, pools = split_writer
+    use_cpus(3)
+    text = _csv_text({}, ["x"], [np.linspace(0.0, 1.0, 1001)])
+    assert next(text) == "x\n" and pools == [2]
+    text.close()
+    assert multiprocessing.active_children() == []
+
 
 
 @given(

@@ -6,8 +6,8 @@ import pytest
 from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
 
 from _oracles import dkw_band, gumbel_uniforms_reference, ks_critical, replicate_block_per_replicate
-from pi0rand import simkit
-from pi0rand.pi0 import _estimate_from_count, _grid_thresholds, h_curve
+from pi0rand import pi0, simkit
+from pi0rand.pi0 import _csv_text, _estimate_from_count, _grid_thresholds, _usable_cpus, h_curve
 from pi0rand.pvalues import MarginalLaw, RandomizationRule, ZTestLaw, randomize_vector
 from pi0rand.simkit import (
     McSummary,
@@ -301,15 +301,41 @@ class TestRunMc:
                 run_mc(self.small_plan(replicates=2), workers=bad)
 
     def test_block_bounds(self):
-        # The pool size is capped at the CPU count; only the bounds are
+        # The pool size is capped at the usable CPU count; only the bounds are
         # computed here, no pool is started.
-        cpus = os.cpu_count() or 1
+        cpus = _usable_cpus()
         for reps, workers in ((1, 1), (1, 8), (120, 3), (7, 10**6), (10_000, 10**6)):
             blocks = _blocks(reps, workers)
             assert len(blocks) == min(workers, reps, cpus)
             assert blocks[0][0] == 0 and blocks[-1][1] == reps
             assert all(b > a for a, b in blocks)
             assert all(x[1] == y[0] for x, y in zip(blocks, blocks[1:]))
+
+    def test_usable_cpus_are_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert _usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
+
+    def test_one_usable_cpu_gives_one_block_and_no_pool(self, monkeypatch):
+        # As under `taskset -c 0`: two workers asked for, one CPU to run them on.
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started on one CPU")
+
+        plan = self.small_plan(replicates=40)
+        serial = run_mc(plan).to_csv_string()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pi0, "_CSV_PART_ROWS", 64)
+        assert _blocks(40, 2) == [(0, 40)]
+        assert run_mc(plan, workers=2).to_csv_string() == serial
+        rows = np.linspace(0.0, 1.0, 1001)
+        assert "".join(_csv_text({}, ["x"], [rows])) == "x\n" + "".join(f"{v!r}\n" for v in rows.tolist())
 
     def test_long_grid(self):
         plan = self.small_plan(c_grid=tuple(np.linspace(0.0, 1.0, 70_000)), replicates=2)

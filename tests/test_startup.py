@@ -1,16 +1,20 @@
 """What importing pi0rand loads, each check in a fresh interpreter.
 
 ``statdist`` loads scipy.special's compiled ufuncs without running the
-package ``__init__`` (see ``statdist._load_ufuncs``), and ``run_mc`` imports
-the process pool only when one starts. These checks pin down what the CLI
-loads at start-up, that the rest of the interpreter still sees an ordinary
-``scipy.special``, and that the pool gives the same bytes in a process where
-nothing else has imported it.
+package ``__init__`` (see ``statdist._load_ufuncs``), and ``run_mc`` and the
+CSV writer import the process pool only when one starts. These checks pin
+down what the CLI loads at start-up, that the rest of the interpreter still
+sees an ordinary ``scipy.special``, and that a pool gives the same bytes in a
+process where nothing else has imported it.
 """
 
 import os
 import subprocess
 import sys
+
+import pytest
+
+from pi0rand.pi0 import _CSV_PART_ROWS, _usable_cpus
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 UFUNCS = ("ndtr", "ndtri", "stdtr", "stdtrit", "nctdtr", "nctdtrit", "_nct_pdf")
@@ -103,7 +107,30 @@ def test_fresh_process_pool_writes_the_serial_bytes(tmp_path):
     serial, serial_pooled = _simulate(tmp_path / "serial.csv", 1)
     parallel, pooled = _simulate(tmp_path / "parallel.csv", 2)
     assert serial == parallel
-    assert not serial_pooled and pooled == ((os.cpu_count() or 1) >= 2)  # a pool is imported only when one starts
+    assert not serial_pooled and pooled == (_usable_cpus() >= 2)  # a pool is imported only when one starts
+
+
+def _analyze(src, out, one_cpu):
+    """``pi0rand analyze --out`` in a fresh process, pinned to one CPU or not: the CSV bytes, and whether
+    ``concurrent.futures`` was imported."""
+    stdout = _run("import os, sys\n"
+                  "if sys.argv[1] == 'one': os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "from pi0rand.cli import main\ncode = main(sys.argv[2:])\n"
+                  "print('concurrent.futures' in sys.modules)\nsys.exit(code)",
+                  "one" if one_cpu else "all", "analyze", str(src), "--seed", "9", "--out", str(out))
+    return out.read_bytes(), stdout.split()[-1] == "True"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
+def test_analyze_starts_a_pool_only_on_more_than_one_cpu(tmp_path):
+    # Two parts' worth of rows: the writer splits them over the usable CPUs, and imports the pool only to do so.
+    rows = 2 * _CSV_PART_ROWS + 1
+    src = tmp_path / "p.csv"
+    src.write_text("p_lfc\n" + "".join(f"{(7 * j % 997) / 997}\n" for j in range(1, rows + 1)))
+    one, one_pooled = _analyze(src, tmp_path / "one.csv", one_cpu=True)
+    every, pooled = _analyze(src, tmp_path / "every.csv", one_cpu=False)
+    assert one == every
+    assert not one_pooled and pooled == (_usable_cpus() >= 2)
 
 
 def test_cli_main_imports_nothing_at_run_time(tmp_path):

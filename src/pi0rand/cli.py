@@ -33,7 +33,8 @@ import sys
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, _schweder_spjotvoll
+from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, _part_count
+from .pi0 import _schweder_spjotvoll, _workers
 from .pi0 import cstar_search, h_curve
 from .pvalues import RandomizationRule, _randomize_vector
 from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
@@ -50,10 +51,33 @@ _FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "worke
           "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
 
 
+def _part_lines(raw, start):
+    """The line, counted from ``start``, where each part of the rows of ``raw[start:]`` begins, then None: the parts
+    of ``_part_count``, each ending at the first line end past its share of the text.
+
+    One part when an empty line falls before the last part, since numpy's ``max_rows`` does not count it while
+    ``skiprows`` does, or when the last part would begin with no row. Line ends are counted on the UTF-8 bytes.
+    """
+    if _part_count(len(raw) - start) == 1:  # a row takes at least one character
+        return [0, None]
+    text = np.frombuffer(raw.encode(), np.uint8)[len(raw[:start].encode()) - 1:]  # from the header's line end
+    line_end = text == 10
+    parts = _part_count(np.count_nonzero(line_end) - 1)
+    ends = [at + int(np.argmax(line_end[at:])) for at in ((text.size - 1) * i // parts for i in range(1, parts))]
+    if ends:
+        cut = ends[-1] + 1  # where the last part begins
+        empty = (line_end[:cut - 1] & line_end[1:cut]).any()  # "\n\n", or "\n\r\n" below
+        empty = empty or "\r" in raw and (line_end[:cut - 2] & (text[1:cut - 1] == 13) & line_end[2:cut]).any()
+        if empty or not line_end[ends].all() or len(set(ends)) < len(ends) or cut == text.size or text[cut] in (10, 13):
+            ends = []
+    return [0, *(int(np.count_nonzero(line_end[1:end + 1])) for end in ends), None]
+
+
 def _read_pvalue_csv(path):
     """The p_lfc column of a CSV.
 
-    numpy's C reader takes a plain file, one pass in Python any other, and only a fault walks the lines, to name its own.
+    numpy's C reader takes a plain file, in the parts of ``_part_lines``, one pass in Python any other, and only a fault
+    walks the lines, to name its own.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
@@ -80,11 +104,16 @@ def _read_pvalue_csv(path):
              and all(raw.find(ch, start) < 0 for ch in "\x1c\x1d\x1e\x1f")  # numpy strips them off a field, float() not
              and re.compile(r"[^\r\n]").search(raw, start) is not None)  # numpy warns on a file of no rows
     if plain:
-        with contextlib.suppress(ValueError, OSError):  # numpy rejects the text, or cannot open the file again
-            table = np.loadtxt(full_path, delimiter=",", comments=None, skiprows=header_no, encoding="utf-8", ndmin=2)
-            if table.shape[1] == len(columns) and len(table) >= 2:
-                values = table[:, col]
-                if np.all((values >= 0.0) & (values <= 1.0)):
+        bounds = _part_lines(raw, start)
+        load = functools.partial(np.loadtxt, full_path, delimiter=",", comments=None, encoding="utf-8", ndmin=2)
+        parts = [functools.partial(load, skiprows=header_no + a, max_rows=None if b is None else b - a)
+                 for a, b in zip(bounds, bounds[1:])]
+        # Suppressed: numpy rejects the text, or cannot open the file again. Workers read parts 1 on, the caller part 0.
+        with contextlib.suppress(ValueError, OSError), _workers(parts[1:]) as results:
+            tables = [parts[0](), *(result() for result in results)]
+            if all(table.shape[1] == len(columns) for table in tables):
+                values = np.concatenate([table[:, col] for table in tables])
+                if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
                     return values
     lines = raw.replace("\r\n", "\n").split("\n")  # numpy did not take the file: one pass in Python
     del lines[:header_no]

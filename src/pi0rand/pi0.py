@@ -18,6 +18,7 @@ marginals only, never on the dependence structure.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import sys
@@ -99,23 +100,69 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _process_pool(workers: int):
-    """A pool of ``workers`` processes, or a null context (no pool) for none.
+@contextlib.contextmanager
+def _workers(calls):
+    """Run each callable of ``calls`` in a process of its own; yield, per call, a function that returns its value.
 
-    ``concurrent.futures`` is imported only when a pool starts. Workers start by the platform's default method, which
-    forks on Linux: a spawned worker would first import numpy and pi0rand (about 0.2 s), most of what a split CSV saves
-    at 10^6 rows. multiprocessing flushes stdout and stderr before it forks, so a worker does not print their
-    buffered text a second time.
+    On Linux the workers fork, whatever the platform's default method: they inherit their inputs, so nothing is
+    pickled on the way in, and a spawned or forkserver worker would first import numpy and pi0rand (about 0.2 s).
+    Each worker sends back its value, or the exception it raised, over a one-way pipe whose send end the parent does
+    not keep, so a worker that dies gives an error instead of a hang. Leaving the block joins every worker, after
+    terminating those whose value was not asked for. An empty ``calls`` starts no process and imports nothing.
+    multiprocessing flushes stdout and stderr before it forks, so a worker does not print their buffered text again.
     """
-    if workers == 0:
-        return contextlib.nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
+    if not calls:
+        yield []
+        return
+    import multiprocessing
 
-    return ProcessPoolExecutor(max_workers=workers)
+    context = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+    started = []
+    try:
+        for call in calls:
+            receive, send = context.Pipe(duplex=False)
+            proc = context.Process(target=_send_result, args=(send, call))
+            proc.start()
+            started.append((proc, receive))
+            send.close()
+        yield [functools.partial(_receive_result, proc, receive) for proc, receive in started]
+    finally:
+        for proc, receive in started:
+            if not receive.closed:  # left early: its value is no longer wanted
+                proc.terminate()
+                receive.close()
+            proc.join()
+
+
+def _send_result(send, call) -> None:
+    """In a worker: send ``(True, call())``, or ``(False, exc)`` for the exception ``call`` raised."""
+    try:
+        result = True, call()
+    except Exception as exc:
+        result = False, exc
+    send.send(result)
+
+
+def _receive_result(proc, receive):
+    """The value a worker sent, or the exception it raised, raised again."""
+    with receive:
+        try:
+            ok, value = receive.recv()
+        except EOFError:  # the worker ended without sending
+            proc.join()
+            raise RuntimeError(f"a worker process exited with code {proc.exitcode} before sending its result") from None
+    if not ok:
+        raise value
+    return value
 
 
 _CSV_BLOCK_ROWS = 1 << 15
-_CSV_PART_ROWS = 1 << 17  # the fewest rows per part: two parts gained from 2^18 rows on, measured (README)
+_CSV_PART_ROWS = 1 << 16  # the fewest rows per part: two parts gained from 2^17 rows on, measured (README)
+
+
+def _part_count(rows: int) -> int:
+    """Parts of at least ``_CSV_PART_ROWS`` rows each, at most one per usable CPU: how a CSV is written or read."""
+    return max(1, min(rows // _CSV_PART_ROWS, _usable_cpus()))
 
 
 def _csv_rows(columns, lo: int, hi: int):
@@ -134,20 +181,19 @@ def _csv_part(columns) -> str:
 def _csv_text(metadata: dict, header, columns):
     """``# key=value`` lines, the header row, then the columns row by row as ``repr(float)``, as blocks of text.
 
-    The rows are cut into parts of at least ``_CSV_PART_ROWS`` rows, at most one per usable CPU. Workers of a process
-    pool format parts 1 on, one each, while the caller formats part 0 block by block; their texts follow it in order.
-    Every row's text depends on its values alone, so the bytes do not depend on the parts. One part starts no pool.
+    The rows are cut into ``_part_count`` parts. Workers format parts 1 on, one each, while the caller formats part 0
+    block by block; their texts follow it in order. Every row's text depends on its values alone, so the bytes do not
+    depend on the parts. One part starts no worker.
     """
     columns = [np.asarray(col, dtype=float) for col in columns]
     rows = len(columns[0])
-    parts = max(1, min(rows // _CSV_PART_ROWS, _usable_cpus()))
-    bounds = np.linspace(0, rows, parts + 1).astype(int).tolist()
-    with _process_pool(parts - 1) as pool:
-        futures = [pool.submit(_csv_part, [col[a:b] for col in columns]) for a, b in zip(bounds[1:-1], bounds[2:])]
+    bounds = np.linspace(0, rows, _part_count(rows) + 1).astype(int).tolist()
+    parts = [functools.partial(_csv_part, [col[a:b] for col in columns]) for a, b in zip(bounds[1:-1], bounds[2:])]
+    with _workers(parts) as results:
         yield "".join(f"# {key}={val}\n" for key, val in metadata.items()) + ",".join(header) + "\n"
         yield from _csv_rows(columns, 0, bounds[1])
-        for fut in futures:
-            yield fut.result()
+        for result in results:
+            yield result()
 
 
 def _open_text(path):

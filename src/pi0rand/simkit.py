@@ -34,12 +34,13 @@ copula uniforms are formed once per chunk.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
-from .pi0 import _grid_thresholds, _process_pool, _usable_cpus, _write_text
+from .pi0 import _grid_thresholds, _usable_cpus, _workers, _write_text
 from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
 from .statdist import _positive_finite, _positive_int, _special, _t_quantile
@@ -282,9 +283,8 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     """
     reps = plan.replicates
     blocks = _blocks(reps, _positive_int(workers, "workers"))
-    with _process_pool(len(blocks) - 1) as pool:  # the caller runs block 0, the pool the others
-        futures = [pool.submit(_replicate_block, plan, a, b) for a, b in blocks[1:]]
-        mat = np.concatenate([_replicate_block(plan, *blocks[0]), *(fut.result() for fut in futures)])
+    with _workers([functools.partial(_replicate_block, plan, a, b) for a, b in blocks[1:]]) as results:
+        mat = np.concatenate([_replicate_block(plan, *blocks[0]), *(result() for result in results)])  # block 0 here
     pi0 = plan.spec.pi0
     mean = mat.mean(axis=0)
     variance = mat.var(axis=0)

@@ -1,21 +1,28 @@
 import pytest
 
-from pi0rand import pi0
+from pi0rand import cli, pi0
 
 
 @pytest.fixture()
 def split_writer(monkeypatch):
-    """The CSV writer cut into parts of 64 rows, in blocks of 16, so that a few hundred rows start a pool.
+    """CSVs cut into parts of 64 rows, written in blocks of 16, so that a few hundred rows start workers.
 
-    Returns a setter of the writer's usable CPUs, and the list of the pool size each write started.
+    Returns a setter of the usable CPUs, and the workers each split started: a list per ``"read"`` (the ``analyze``
+    reader) and ``"write"`` (the CSV writer), in call order.
     """
     monkeypatch.setattr(pi0, "_CSV_PART_ROWS", 64)
     monkeypatch.setattr(pi0, "_CSV_BLOCK_ROWS", 16)
-    pools, real = [], pi0._process_pool
+    started = {"read": [], "write": []}
 
-    def recording(workers):
-        pools.append(workers)
-        return real(workers)
+    def recording(kind, module):
+        real = module._workers
 
-    monkeypatch.setattr(pi0, "_process_pool", recording)
-    return lambda cpus: monkeypatch.setattr(pi0, "_usable_cpus", lambda: cpus), pools
+        def workers(calls):
+            started[kind].append(len(calls))
+            return real(calls)
+
+        monkeypatch.setattr(module, "_workers", workers)
+
+    recording("read", cli)
+    recording("write", pi0)
+    return lambda cpus: monkeypatch.setattr(pi0, "_usable_cpus", lambda: cpus), started

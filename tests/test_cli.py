@@ -345,7 +345,7 @@ def test_analyze_end_to_end_at_1e5(capsys, tmp_path):
 @pytest.mark.parametrize("rows", [127, 128, 129, 1001])
 def test_split_analyze_out_is_the_one_part_file(capsys, tmp_path, split_writer, rows):
     # The part boundary at 2 x 64 rows, one row either side of it, and an odd count; 1, 2 and 3 parts.
-    use_cpus, pools = split_writer
+    use_cpus, started = split_writer
     src = tmp_path / "p.csv"
     src.write_text("p_lfc\n" + "".join(f"{v!r}\n" for v in RngStream(47, rows).generator.random(rows).tolist()))
     runs = []
@@ -357,29 +357,105 @@ def test_split_analyze_out_is_the_one_part_file(capsys, tmp_path, split_writer, 
         assert multiprocessing.active_children() == []  # every worker is joined before main returns
         runs.append((report, out.read_bytes()))
     assert runs[1] == runs[0] and runs[2] == runs[0]
-    assert pools == [min(rows // pi0._CSV_PART_ROWS, cpus) - 1 for cpus in (1, 2, 3)]
+    workers = [min(rows // pi0._CSV_PART_ROWS, cpus) - 1 for cpus in (1, 2, 3)]
+    assert started == {"read": workers, "write": workers}
 
 
 def test_split_cdf_table_is_the_one_part_table(capsys, split_writer):
-    use_cpus, pools = split_writer
+    use_cpus, started = split_writer
     texts = []
     for cpus in (1, 3):
         use_cpus(cpus)
         code, out, err = run_cli(capsys, "curves", "--quantity", "cdf", "--t-points", "1001")
         assert (code, err) == (0, "")
         texts.append(out)
-    assert texts[1] == texts[0] and pools == [0, 2]
+    assert texts[1] == texts[0] and started == {"read": [], "write": [0, 2]}
     assert multiprocessing.active_children() == []
+
+
+_SPLIT_CELLS = [repr(v) for v in RngStream(59, 0).generator.random(200).tolist()]
+_SPLIT_IDS = [f"{j},{cell}" for j, cell in enumerate(_SPLIT_CELLS)]
+_FLOOR_CELLS = [f"0.{j:03d}" for j in range(128)]  # 6 bytes a row: two parts cut after row 64
+
+
+def _csv(cells, header="p_lfc", end="\n", preamble=""):
+    return preamble + end.join([header, *cells]) + end
+
+
+def _with(cells, at, cell):
+    return cells[:at] + [cell] + cells[at:]
+
+
+# name: (text, whether the reader cuts it into parts). With parts of 64 rows, row 10 is in part 0 and row 190 in
+# the last part at two and at three parts; whitespace and a text id fail numpy in a part, after the cut, and the
+# Python pass reads the file.
+_SPLIT_FILES = {
+    "plain": (_csv(_SPLIT_CELLS), True),
+    "crlf": (_csv(_SPLIT_CELLS, end="\r\n"), True),
+    "no final newline": (_csv(_SPLIT_CELLS)[:-1], True),
+    "bom": ("\ufeff" + _csv(_SPLIT_CELLS), True),
+    "comments before the header": (_csv(_SPLIT_CELLS, preamble="# made by a tool\n\n# seed=3\n"), True),
+    "id column": (_csv(_SPLIT_IDS, "id,p_lfc"), True),
+    "text id column": (_csv([f"gene{cells}" for cells in _SPLIT_IDS], "id,p_lfc"), True),
+    "blank line in part 0": (_csv(_with(_SPLIT_CELLS, 10, "")), False),
+    "blank crlf line in part 0": (_csv(_with(_SPLIT_CELLS, 10, ""), end="\r\n"), False),
+    "blank line in the last part": (_csv(_with(_SPLIT_CELLS, 190, "")), True),
+    "blank line first in the last part": (_csv(_with(_FLOOR_CELLS, 64, "")), False),
+    "whitespace line in part 0": (_csv(_with(_SPLIT_CELLS, 10, " \t")), True),
+    "whitespace line in the last part": (_csv(_with(_SPLIT_CELLS, 190, " \t")), True),
+    "bad cell in the last part": (_csv(_with(_SPLIT_CELLS, 190, "abc")), True),
+    "out of range in the last part": (_csv(_with(_SPLIT_CELLS, 190, "1.5")), True),
+    "wrong field count in the last part": (_csv(_with(_SPLIT_IDS, 190, "7,0.5,1"), "id,p_lfc"), True),
+    "cut on the part floor": (_csv(_FLOOR_CELLS), True),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_SPLIT_FILES))
+def test_split_parse_is_the_one_part_parse(tmp_path, split_writer, name, cpus):
+    # The same array bit for bit, or the same row N message, from one part and from the parts of the usable CPUs.
+    use_cpus, started = split_writer
+    text, splits = _SPLIT_FILES[name]
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = _parse_oracle(str(path), text.removeprefix("\ufeff"))
+    for parts in (1, cpus):
+        use_cpus(parts)
+        try:
+            got = cli._read_pvalue_csv(str(path))
+        except ValueError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    rows = text.split("p_lfc", 1)[1].count("\n") - 1
+    assert started["read"] == [0, min(rows // pi0._CSV_PART_ROWS, cpus) - 1 if splits else 0]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_part_lines_at_the_part_floor(split_writer, cpus):
+    # 128 rows of 6 bytes: the text's middle is the line end of row 64, and two parts of 64 rows is all they make.
+    # An empty first row keeps them in one part, and so do as many bytes of empty lines after them, which would
+    # make a last part with no row, where numpy warns.
+    use_cpus, _ = split_writer
+    use_cpus(cpus)
+    raw = _SPLIT_FILES["cut on the part floor"][0]
+    assert cli._part_lines(raw, len("p_lfc\n")) == [0, 64, None]
+    assert cli._part_lines("p_lfc\n\n" + raw[6:], len("p_lfc\n")) == [0, None]
+    assert cli._part_lines(raw + "\n" * 768, len("p_lfc\n")) == [0, None]
 
 
 def _split_analyze(tmp_path, prelude=""):
     """``analyze --out`` on 1001 rows in a fresh interpreter, with parts of 64 rows and two usable CPUs, stdout
-    redirected to a file; returns the exit code and the stdout and stderr texts."""
+    redirected to a file; returns the exit code and the stdout and stderr texts. Its workers start and are gone
+    when ``main`` returns."""
     src, out, stdout = tmp_path / "p.csv", tmp_path / "out.csv", tmp_path / "stdout.txt"
     src.write_text("p_lfc\n" + "".join(f"{v!r}\n" for v in RngStream(53, 0).generator.random(1001).tolist()))
     code = ("import multiprocessing, sys\nfrom pi0rand import cli, pi0\n" + prelude +
             "pi0._CSV_PART_ROWS = 64\npi0._usable_cpus = lambda: 2\ncode = cli.main(sys.argv[1:])\n"
-            "assert multiprocessing.active_children() == [] and 'concurrent.futures' in sys.modules\n"
+            "assert multiprocessing.active_children() == [] and 'multiprocessing' in sys.modules\n"
             "sys.exit(code)\n")
     src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
@@ -401,6 +477,17 @@ def test_a_failing_worker_exits_1_without_a_traceback(tmp_path):
     fail = "def fail(columns):\n    raise RuntimeError('a part failed')\npi0._csv_part = fail\n"
     code, _, err = _split_analyze(tmp_path, fail)
     assert (code, err) == (1, "internal error: a part failed\n")
+
+
+@pytest.mark.parametrize("kind", ["read", "write"])
+def test_a_dying_worker_exits_1_without_a_hang(tmp_path, kind):
+    # A worker that ends without sending its part: the caller sees the end of its pipe, not a wait for ever.
+    parent = "import os\nparent = os.getpid()\n"
+    die = {"read": "load = cli.np.loadtxt\n"
+                   "cli.np.loadtxt = lambda *a, **k: os._exit(3) if os.getpid() != parent else load(*a, **k)\n",
+           "write": "pi0._csv_part = lambda columns: os._exit(3)\n"}[kind]
+    code, _, err = _split_analyze(tmp_path, parent + die)
+    assert (code, err) == (1, "internal error: a worker process exited with code 3 before sending its result\n")
 
 
 @pytest.mark.parametrize("variant", ["plain", "storey-plus"])

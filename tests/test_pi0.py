@@ -286,7 +286,7 @@ def test_csv_text_matches_row_first_oracle(columns, rows):
 def test_split_csv_text_is_the_one_part_text(split_writer, cpus, columns):
     # One row either side of, and at, each part boundary, and an odd count: the bytes of one part, from
     # min(rows // part, cpus) parts, that is a pool of one process fewer.
-    use_cpus, pools = split_writer
+    use_cpus, started = split_writer
     use_cpus(cpus)
     gen, part = RngStream(43, columns).generator, pi0._CSV_PART_ROWS
     counts = [k * part + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [1001]
@@ -294,15 +294,15 @@ def test_split_csv_text_is_the_one_part_text(split_writer, cpus, columns):
         cols = [gen.standard_normal(rows) * 10.0 ** gen.integers(-320, 300, rows) for _ in range(columns)]
         meta, header = {"rows": rows}, [f"k{i}" for i in range(columns)]
         assert "".join(_csv_text(meta, header, cols)) == csv_text_row_first(meta, header, cols)
-    assert pools == [max(1, min(rows // part, cpus)) - 1 for rows in counts]
+    assert started["write"] == [max(1, min(rows // part, cpus)) - 1 for rows in counts]
 
 
 def test_a_writer_left_early_shuts_its_pool_down(split_writer):
     # As when writing a part fails: the caller stops reading, and closing the writer joins its workers.
-    use_cpus, pools = split_writer
+    use_cpus, started = split_writer
     use_cpus(3)
     text = _csv_text({}, ["x"], [np.linspace(0.0, 1.0, 1001)])
-    assert next(text) == "x\n" and pools == [2]
+    assert next(text) == "x\n" and started["write"] == [2]
     text.close()
     assert multiprocessing.active_children() == []
 

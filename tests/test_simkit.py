@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import warnings
 
@@ -322,20 +323,33 @@ class TestRunMc:
 
     def test_one_usable_cpu_gives_one_block_and_no_pool(self, monkeypatch):
         # As under `taskset -c 0`: two workers asked for, one CPU to run them on.
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool started on one CPU")
+        def no_start(*args, **kwargs):
+            raise AssertionError("a worker process started on one CPU")
 
         plan = self.small_plan(replicates=40)
         serial = run_mc(plan).to_csv_string()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
         monkeypatch.setattr(pi0, "_CSV_PART_ROWS", 64)
         assert _blocks(40, 2) == [(0, 40)]
         assert run_mc(plan, workers=2).to_csv_string() == serial
         rows = np.linspace(0.0, 1.0, 1001)
         assert "".join(_csv_text({}, ["x"], [rows])) == "x\n" + "".join(f"{v!r}\n" for v in rows.tolist())
+
+    def test_a_failing_block_worker_raises_its_exception(self, monkeypatch):
+        # Block 0 runs in the caller, block 1 in a worker, which raises; the caller raises it again.
+        real = simkit._replicate_block
+
+        def block(plan, start, stop):
+            if start > 0:
+                raise LookupError(f"block from {start} failed")
+            return real(plan, start, stop)
+
+        monkeypatch.setattr(simkit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(simkit, "_replicate_block", block)
+        with pytest.raises(LookupError, match="^block from 20 failed$"):
+            run_mc(self.small_plan(replicates=40), workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_long_grid(self):
         plan = self.small_plan(c_grid=tuple(np.linspace(0.0, 1.0, 70_000)), replicates=2)

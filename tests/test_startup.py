@@ -1,11 +1,12 @@
 """What importing pi0rand loads, each check in a fresh interpreter.
 
 ``statdist`` loads scipy.special's compiled ufuncs without running the
-package ``__init__`` (see ``statdist._load_ufuncs``), and ``run_mc`` and the
-CSV writer import the process pool only when one starts. These checks pin
-down what the CLI loads at start-up, that the rest of the interpreter still
-sees an ordinary ``scipy.special``, and that a pool gives the same bytes in a
-process where nothing else has imported it.
+package ``__init__`` (see ``statdist._load_ufuncs``), and ``run_mc``, the
+CSV writer and the ``analyze`` reader import ``multiprocessing`` only when a
+worker starts. These checks pin down what the CLI loads at start-up, that the
+rest of the interpreter still sees an ordinary ``scipy.special``, and that
+workers give the same bytes in a process where nothing else has imported
+``multiprocessing``.
 """
 
 import os
@@ -50,7 +51,8 @@ def test_cli_import_leaves_no_stand_in_package():
 
 def test_cli_import_skips_unused_machinery():
     out = _run("import sys, pi0rand.cli; print(' '.join(sorted(set(sys.argv[1:]) & set(sys.modules))))",
-               "numpy.f2py", "numpy.testing", "numpy.ma", "scipy._lib._array_api", "concurrent.futures", "scipy.stats")
+               "numpy.f2py", "numpy.testing", "numpy.ma", "scipy._lib._array_api", "concurrent.futures", "scipy.stats",
+               "multiprocessing")
     assert out.split() == []
 
 
@@ -94,9 +96,9 @@ def test_failed_stand_in_import_falls_back_to_the_plain_one():
 
 
 def _simulate(out, workers):
-    """``pi0rand simulate`` in a fresh process: the CSV bytes, and whether ``concurrent.futures`` was imported."""
+    """``pi0rand simulate`` in a fresh process: the CSV bytes, and whether ``multiprocessing`` was imported."""
     stdout = _run("import sys; from pi0rand.cli import main; code = main(sys.argv[1:]); "
-                  "print('concurrent.futures' in sys.modules); sys.exit(code)",
+                  "print('multiprocessing' in sys.modules); sys.exit(code)",
                   "simulate", "--model", "z", "--m", "200", "--n", "50", "--pi0", "0.7", "--theta-null", "-0.1414",
                   "--theta-alt", "0.3536", "--copula", "gumbel", "--nu", "2", "--reps", "60", "--seed", "88",
                   "--workers", str(workers), "--out", str(out))
@@ -107,23 +109,24 @@ def test_fresh_process_pool_writes_the_serial_bytes(tmp_path):
     serial, serial_pooled = _simulate(tmp_path / "serial.csv", 1)
     parallel, pooled = _simulate(tmp_path / "parallel.csv", 2)
     assert serial == parallel
-    assert not serial_pooled and pooled == (_usable_cpus() >= 2)  # a pool is imported only when one starts
+    assert not serial_pooled and pooled == (_usable_cpus() >= 2)  # imported only when a worker starts
 
 
 def _analyze(src, out, one_cpu):
     """``pi0rand analyze --out`` in a fresh process, pinned to one CPU or not: the CSV bytes, and whether
-    ``concurrent.futures`` was imported."""
+    ``multiprocessing`` was imported."""
     stdout = _run("import os, sys\n"
                   "if sys.argv[1] == 'one': os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
                   "from pi0rand.cli import main\ncode = main(sys.argv[2:])\n"
-                  "print('concurrent.futures' in sys.modules)\nsys.exit(code)",
+                  "print('multiprocessing' in sys.modules)\nsys.exit(code)",
                   "one" if one_cpu else "all", "analyze", str(src), "--seed", "9", "--out", str(out))
     return out.read_bytes(), stdout.split()[-1] == "True"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
 def test_analyze_starts_a_pool_only_on_more_than_one_cpu(tmp_path):
-    # Two parts' worth of rows: the writer splits them over the usable CPUs, and imports the pool only to do so.
+    # Two parts' worth of rows: the reader and the writer split them over the usable CPUs, and import
+    # multiprocessing only to do so.
     rows = 2 * _CSV_PART_ROWS + 1
     src = tmp_path / "p.csv"
     src.write_text("p_lfc\n" + "".join(f"{(7 * j % 997) / 997}\n" for j in range(1, rows + 1)))
@@ -131,6 +134,17 @@ def test_analyze_starts_a_pool_only_on_more_than_one_cpu(tmp_path):
     every, pooled = _analyze(src, tmp_path / "every.csv", one_cpu=False)
     assert one == every
     assert not one_pooled and pooled == (_usable_cpus() >= 2)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux only")
+def test_workers_fork_on_linux_whatever_the_default():
+    # A spawned or forkserver worker would import numpy and pi0rand again, and take its inputs pickled.
+    out = _run("import multiprocessing, os\nfrom pi0rand import pi0\nmultiprocessing.set_start_method('spawn')\n"
+               "method = lambda: multiprocessing.current_process()._start_method\n"
+               "with pi0._workers([method, os.getppid]) as results:\n"
+               "    print(*[result() for result in results], os.getpid())")
+    method, parent, pid = out.split()
+    assert method == "fork" and parent == pid
 
 
 def test_cli_main_imports_nothing_at_run_time(tmp_path):

@@ -4,7 +4,18 @@ Each public name is declared once, in the ``__all__`` of its module; the
 package re-exports them all.
 """
 
-from . import pi0, pvalues, simkit, statdist, tuning
+import os as _os
+
+# numpy's and scipy's bundled OpenBLAS each start a thread pool as they load, and no module here calls BLAS. Unless
+# the caller set a thread count that OpenBLAS reads, cap it at one thread while they load, then restore os.environ.
+_cap_blas = not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys()
+if _cap_blas:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from . import pi0, pvalues, simkit, statdist, tuning
+finally:
+    if _cap_blas:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 from .pi0 import *  # noqa: F401,F403
 from .pvalues import *  # noqa: F401,F403
 from .simkit import *  # noqa: F401,F403

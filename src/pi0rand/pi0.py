@@ -110,6 +110,9 @@ def _workers(calls):
     not keep, so a worker that dies gives an error instead of a hang. Leaving the block joins every worker, after
     terminating those whose value was not asked for. An empty ``calls`` starts no process and imports nothing.
     multiprocessing flushes stdout and stderr before it forks, so a worker does not print their buffered text again.
+    The parent forks with one OS thread (``pi0rand/__init__.py`` loads OpenBLAS without its pool): a thread alive at
+    the fork is missing in the child, with any lock it holds, and Python 3.12 warns on such a fork. Start no thread
+    before this forks.
     """
     if not calls:
         yield []

@@ -4,9 +4,11 @@
 package ``__init__`` (see ``statdist._load_ufuncs``), and ``run_mc``, the
 CSV writer and the ``analyze`` reader import ``multiprocessing`` only when a
 worker starts. These checks pin down what the CLI loads at start-up, that the
-rest of the interpreter still sees an ordinary ``scipy.special``, and that
+rest of the interpreter still sees an ordinary ``scipy.special``, that
 workers give the same bytes in a process where nothing else has imported
-``multiprocessing``.
+``multiprocessing``, and that OpenBLAS loads with one thread, so that the
+process forks its workers with one thread, unless the caller set a thread
+count of its own.
 """
 
 import os
@@ -24,10 +26,15 @@ LAW_VALUES = ("from pi0rand.pvalues import TwoSampleTLaw, ZTestLaw; "
               "repr(TwoSampleTLaw(-1.0, 8).cdf(0.3)))")
 
 
-def _run(code, *args):
-    """Run ``code`` in a fresh interpreter with ``src`` first on the path; return its stdout."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+LINUX_ONLY = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+THREADS = "int(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+
+
+def _run(code, *args, env=os.environ):
+    """Run ``code`` in a fresh interpreter, in ``env`` with ``src`` first on the path; return its stdout."""
+    path = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=dict(env, PYTHONPATH=path),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -167,3 +174,66 @@ def test_cli_main_imports_nothing_at_run_time(tmp_path):
             "assert main(['curves', '--out', out]) == 0; "
             "print('new:', *sorted(set(sys.modules) - before))")
     assert _run(code, str(tmp_path / "out.csv"), str(pvalues), str(commented), str(faulty)).splitlines()[-1] == "new:"
+
+
+def _blas_env(**caller_set):
+    """This environment without the variables OpenBLAS reads its thread count from, plus ``caller_set``."""
+    env = {key: val for key, val in os.environ.items() if key not in BLAS_THREAD_VARS}
+    return dict(env, **caller_set)
+
+
+# Records each write and removal of an OpenBLAS thread variable in a child process: os.environ calls os.putenv and
+# os.unsetenv. (numpy sets and removes OPENBLAS_MAIN_FREE itself.)
+SPY_ON_ENV = (f"import os\nnames, written = {BLAS_THREAD_VARS!r}, []\nput, unset = os.putenv, os.unsetenv\n"
+              "os.putenv = lambda key, val: (os.fsdecode(key) in names and written.append(('set', os.fsdecode(key), "
+              "os.fsdecode(val))), put(key, val))[1]\n"
+              "os.unsetenv = lambda key: (os.fsdecode(key) in names and written.append(('unset', os.fsdecode(key))), "
+              "unset(key))[1]\n")
+
+
+def test_cli_import_caps_openblas_and_restores_the_environment():
+    # numpy's and scipy's OpenBLAS each load with one thread; the cap is set only while they load.
+    out = _run(SPY_ON_ENV + "before = dict(os.environ)\nimport pi0rand.cli\n"
+               "assert os.environ == before, set(os.environ.items()) ^ set(before.items())\n"
+               "print(written)", env=_blas_env())
+    assert eval(out) == [("set", "OPENBLAS_NUM_THREADS", "1"), ("unset", "OPENBLAS_NUM_THREADS")]
+
+
+@LINUX_ONLY
+def test_cli_import_leaves_one_thread():
+    assert _run(f"import os, pi0rand.cli; print({THREADS}, 'OPENBLAS_NUM_THREADS' in os.environ)",
+                env=_blas_env()).split() == ["1", "False"]
+
+
+@pytest.mark.parametrize("name", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS"])
+def test_a_thread_count_the_caller_set_is_left_alone(name):
+    out = _run(SPY_ON_ENV + "before = dict(os.environ)\nimport pi0rand.cli\n"
+               f"assert os.environ == before and os.environ[{name!r}] == '2'\nprint(written)",
+               env=_blas_env(**{name: "2"}))
+    assert eval(out) == []
+
+
+def test_numpy_imported_first_leaves_the_environment_as_it_was():
+    # numpy's OpenBLAS has started its pool by then; pi0rand still caps scipy's and restores the environment.
+    _run("import os, numpy\nbefore = dict(os.environ)\nimport pi0rand.cli\nassert os.environ == before",
+         env=_blas_env())
+
+
+@LINUX_ONLY
+def test_workers_fork_from_a_one_thread_parent(tmp_path):
+    # From Python 3.12, os.fork in a process with more than one thread warns (DeprecationWarning). Every fork of
+    # a two-part analyze (one for its reader, one for its writer) and of a two-worker simulate happens with one
+    # thread.
+    src = tmp_path / "p.csv"
+    src.write_text("p_lfc\n" + "".join(f"{(7 * j % 997) / 997}\n" for j in range(1, 201)))
+    code = ("import os, sys\nfrom pi0rand import cli, pi0, simkit\n"
+            "pi0._CSV_PART_ROWS, pi0._CSV_BLOCK_ROWS = 64, 16\n"
+            "pi0._usable_cpus = simkit._usable_cpus = lambda: 2\n"
+            "threads, fork = [], os.fork\n"
+            f"os.fork = lambda: (threads.append({THREADS}), fork())[1]\n"
+            "assert cli.main(['analyze', sys.argv[1], '--seed', '9', '--out', sys.argv[2]]) == 0\n"
+            "assert cli.main(['simulate', '--model', 'z', '--m', '100', '--reps', '4', '--workers', '2', "
+            "'--out', sys.argv[2]]) == 0\n"
+            "print('threads at each fork:', *threads)")
+    out = _run(code, str(src), str(tmp_path / "out.csv"), env=_blas_env())
+    assert out.splitlines()[-1] == "threads at each fork: 1 1 1"

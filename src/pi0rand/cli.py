@@ -43,50 +43,52 @@ from .tuning import _select_c0
 
 __all__ = ["main"]
 
-# The suffixes that numpy's DataSource opens through a decompressor rather than as text.
-_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
 # The flag of each library field the CLI passes through unchecked, by the first word of the library's message.
 _FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers", "c_list": "--c-grid",
           "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
 
 
-def _part_lines(raw, start):
-    """The line, counted from ``start``, where each part of the rows of ``raw[start:]`` begins, then None: the parts
-    of ``_part_count``, each ending at the first line end past its share of the text.
-
-    One part when an empty line falls before the last part, since numpy's ``max_rows`` does not count it while
-    ``skiprows`` does, or when the last part would begin with no row. Line ends are counted on the UTF-8 bytes.
+def _part_lines(raw, start, commas=0):
+    """The line, counted from ``start``, where each part of the rows of ``raw[start:]`` begins, then None: the parts of
+    ``_part_count``, each ending at the first line end past its share of the bytes. None alone where numpy would read
+    the rows otherwise than the walk: a row (a line neither empty nor a comment) has other than ``commas`` commas, or
+    a "#" does not begin its line. One part when an empty or comment line falls before the last part, since numpy's
+    ``max_rows`` does not count it while ``skiprows`` does, or when the last part would begin with no row. ``raw`` is
+    bytes with no lone CR (a text is encoded).
     """
-    if _part_count(len(raw) - start) == 1:  # a row takes at least one character
-        return [0, None]
-    text = np.frombuffer(raw.encode(), np.uint8)[len(raw[:start].encode()) - 1:]  # from the header's line end
+    raw = raw.encode() if isinstance(raw, str) else raw
+    text = np.frombuffer(raw, np.uint8)[start - 1:]  # from the header's line end
     line_end = text == 10
+    if raw.find(b",", start) >= 0 or raw.find(b"#", start) >= 0:  # else no line has either
+        begins = np.flatnonzero(line_end[:-1]) + 1  # where each line after the header begins
+        first, commas_at = text[begins], np.flatnonzero(text == 44)
+        per_line = np.diff(np.searchsorted(commas_at, begins), append=commas_at.size)
+        rows = (first != 10) & (first != 13) & (first != 35)  # neither empty nor a comment
+        if (per_line[rows] != commas).any() or np.count_nonzero(first == 35) != np.count_nonzero(text == 35):
+            return None
     parts = _part_count(np.count_nonzero(line_end) - 1)
     ends = [at + int(np.argmax(line_end[at:])) for at in ((text.size - 1) * i // parts for i in range(1, parts))]
     if ends:
         cut = ends[-1] + 1  # where the last part begins
-        empty = (line_end[:cut - 1] & line_end[1:cut]).any()  # "\n\n", or "\n\r\n" below
-        empty = empty or "\r" in raw and (line_end[:cut - 2] & (text[1:cut - 1] == 13) & line_end[2:cut]).any()
-        if empty or not line_end[ends].all() or len(set(ends)) < len(ends) or cut == text.size or text[cut] in (10, 13):
+        blank = (line_end[:cut - 1] & line_end[1:cut]).any()  # "\n\n", or "\n\r\n" below
+        blank = blank or b"\r" in raw and (line_end[:cut - 2] & (text[1:cut - 1] == 13) & line_end[2:cut]).any()
+        blank = blank or raw.find(b"#", start, start + cut) >= 0  # each "#" begins a line: a comment
+        if blank or not line_end[ends].all() or len(set(ends)) < len(ends) or cut == text.size or text[cut] in (10, 13):
             ends = []
     return [0, *(int(np.count_nonzero(line_end[1:end + 1])) for end in ends), None]
 
 
 def _read_pvalue_csv(path):
-    """The p_lfc column of a CSV.
-
-    numpy's C reader takes a plain file, in the parts of ``_part_lines``, one pass in Python any other, and only a fault
-    walks the lines, to name its own.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            raw = fh.read().removeprefix("\ufeff")  # the byte-order mark of a spreadsheet's "CSV UTF-8"
-        except UnicodeDecodeError as exc:  # read() decodes the whole file in one call, so exc.object is all of it
-            row = exc.object.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
+    """The p_lfc column of a CSV: numpy's C reader takes a well-formed regular file, in the parts of ``_part_lines``,
+    and the walk any other, line by line, naming the first fault."""
+    with open(path, "rb") as fh:
+        data = fh.read()
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # a pipe could not be read a second time
-    header_no, start, header = 0, 0, ""
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the row is one more than the line ends (byte 10) before the fault
+        raise ValueError(f"{path}: row {data.count(10, 0, exc.start) + 1}: not UTF-8 text") from None
+    header_no, start, header = 0, int(raw[:1] == "\ufeff"), ""  # past the byte-order mark of a spreadsheet's CSV
     while not header or header[0] == "#":  # the header is the first line that strips to neither "" nor a comment
         if start > len(raw):
             raise ValueError(f"{path}: empty input")
@@ -98,46 +100,36 @@ def _read_pvalue_csv(path):
         raise ValueError(f"{path}: row {header_no}: header must contain a p_lfc column")
     col = columns.index("p_lfc")
     full_path = os.path.abspath(path)  # never read as a URL by numpy's DataSource
-    plain = (regular and not full_path.endswith(_DECOMPRESSED)
+    plain = (regular and not full_path.endswith((".gz", ".bz2", ".xz", ".lzma"))  # numpy's DataSource would decompress
              and ("\r" not in raw or raw.count("\r") == raw.count("\r\n"))  # numpy would end a line at a lone CR too
-             and raw.find("#", start) < 0  # comment lines are Python's to skip
              and all(raw.find(ch, start) < 0 for ch in "\x1c\x1d\x1e\x1f")  # numpy strips them off a field, float() not
-             and re.compile(r"[^\r\n]").search(raw, start) is not None)  # numpy warns on a file of no rows
-    if plain:
-        bounds = _part_lines(raw, start)
-        load = functools.partial(np.loadtxt, full_path, delimiter=",", comments=None, encoding="utf-8", ndmin=2)
-        parts = [functools.partial(load, skiprows=header_no + a, max_rows=None if b is None else b - a)
+             and re.compile(r"(?m)^[^\r\n#]").search(raw, start) is not None)  # numpy warns on a file of no rows
+    bounds = _part_lines(data, len(raw[:start].encode()), len(columns) - 1) if plain else None
+    if bounds:
+        load = functools.partial(np.loadtxt, full_path, delimiter=",", comments="#", usecols=col, encoding="utf-8")
+        parts = [functools.partial(load, skiprows=header_no + a, max_rows=None if b is None else b - a, ndmin=1)
                  for a, b in zip(bounds, bounds[1:])]
         # Suppressed: numpy rejects the text, or cannot open the file again. Workers read parts 1 on, the caller part 0.
         with contextlib.suppress(ValueError, OSError), _workers(parts[1:]) as results:
-            tables = [parts[0](), *(result() for result in results)]
-            if all(table.shape[1] == len(columns) for table in tables):
-                values = np.concatenate([table[:, col] for table in tables])
-                if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
-                    return values
-    lines = raw.replace("\r\n", "\n").split("\n")  # numpy did not take the file: one pass in Python
-    del lines[:header_no]
-    rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
-    with contextlib.suppress(ValueError):
-        cells = rows
-        if len(columns) > 1:  # a row with the wrong field count gets a cell that float() rejects
-            cells = [fields[col] if len(fields) == len(columns) else "" for fields in (r.split(",") for r in rows)]
-        values = np.fromiter(map(float, cells), float, len(cells))  # a one-column row with a comma fails too
-        if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
-            return values
-    for line_no, row in enumerate(map(str.strip, lines), header_no + 1):  # a fault: walk the lines and raise the first
+            values = np.concatenate([parts[0](), *(result() for result in results)])
+            if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
+                return values
+    values = []  # the walk, line by line after the header
+    for line_no, row in enumerate(map(str.strip, raw.replace("\r\n", "\n").split("\n")[header_no:]), header_no + 1):
         if not row or row[0] == "#":
             continue
         fields = row.split(",")
         if len(fields) != len(columns):
             raise ValueError(f"{path}: row {line_no}: expected {len(columns)} fields")
         try:
-            v = float(fields[col])
+            values.append(float(fields[col]))
         except ValueError as exc:
             raise ValueError(f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number") from exc
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{path}: row {line_no}: p_lfc value {v!r} outside [0, 1]")
-    raise ValueError(f"{path}: need at least two p-values, got {len(rows)}")
+        if not 0.0 <= values[-1] <= 1.0:
+            raise ValueError(f"{path}: row {line_no}: p_lfc value {values[-1]!r} outside [0, 1]")
+    if len(values) < 2:
+        raise ValueError(f"{path}: need at least two p-values, got {len(values)}")
+    return np.array(values)
 
 
 def _parse_grid(text):

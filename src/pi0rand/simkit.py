@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
-from .pi0 import _grid_thresholds, _usable_cpus, _workers, _write_text
+from .pi0 import _grid_thresholds, _usable_cpus, _workers
 from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
 from .statdist import _positive_finite, _positive_int, _special, _t_quantile
@@ -114,9 +114,6 @@ class ModelSpec:
     def pi0(self) -> float:  # from theta <= 0: a two-sample theta > 0 whose ncp underflows to 0 has a null law
         return sum(count for count, theta in self.groups if theta <= 0.0) / self.m
 
-    def thetas(self) -> np.ndarray:
-        return np.concatenate([np.full(count, theta) for count, theta in self.groups])
-
     def marginal_law(self, theta: float) -> MarginalLaw:
         if self.model == "z":
             return ZTestLaw(theta * np.sqrt(self.n))
@@ -158,15 +155,11 @@ class McSummary:
     bias: np.ndarray
     se_mean: np.ndarray
     se_variance: np.ndarray
-    pi0_true: float
     metadata: dict = field(default_factory=dict)
 
     def to_csv_string(self) -> str:
         cols = [self.c_grid, self.mean, self.variance, self.mse, self.bias, self.se_mean]
         return "".join(_csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols))
-
-    def save(self, path) -> None:
-        _write_text(path, self.to_csv_string())
 
 
 def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
@@ -219,7 +212,7 @@ def _counted_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
     raw = np.empty((len(stream_ids), _draws_per_replicate(spec)))
     for row, gen in zip(raw, _streams(rng, stream_ids)):
         gen.standard_normal(out=row)
-    thetas = spec.thetas()
+    thetas = np.concatenate([np.full(count, theta) for count, theta in spec.groups])
     rows, m = raw.shape[0], thetas.size
     if spec.model == "z":
         with np.errstate(over="ignore"):  # a finite theta whose scaled product overflows has p exactly 0 or 1
@@ -309,7 +302,6 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
         bias=bias,
         se_mean=se_mean,
         se_variance=se_variance,
-        pi0_true=pi0,
         metadata=meta,
     )
 

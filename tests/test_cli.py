@@ -244,20 +244,24 @@ _NUMPY_TAKES = [
     ("in.csv", "p_lfc\n0.1\n0.2\n", True),
     ("in.csv", "\ufeff# made by a tool\n\np_lfc\r\n0.1\r\n\r\n0.2\r\n", True),  # a preamble, CRLF, a blank row
     ("in.csv", "id,p_lfc\n1,0.1\n2, 0.2\n", True),
-    ("in.csv", "id,p_lfc\ngene1,0.1\ngene2,0.2\n", True),  # numpy rejects a text column
-    ("in.csv", "id,p_lfc\ngene#1,0.1\ngene#2,0.2\n", False),
-    ("in.csv", "p_lfc\n0.1,0.2\n0.3,0.4\n", True),  # numpy reads two columns under a header of one
-    ("in.csv", "p_lfc\n0.1\n# mid-file comment\n0.2\n", False),
+    ("in.csv", "id,p_lfc\ngene1,0.1\ngene2,0.2\n", True),  # numpy reads the p_lfc column alone
+    ("in.csv", "id,p_lfc\ngene#1,0.1\ngene#2,0.2\n", False),  # a "#" inside an id
+    ("in.csv", "p_lfc\n0.1\n0.2 # note\n", False),  # numpy would read 0.2 and drop the rest as a comment
+    ("in.csv", "id,p_lfc\ngene1,0.1,x\ngene2,0.2\n", False),  # numpy would read p_lfc and not see the extra field
+    ("in.csv", "p_lfc\n0.1,0.2\n0.3,0.4\n", False),  # a comma in a one-column file
+    ("in.csv", "p_lfc\n0.1\n# mid-file comment\n0.2\n", True),
+    ("in.csv", "p_lfc\n0.1\n  # note\n0.2\n", False),  # a "#" that does not begin its line
     ("in.csv", "p_lfc\n0.1\n0.2\r0.3\n", False),  # a lone CR
     ("in.csv", "id,p_lfc\n1,\x1c0.1\n2,0.2\n", False),  # float() keeps \x1c-\x1f inside a field
     ("in.csv", "p_lfc\n\n\r\n", False),  # no rows
+    ("in.csv", "p_lfc\n# only a comment\n", False),  # no rows
     ("in.csv.gz", "p_lfc\n0.1\n0.2\n", False),
 ]
 
 
 @pytest.mark.parametrize("name,text,parsed_by_numpy", _NUMPY_TAKES)
 def test_reader_gives_numpy_only_a_plain_file(tmp_path, monkeypatch, name, text, parsed_by_numpy):
-    # numpy sees only files it reads as float() does; the rest, like its own rejects, go to the pass in Python.
+    # numpy sees only files it reads as the walk does; the rest, like its own rejects, go to the walk.
     calls, loadtxt = [], np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(args) or loadtxt(*args, **kwargs))
     path = tmp_path / name
@@ -275,7 +279,7 @@ def test_reader_gives_numpy_only_a_plain_file(tmp_path, monkeypatch, name, text,
 
 
 def test_reader_reads_a_pipe_once(recwarn):
-    # A pipe cannot be read a second time, so numpy never reopens one; Python parses the text already read.
+    # A pipe cannot be read a second time, so numpy never reopens one; the walk reads the text already read.
     read, write = os.pipe()
     os.write(write, b"p_lfc\n0.25\n0.5\n")
     os.close(write)
@@ -386,9 +390,9 @@ def _with(cells, at, cell):
     return cells[:at] + [cell] + cells[at:]
 
 
-# name: (text, whether the reader cuts it into parts). With parts of 64 rows, row 10 is in part 0 and row 190 in
-# the last part at two and at three parts; whitespace and a text id fail numpy in a part, after the cut, and the
-# Python pass reads the file.
+# name: (text, whether the reader cuts it into parts, or None where numpy does not read it). With parts of 64 rows,
+# row 10 is in part 0 and row 190 in the last part at two and at three parts; whitespace fails numpy in a part, after
+# the cut, and the walk reads the file.
 _SPLIT_FILES = {
     "plain": (_csv(_SPLIT_CELLS), True),
     "crlf": (_csv(_SPLIT_CELLS, end="\r\n"), True),
@@ -405,7 +409,11 @@ _SPLIT_FILES = {
     "whitespace line in the last part": (_csv(_with(_SPLIT_CELLS, 190, " \t")), True),
     "bad cell in the last part": (_csv(_with(_SPLIT_CELLS, 190, "abc")), True),
     "out of range in the last part": (_csv(_with(_SPLIT_CELLS, 190, "1.5")), True),
-    "wrong field count in the last part": (_csv(_with(_SPLIT_IDS, 190, "7,0.5,1"), "id,p_lfc"), True),
+    "wrong field count in the last part": (_csv(_with(_SPLIT_IDS, 190, "7,0.5,1"), "id,p_lfc"), None),
+    "extra field in a text id file": (_csv(_with([f"gene{cells}" for cells in _SPLIT_IDS], 190, "g,0.5,1"), "id,p_lfc"),
+                                      None),
+    "comment line in part 0": (_csv(_with(_SPLIT_CELLS, 10, "# note")), False),
+    "comment line in the last part": (_csv(_with(_SPLIT_CELLS, 190, "# note")), True),
     "cut on the part floor": (_csv(_FLOOR_CELLS), True),
 }
 
@@ -430,7 +438,8 @@ def test_split_parse_is_the_one_part_parse(tmp_path, split_writer, name, cpus):
         else:
             assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.uint64), want.view(np.uint64))
     rows = text.split("p_lfc", 1)[1].count("\n") - 1
-    assert started["read"] == [0, min(rows // pi0._CSV_PART_ROWS, cpus) - 1 if splits else 0]
+    workers = min(rows // pi0._CSV_PART_ROWS, cpus) - 1 if splits else 0
+    assert started["read"] == ([] if splits is None else [0, workers])
     assert multiprocessing.active_children() == []
 
 

@@ -363,11 +363,6 @@ class TestRunMc:
         assert len(lines) == header_at + 1 + 6
         assert any(ln.startswith("# seed=") for ln in lines[:header_at])
 
-    def test_save_writes_the_csv_string(self, tmp_path):
-        summary = run_mc(self.small_plan(replicates=5))
-        summary.save(tmp_path / "mc.csv")
-        assert (tmp_path / "mc.csv").read_bytes() == summary.to_csv_string().encode()
-
 
 _KERNEL_SPECS = {
     "z-independent": study_spec(),

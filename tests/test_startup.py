@@ -156,12 +156,12 @@ def test_workers_fork_on_linux_whatever_the_default():
 
 def test_cli_main_imports_nothing_at_run_time(tmp_path):
     # Every module a serial run needs is loaded with pi0rand.cli, so no import lands inside main. The first
-    # p-value file is numpy's to parse; the comment in the middle of the second sends it through the pass in
-    # Python, and the bad cell in the third through the walk that names it.
+    # p-value file is numpy's to parse; the indented comment in the middle of the second sends it through the walk,
+    # which returns its values, and the bad cell in the third through the walk that names it.
     pvalues, commented, faulty = tmp_path / "p.csv", tmp_path / "commented.csv", tmp_path / "faulty.csv"
     rows = [f"{(7 * j % 997) / 997}\n" for j in range(1, 500)]
     pvalues.write_text("p_lfc\n" + "".join(rows))
-    commented.write_text("p_lfc\n" + "".join(rows[:250]) + "# a comment\n" + "".join(rows[250:]))
+    commented.write_text("p_lfc\n" + "".join(rows[:250]) + "  # a comment\n" + "".join(rows[250:]))
     faulty.write_text("p_lfc\n" + "".join(rows[:250]) + "abc\n" + "".join(rows[250:]))
     code = ("import sys; from pi0rand.cli import main; before = set(sys.modules); out = sys.argv[1]; "
             "assert main(['analyze', sys.argv[2], '--lambda', '0.5', '--seed', '3', '--out', out]) == 0; "

@@ -59,7 +59,7 @@ def _part_lines(raw, start, commas=0):
     raw = raw.encode() if isinstance(raw, str) else raw
     text = np.frombuffer(raw, np.uint8)[start - 1:]  # from the header's line end
     line_end = text == 10
-    if raw.find(b",", start) >= 0 or raw.find(b"#", start) >= 0:  # else no line has either
+    if commas or raw.find(b",", start) >= 0 or raw.find(b"#", start) >= 0:  # else each row has its one field
         begins = np.flatnonzero(line_end[:-1]) + 1  # where each line after the header begins
         first, commas_at = text[begins], np.flatnonzero(text == 44)
         per_line = np.diff(np.searchsorted(commas_at, begins), append=commas_at.size)

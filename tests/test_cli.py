@@ -227,6 +227,35 @@ def test_reader_agrees_with_row_by_row_oracle(header, cells, filler, crlf, pream
         assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@given(
+    header=st.sampled_from(["p_lfc,id", "p_lfc,", "p_lfc,id,note", "id,p_lfc", "p_lfc"]),
+    cells=st.lists(st.sampled_from(["0.5", "0.25", "1e-5", "abc", "1.5"]), max_size=6),
+    extra=st.integers(0, 3),
+    odd=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 3)),
+)
+@settings(max_examples=200, deadline=None)
+def test_reader_checks_field_count_wherever_p_lfc_is(header, cells, extra, odd):
+    # A row of too few or too many fields is the walk's fault, also where p_lfc comes first and no row has a comma.
+    fields = [extra] * len(cells)
+    if odd and odd[0] < len(cells):
+        fields[odd[0]] = odd[1]
+    lines = [",".join([cell] + ["7"] * n) for cell, n in zip(cells, fields)]
+    text = header + "\n" + "".join(line + "\n" for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        want = _parse_oracle(path, text)
+        try:
+            got = cli._read_pvalue_csv(path)
+        except ValueError as exc:
+            got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_reader_is_bitwise_float_at_scale(tmp_path):
     # 300,000 rows in the spellings a tool may write, shortest repr or not; numpy's parse is float()'s, bit for bit.
     gen = RngStream(7, 0).generator
@@ -249,6 +278,8 @@ _NUMPY_TAKES = [
     ("in.csv", "p_lfc\n0.1\n0.2 # note\n", False),  # numpy would read 0.2 and drop the rest as a comment
     ("in.csv", "id,p_lfc\ngene1,0.1,x\ngene2,0.2\n", False),  # numpy would read p_lfc and not see the extra field
     ("in.csv", "p_lfc\n0.1,0.2\n0.3,0.4\n", False),  # a comma in a one-column file
+    ("in.csv", "p_lfc,id\n0.1\n0.2\n", False),  # numpy would read p_lfc from rows with no id field
+    ("in.csv", "p_lfc,\n0.1\n0.2\n", False),  # a trailing comma makes a second, unnamed column
     ("in.csv", "p_lfc\n0.1\n# mid-file comment\n0.2\n", True),
     ("in.csv", "p_lfc\n0.1\n  # note\n0.2\n", False),  # a "#" that does not begin its line
     ("in.csv", "p_lfc\n0.1\n0.2\r0.3\n", False),  # a lone CR

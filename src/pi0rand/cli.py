@@ -33,13 +33,12 @@ import sys
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, _part_count
-from .pi0 import _schweder_spjotvoll, _workers
-from .pi0 import cstar_search, h_curve
-from .pvalues import RandomizationRule, _randomize_vector
+from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, _part_count, _workers
+from .pi0 import cstar_search, h_curve, schweder_spjotvoll
+from .pvalues import RandomizationRule, randomize_vector
 from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
 from .statdist import RngStream, _finite_array, _increasing_grid, _positive_int, _probability
-from .tuning import _select_c0
+from .tuning import select_c0
 
 __all__ = ["main"]
 
@@ -54,9 +53,8 @@ def _part_lines(raw, start, commas=0):
     the rows otherwise than the walk: a row (a line neither empty nor a comment) has other than ``commas`` commas, or
     a "#" does not begin its line. One part when an empty or comment line falls before the last part, since numpy's
     ``max_rows`` does not count it while ``skiprows`` does, or when the last part would begin with no row. ``raw`` is
-    bytes with no lone CR (a text is encoded).
+    bytes with no lone CR.
     """
-    raw = raw.encode() if isinstance(raw, str) else raw
     text = np.frombuffer(raw, np.uint8)[start - 1:]  # from the header's line end
     line_end = text == 10
     if commas or raw.find(b",", start) >= 0 or raw.find(b"#", start) >= 0:  # else each row has its one field
@@ -178,10 +176,10 @@ def _cmd_analyze(args):
     cfg = EstimatorConfig(lam, variant)
     rng = RngStream(args.seed, 0)
     with _open_text(args.out) if args.out else contextlib.nullcontext() as out:
-        sel = _select_c0(p, lam)
-        prand = _randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
-        pi0_rand = _schweder_spjotvoll(prand, cfg)
-        pi0_lfc = _schweder_spjotvoll(p, cfg)
+        sel = select_c0(p, lam)
+        prand = randomize_vector(p, RandomizationRule.constant(sel.c0), rng)
+        pi0_rand = schweder_spjotvoll(prand, cfg)
+        pi0_lfc = schweder_spjotvoll(p, cfg)
         cond = _estimate_from_count(sel.g_max, p.size, lam, variant)
         lines = [
             f"m = {p.size}",

@@ -37,7 +37,6 @@ __all__ = [
     "CStarResult",
     "ecdf",
     "schweder_spjotvoll",
-    "expected_ecdf",
     "h_value",
     "h_curve",
     "cstar_search",
@@ -83,11 +82,6 @@ class PopulationSpec:
     @property
     def m(self) -> int:
         return sum(count for count, _ in self.groups)
-
-    @property
-    def pi0(self) -> float:
-        null = sum(count for count, law in self.groups if law.is_null)
-        return null / self.m
 
     def digest(self) -> str:
         return hashlib.sha1(repr(self.groups).encode()).hexdigest()[:12]
@@ -282,11 +276,6 @@ def schweder_spjotvoll(p, cfg: EstimatorConfig) -> float:
     values = _pvalue_array(p)
     if values.size < 2:
         raise ValueError("the estimator needs m >= 2 p-values")
-    return _schweder_spjotvoll(values, cfg)
-
-
-def _schweder_spjotvoll(values: np.ndarray, cfg: EstimatorConfig) -> float:
-    """``schweder_spjotvoll`` for at least two p-values that are already checked."""
     return _estimate_from_count(int(np.count_nonzero(values <= cfg.lam)), values.size, cfg.lam, cfg.variant)
 
 
@@ -298,14 +287,9 @@ def _expected_ecdf(spec: PopulationSpec, lam: float, c):
     return ef / spec.m
 
 
-def expected_ecdf(spec: PopulationSpec, lam: float, c: float) -> float:
-    """Exact expectation of the randomized-p-value ecdf at lambda."""
-    return float(_expected_ecdf(spec, _check_lambda(lam), _probability(c, "c")))
-
-
 def h_value(spec: PopulationSpec, lam: float, c: float) -> float:
     """Exact expectation of the estimator at threshold c."""
-    return (1.0 - expected_ecdf(spec, lam, c)) / (1.0 - lam)
+    return (1.0 - float(_expected_ecdf(spec, _check_lambda(lam), _probability(c, "c")))) / (1.0 - lam)
 
 
 def h_curve(spec: PopulationSpec, lam: float, c_grid) -> CurveTable:

@@ -16,9 +16,7 @@ This module also carries the closed-form cdf of the randomized p-value
 
     P(p_rand <= t) = t * (1 - F(c)) + F(t * c),
 
-where ``F`` is the marginal cdf of ``p_lfc`` under the true parameter, plus
-numeric diagnostics for the validity and stochastic-order conditions that
-the constant/random threshold rules satisfy under convex or concave ``F``.
+where ``F`` is the marginal cdf of ``p_lfc`` under the true parameter.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .statdist import RngStream, _finite_array, _increasing_grid, _match_input, _nct_search, _positive_int
+from .statdist import RngStream, _finite_array, _match_input, _nct_search, _positive_int
 from .statdist import _probabilities, _probability, _pvalue_array, _special, _t_quantile
 
 __all__ = [
@@ -36,14 +34,10 @@ __all__ = [
     "ZTestLaw",
     "TwoSampleTLaw",
     "MarginalLaw",
-    "ValidityReport",
-    "OrderReport",
     "lfc_pvalue_z",
     "lfc_pvalue_t",
     "randomize_vector",
     "randomized_cdf",
-    "validity_diagnostic",
-    "stochastic_order_diagnostic",
 ]
 
 _TINY = np.finfo(float).tiny
@@ -75,8 +69,6 @@ class RandomizationRule:
             if rng is None:
                 raise ValueError("the uniform rule needs an RngStream to draw R")
             return self.low + (self.high - self.low) * rng.generator.random(size)
-        if size is None:
-            return self.low
         return np.full(size, self.low)
 
 
@@ -88,10 +80,6 @@ class MarginalLaw:
     (0, 1) through ``_cdf_inner`` and ``_quantile_inner``. Scalars in give
     floats out.
     """
-
-    @property
-    def is_null(self) -> bool:
-        return self._effect <= 0.0
 
     def cdf(self, u):
         return self._mapped(u, "u", self._cdf_inner)
@@ -191,11 +179,7 @@ def randomize_vector(p_lfc, rule: RandomizationRule, rng: RngStream) -> np.ndarr
     Element j consumes uniform draw j from the stream; a rule with
     low < high draws its per-hypothesis thresholds after the uniforms.
     """
-    return _randomize_vector(_pvalue_array(p_lfc), rule, rng)
-
-
-def _randomize_vector(values: np.ndarray, rule: RandomizationRule, rng: RngStream) -> np.ndarray:
-    """``randomize_vector`` for p-values that are already checked."""
+    values = _pvalue_array(p_lfc)
     m = values.size
     u = rng.generator.random(m)  # fresh, so the replaced entries are written into it
     r = rule.thresholds(rng, m)
@@ -213,91 +197,3 @@ def _randomized_cdf(t, c, law: MarginalLaw):
 def randomized_cdf(t, c, law: MarginalLaw):
     """Exact cdf of the randomized p-value at threshold ``c`` under ``law``."""
     return _match_input(_randomized_cdf(_probabilities(t, "t"), _probability(c, "c"), law), t)
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Maximal grid violations of the three sufficient validity conditions.
-
-    ``subscaling``: F(t*c) - t*F(c) above 0 breaks the exact
-    characterization of validity of the randomized p-value at threshold c.
-    ``ratio_monotonicity``: a decrease of F(t)/t along the grid breaks the
-    all-c sufficient condition. ``convexity``: a decrease of the difference
-    quotients of F breaks convexity of the p-value cdf.
-    """
-
-    subscaling: float
-    ratio_monotonicity: float
-    convexity: float
-    tol: float = 1e-12
-
-    @property
-    def subscaling_ok(self) -> bool:
-        return self.subscaling <= self.tol
-
-    @property
-    def ratio_monotonicity_ok(self) -> bool:
-        return self.ratio_monotonicity <= self.tol
-
-    @property
-    def convexity_ok(self) -> bool:
-        return self.convexity <= self.tol
-
-    @property
-    def all_ok(self) -> bool:
-        return self.subscaling_ok and self.ratio_monotonicity_ok and self.convexity_ok
-
-
-def validity_diagnostic(law: MarginalLaw, t_grid, c_grid, tol: float = 1e-12) -> ValidityReport:
-    """Evaluate the validity conditions of the marginal law on finite grids."""
-    t, c = _increasing_grid(t_grid, "t_grid"), _increasing_grid(c_grid, "c_grid")
-    if t[0] == 0.0 or c[0] == 0.0:  # F(t)/t is undefined at t = 0
-        raise ValueError("t_grid and c_grid must lie in (0, 1]")
-    f_t = law.cdf(t)
-    f_c = law.cdf(c)
-    f_tc = law.cdf(np.outer(t, c))
-    subscaling = float(np.max(f_tc - t[:, None] * f_c[None, :]))
-
-    ratio = f_t / t
-    ratio_viol = float(np.max(ratio[:-1] - ratio[1:])) if t.size > 1 else 0.0
-
-    if t.size > 2:
-        slopes = np.diff(f_t) / np.diff(t)
-        conv_viol = float(np.max(slopes[:-1] - slopes[1:]))
-    else:
-        conv_viol = 0.0
-    return ValidityReport(subscaling, ratio_viol, conv_viol, tol)
-
-
-@dataclass(frozen=True)
-class OrderReport:
-    """Pointwise cdf comparison of randomized p-values at two thresholds.
-
-    For thresholds c1 <= c2, ``max_cdf_increase`` is the largest amount by
-    which the cdf at c2 exceeds the cdf at c1 anywhere on the grid; under a
-    convex marginal law it stays within numerical tolerance of zero (the
-    cdfs are pointwise non-increasing in c). ``max_cdf_decrease`` is the
-    reverse and plays the same role under a concave law.
-    """
-
-    max_cdf_increase: float
-    max_cdf_decrease: float
-    tol: float = 1e-12
-
-    @property
-    def nonincreasing_in_c(self) -> bool:
-        return self.max_cdf_increase <= self.tol
-
-    @property
-    def nondecreasing_in_c(self) -> bool:
-        return self.max_cdf_decrease <= self.tol
-
-
-def stochastic_order_diagnostic(law: MarginalLaw, c1, c2, t_grid, tol: float = 1e-12) -> OrderReport:
-    """Compare the randomized-p-value cdfs at thresholds c1 <= c2."""
-    c1, c2 = _probability(c1, "c1"), _probability(c2, "c2")
-    if c1 > c2:
-        raise ValueError("need c1 <= c2")
-    t = _increasing_grid(t_grid, "t_grid")
-    diff = randomized_cdf(t, c2, law) - randomized_cdf(t, c1, law)
-    return OrderReport(float(np.max(diff)), float(np.max(-diff)), tol)

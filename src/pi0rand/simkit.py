@@ -50,7 +50,6 @@ __all__ = [
     "SimulationPlan",
     "McSummary",
     "gen_lfc_pvalues",
-    "gumbel_uniforms",
     "run_mc",
     "cdf_curves",
 ]
@@ -58,11 +57,6 @@ __all__ = [
 MODELS = ("z", "two_sample")
 DEPENDENCE = ("independent", "gumbel")
 CHUNK_VALUES = 8192  # random values drawn per chunk of replicates: 8 replicates at m = 1000
-
-
-def _check_nu(nu):
-    if not 1.0 <= nu < np.inf:
-        raise ValueError(f"nu must be finite and >= 1, got {nu!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,8 @@ class ModelSpec:
         _positive_finite(self.sigma, "sigma")
         if self.dependence not in DEPENDENCE:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
-        _check_nu(self.nu)
+        if not 1.0 <= self.nu < np.inf:
+            raise ValueError(f"nu must be finite and >= 1, got {self.nu!r}")
         thetas = _finite_array([float(theta) for _, theta in self.groups], "group effects").tolist()
         with np.errstate(over="ignore"):  # a finite effect can overflow once scaled; its law rejects the inf
             pop = PopulationSpec(tuple((count, self.marginal_law(t)) for (count, _), t in zip(self.groups, thetas)))
@@ -162,21 +157,15 @@ class McSummary:
         return "".join(_csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols))
 
 
-def gumbel_uniforms(m: int, nu: float, rng: RngStream) -> np.ndarray:
-    """Uniform marginals coupled by the Gumbel-Hougaard copula: one row of ``_gumbel_rows``.
+def _gumbel_rows(m: int, nu: float, rng: RngStream, stream_ids) -> np.ndarray:
+    """Per stream id (``None``: ``rng`` as it stands), m uniforms coupled by the Gumbel-Hougaard copula.
 
     Frailty construction: with S positive stable of index 1/nu and E_j iid
     standard exponential, ``V_j = exp(-(E_j / S)**(1/nu))``, formed from log S
     as ``exp(-E_j**(1/nu) * exp(-log S / nu))``: S overflows at large nu.
-    The frailty's U and W are drawn before the E_j; in a chunk each row draws
-    its own in stream order, and log S and V are formed once for the chunk.
+    The frailty's U and W are drawn before the E_j; each row draws its own
+    in stream order, and log S and V are formed once for the chunk.
     """
-    _check_nu(nu)
-    return _gumbel_rows(_positive_int(m, "m"), nu, rng, (None,))[0]
-
-
-def _gumbel_rows(m: int, nu: float, rng: RngStream, stream_ids) -> np.ndarray:
-    """``gumbel_uniforms`` per stream id (``None``: ``rng`` as it stands), one vector pass for the chunk."""
     alpha, uw, e = 1.0 / nu, np.empty((2, len(stream_ids))), np.empty((len(stream_ids), m))
     for i, gen in enumerate(_streams(rng, stream_ids)):
         if alpha < 1.0:  # at nu = 1, S = 1 and no frailty is drawn

@@ -74,12 +74,7 @@ def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
     expectation is the plain-variant value at the selected threshold, and
     ``candidates`` is the size of the candidate set.
     """
-    lam = _check_lambda(lam)
-    return _select_c0(_pvalue_array(p_lfc), lam)
-
-
-def _select_c0(values: np.ndarray, lam: float) -> SelectionResult:
-    """``select_c0`` for p-values and lambda that are already checked."""
+    lam, values = _check_lambda(lam), _pvalue_array(p_lfc)
     points = _candidate_points(values, lam)
     g = _g_values(values, lam, points)
     i = int(np.argmax(g))

@@ -1,12 +1,17 @@
 """Independent numerical oracles used to derive frozen expected values.
 
-Everything here deliberately avoids the library's own code paths: the
-normal cdf comes from the erf power series, the t cdf from a Lentz
-continued fraction for the regularized incomplete beta, quantiles from
-bisection on those cdfs, and g from direct indicator counting.
+The oracles deliberately avoid the library's own code paths: the normal
+cdf comes from the erf power series, the t cdf from a Lentz continued
+fraction for the regularized incomplete beta, quantiles from bisection on
+those cdfs, and g from direct indicator counting. Three helpers read the
+library's marginal laws instead, since what they check is a property of
+those laws: ``validity_diagnostic`` and ``stochastic_order_diagnostic``
+(the paper's validity and stochastic-order conditions, on grids) and
+``replicate_block_per_replicate`` (its quantiles and copula uniforms).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,15 +100,14 @@ def student_t_cdf(x: float, df: int) -> float:
     return 1.0 - 0.5 * ib if x > 0 else 0.5 * ib
 
 
-def randomize(p_lfc: float, u: float, rule) -> float:
-    """The randomization rule on one (p_lfc, u) pair, written out scalar by scalar.
+def randomize(p_lfc: float, u: float, c: float) -> float:
+    """The constant-threshold rule on one (p_lfc, u) pair, written out scalar by scalar.
 
-    The indicator is ``1{p_lfc >= r}`` for the uniform branch, so the
-    boundary case ``p_lfc == r`` returns ``u``; with ``r == 0`` the
+    The indicator is ``1{p_lfc >= c}`` for the uniform branch, so the
+    boundary case ``p_lfc == c`` returns ``u``; with ``c == 0`` the
     comparison always fires, which is exactly the ``c = 0`` convention.
     """
-    r = float(rule.thresholds(None, None))
-    return u if p_lfc >= r else p_lfc / r
+    return u if p_lfc >= c else p_lfc / c
 
 
 def g_brute(values: np.ndarray, lam: float, c: float) -> float:
@@ -174,7 +178,7 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
 
     from scipy import special
 
-    from pi0rand.simkit import gumbel_uniforms
+    from pi0rand.simkit import _gumbel_rows
 
     def stream(stream_id):
         key = np.array([plan.seed, stream_id], dtype=np.uint64)
@@ -188,7 +192,7 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
         rng = stream(2 * r)
         gen = rng.generator
         if spec.dependence == "gumbel":
-            v = gumbel_uniforms(m, spec.nu, rng)
+            v = _gumbel_rows(m, spec.nu, rng, (None,))[0]
             p = np.empty(m)
             offset = 0
             for count, theta in spec.groups:
@@ -215,3 +219,96 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
             est += 1.0 / (m * (1.0 - lam))
         out[r - start] = est
     return out
+
+
+@dataclass(frozen=True)
+class ValidityReport:
+    """Maximal grid violations of the three sufficient validity conditions.
+
+    ``subscaling``: F(t*c) - t*F(c) above 0 breaks the exact
+    characterization of validity of the randomized p-value at threshold c.
+    ``ratio_monotonicity``: a decrease of F(t)/t along the grid breaks the
+    all-c sufficient condition. ``convexity``: a decrease of the difference
+    quotients of F breaks convexity of the p-value cdf.
+    """
+
+    subscaling: float
+    ratio_monotonicity: float
+    convexity: float
+    tol: float = 1e-12
+
+    @property
+    def subscaling_ok(self) -> bool:
+        return self.subscaling <= self.tol
+
+    @property
+    def ratio_monotonicity_ok(self) -> bool:
+        return self.ratio_monotonicity <= self.tol
+
+    @property
+    def convexity_ok(self) -> bool:
+        return self.convexity <= self.tol
+
+    @property
+    def all_ok(self) -> bool:
+        return self.subscaling_ok and self.ratio_monotonicity_ok and self.convexity_ok
+
+
+def validity_diagnostic(law, t_grid, c_grid, tol: float = 1e-12) -> ValidityReport:
+    """Evaluate the validity conditions of the marginal law on finite grids."""
+    from pi0rand.statdist import _increasing_grid
+
+    t, c = _increasing_grid(t_grid, "t_grid"), _increasing_grid(c_grid, "c_grid")
+    if t[0] == 0.0 or c[0] == 0.0:  # F(t)/t is undefined at t = 0
+        raise ValueError("t_grid and c_grid must lie in (0, 1]")
+    f_t = law.cdf(t)
+    f_c = law.cdf(c)
+    f_tc = law.cdf(np.outer(t, c))
+    subscaling = float(np.max(f_tc - t[:, None] * f_c[None, :]))
+
+    ratio = f_t / t
+    ratio_viol = float(np.max(ratio[:-1] - ratio[1:])) if t.size > 1 else 0.0
+
+    if t.size > 2:
+        slopes = np.diff(f_t) / np.diff(t)
+        conv_viol = float(np.max(slopes[:-1] - slopes[1:]))
+    else:
+        conv_viol = 0.0
+    return ValidityReport(subscaling, ratio_viol, conv_viol, tol)
+
+
+@dataclass(frozen=True)
+class OrderReport:
+    """Pointwise cdf comparison of randomized p-values at two thresholds.
+
+    For thresholds c1 <= c2, ``max_cdf_increase`` is the largest amount by
+    which the cdf at c2 exceeds the cdf at c1 anywhere on the grid; under a
+    convex marginal law it stays within numerical tolerance of zero (the
+    cdfs are pointwise non-increasing in c). ``max_cdf_decrease`` is the
+    reverse and plays the same role under a concave law.
+    """
+
+    max_cdf_increase: float
+    max_cdf_decrease: float
+    tol: float = 1e-12
+
+    @property
+    def nonincreasing_in_c(self) -> bool:
+        return self.max_cdf_increase <= self.tol
+
+    @property
+    def nondecreasing_in_c(self) -> bool:
+        return self.max_cdf_decrease <= self.tol
+
+
+def stochastic_order_diagnostic(law, c1, c2, t_grid, tol: float = 1e-12) -> OrderReport:
+    """Compare the randomized-p-value cdfs at thresholds c1 <= c2."""
+    from pi0rand.pvalues import randomized_cdf
+    from pi0rand.statdist import _increasing_grid, _probability
+
+    c1, c2 = _probability(c1, "c1"), _probability(c2, "c2")
+    if c1 > c2:
+        raise ValueError("need c1 <= c2")
+    t = _increasing_grid(t_grid, "t_grid")
+    diff = randomized_cdf(t, c2, law) - randomized_cdf(t, c1, law)
+    return OrderReport(float(np.max(diff)), float(np.max(-diff)), tol)

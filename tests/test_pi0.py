@@ -15,7 +15,6 @@ from pi0rand.pi0 import (
     _csv_text,
     cstar_search,
     ecdf,
-    expected_ecdf,
     h_curve,
     h_value,
     schweder_spjotvoll,
@@ -111,18 +110,18 @@ class TestExpectedEcdf:
     def test_zero_threshold_gives_lambda(self):
         spec = interior_null_population()
         for lam in (0.25, 0.5, 0.75):
-            assert expected_ecdf(spec, lam, 0.0) == pytest.approx(lam, abs=1e-15)
+            assert pi0._expected_ecdf(spec, lam, 0.0) == pytest.approx(lam, abs=1e-15)
 
     def test_unit_threshold_gives_mean_cdf(self):
         spec = interior_null_population()
         lam = 0.5
         expect = 0.7 * float(ZTestLaw(-1.0).cdf(lam)) + 0.3 * float(ZTestLaw(2.5).cdf(lam))
-        assert expected_ecdf(spec, lam, 1.0) == pytest.approx(expect, abs=1e-15)
+        assert pi0._expected_ecdf(spec, lam, 1.0) == pytest.approx(expect, abs=1e-15)
 
     def test_consistent_with_reference_minimum(self):
         # At the reference minimizer the curve value sits at its reference level.
         spec = interior_null_population()
-        ef = expected_ecdf(spec, 0.5, 0.3276)
+        ef = pi0._expected_ecdf(spec, 0.5, 0.3276)
         assert (1.0 - ef) / 0.5 == pytest.approx(0.7508, abs=1e-3)
 
 
@@ -150,13 +149,13 @@ class TestHCurve:
         assert np.all(np.diff(h) <= 1e-12)
 
     def test_nonnegative_bias_for_valid_nulls(self):
-        # Using valid p-values keeps the expectation at or above pi0.
+        # Using valid p-values keeps the expectation at or above pi0, which is 0.7 in each population.
         specs = (interior_null_population(), lfc_null_population(),
                  PopulationSpec(((7, ZTestLaw(-0.3)), (3, ZTestLaw(1.0)))))
         grid = np.linspace(0.0, 1.0, 501)
         for spec in specs:
             h = h_curve(spec, 0.5, grid).column()
-            assert np.all(h >= spec.pi0 - 1e-9)
+            assert np.all(h >= 0.7 - 1e-9)
 
     def test_depends_on_marginals_only(self):
         # Declared dependence never reaches the exact curve.
@@ -223,10 +222,6 @@ class TestMcConsistency:
 
 
 class TestPopulationSpec:
-    def test_pi0(self):
-        assert interior_null_population().pi0 == 0.7
-        assert PopulationSpec(((4, ZTestLaw(0.0)),)).pi0 == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PopulationSpec(())

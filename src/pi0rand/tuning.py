@@ -11,7 +11,11 @@ Minimizing the conditional expectation is therefore the same as maximizing
 g. Since g only changes value at the points {p_j} and {p_j / lambda}, it
 suffices to evaluate it on that finite candidate set (clipped to [0, 1] and
 extended by the endpoints); on the open interval between two adjacent
-candidates g never exceeds the value at the right one.
+candidates g never exceeds the value at the right one. ``select_c0`` cuts
+the sorted candidates into blocks of isqrt(n) and evaluates g only in the
+blocks, from a to b, whose bound lambda * #{p >= a} + #{p <= lambda*b} reaches
+the largest g at a block's first point; this is exact, as g on [a, b] is at
+most that bound, float64 rounding included, so no maximizer is skipped.
 
 Each function takes the observed p-values as a 1-d array (or a list), which it
 checks to be non-empty and in [0, 1].
@@ -19,6 +23,7 @@ checks to be non-empty and in [0, 1].
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -37,12 +42,12 @@ __all__ = [
 
 def g_values(p_lfc, lam: float, cs) -> np.ndarray:
     """Vectorized g over many thresholds via binary search on sorted p."""
-    return _g_values(_pvalue_array(p_lfc), _check_lambda(lam), _probabilities(cs, "thresholds"))
+    return _g_values(np.sort(_pvalue_array(p_lfc)), _check_lambda(lam), _probabilities(cs, "thresholds"))
 
 
-def _g_values(values: np.ndarray, lam: float, cs) -> np.ndarray:
-    """g for p-values, lambda and thresholds that are already checked."""
-    n_le, n_ge = _grid_counts(np.sort(values), *_grid_thresholds(lam, cs))
+def _g_values(x_sorted: np.ndarray, lam: float, cs) -> np.ndarray:
+    """g for sorted p-values, lambda and thresholds that are already checked."""
+    n_le, n_ge = _grid_counts(x_sorted, *_grid_thresholds(lam, cs))
     return lam * n_ge + n_le
 
 
@@ -75,10 +80,17 @@ def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
     ``candidates`` is the size of the candidate set.
     """
     lam, values = _check_lambda(lam), _pvalue_array(p_lfc)
-    points = _candidate_points(values, lam)
-    g = _g_values(values, lam, points)
+    points, x = _candidate_points(values, lam), np.sort(values)
+    n, k = points.size, isqrt(points.size)
+    # Blocks of k candidates, a first and b last: on [a, b], g <= lam * #{p >= a} + #{p <= lam*b} (in float64 too).
+    n_le, n_ge = _grid_counts(x, *_grid_thresholds(lam, points[::k]))
+    b_le, _ = _grid_counts(x, *_grid_thresholds(lam, np.append(points[k - 1 :: k], points[-1])[: n_ge.size]))
+    kept = np.flatnonzero(lam * n_ge + b_le >= np.max(lam * n_ge + n_le))
+    idx = (kept[:, None] * k + np.arange(k)).ravel()
+    cs = points[idx[idx < n]]  # the kept blocks in ascending order, so argmax finds the smallest maximizer
+    g = _g_values(x, lam, cs)
     i = int(np.argmax(g))
-    c0 = float(points[i])
+    c0 = float(cs[i])
     g_max = float(g[i])
     cond = _estimate_from_count(g_max, values.size, lam, "plain")
     return SelectionResult(c0, g_max, cond, points.size)
@@ -87,6 +99,6 @@ def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
 def conditional_expectation(p_lfc, lam: float, c: float, variant: str = "plain") -> float:
     """Conditional expectation of the estimator given the observed p-values."""
     values = _pvalue_array(p_lfc)
-    g = float(_g_values(values, _check_lambda(lam), _probability(c, "c")))
+    g = float(_g_values(np.sort(values), _check_lambda(lam), _probability(c, "c")))
     EstimatorConfig(lam, variant)  # reuse its validation
     return _estimate_from_count(g, values.size, lam, variant)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
 
-from _oracles import dkw_band, ks_critical, normal_quantile, randomize, stochastic_order_diagnostic, validity_diagnostic
+from _oracles import dkw_band, normal_quantile, randomize, stochastic_order_diagnostic, validity_diagnostic
 from _oracles import student_t_cdf as t_cdf_oracle
 from pi0rand.pi0 import EstimatorConfig, schweder_spjotvoll
 from pi0rand.pvalues import (

@@ -11,7 +11,6 @@ from pi0rand import pi0, simkit
 from pi0rand.pi0 import _csv_text, _estimate_from_count, _grid_thresholds, _usable_cpus, h_curve
 from pi0rand.pvalues import MarginalLaw, RandomizationRule, ZTestLaw, randomize_vector
 from pi0rand.simkit import (
-    McSummary,
     ModelSpec,
     SimulationPlan,
     _blocks,

@@ -129,6 +129,14 @@ class TestSelectC0:
         assert result.g_max == 2.5
         assert result.conditional_expectation == pytest.approx((1 - 2.5 / 3) / 0.5)
 
+    def test_earlier_block_wins_a_tie(self):
+        # Candidates 0, 0.1 | 0.2, 0.4 | 0.6, 0.8 | 1 in blocks of isqrt(7) = 2, with g 1.5, 1.5 | 2, 2 | 1.5, 2 | 2.
+        # The best first-point g is 2, and the block bounds 0.5 * #{p >= a} + #{p <= 0.5 * b} are 1.5 | 2 | 2.5 | 2:
+        # the second block's bound only equals 2, yet it holds the smallest maximizer, which the third block ties.
+        result = select_c0(np.array([0.1, 0.4, 0.6]), 0.5)
+        assert (result.c0, result.g_max, result.candidates) == (0.2, 2.0, 7)
+        assert g_values([0.1, 0.4, 0.6], 0.5, candidate_set([0.1, 0.4, 0.6], 0.5)).tolist() == [1.5, 1.5, 2, 2, 1.5, 2, 2]
+
     def test_brute_grid_agreement_small_pvalues(self):
         # Everything far below lambda: both indicator families saturate early.
         p = np.array([0.01, 0.02, 0.03, 0.05, 0.08])
@@ -174,6 +182,48 @@ class TestSelectC0:
     def test_pure_function(self):
         p = RngStream(24, 0).generator.random(30)
         assert select_c0(p, 0.5) == select_c0(p, 0.5)
+
+
+def _full_evaluation(p, lam):
+    """select_c0's result from g at every candidate: the first argmax over the whole set."""
+    cands = candidate_set(p, lam)
+    g = g_values(p, lam, cands)
+    i = int(np.argmax(g))
+    return cands[i], g[i], cands.size
+
+
+_BLOCK_LAMS = [0.1, 0.3, 0.5, 0.7, 0.95]
+
+
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, 0.05, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=300),
+    lam=st.sampled_from(_BLOCK_LAMS),
+)
+@settings(max_examples=300, deadline=None)
+def test_select_c0_matches_full_evaluation(values, lam):
+    # select_c0 evaluates g only in the blocks of isqrt(n) candidates whose bound reaches the best first-point g;
+    # ties and exact zeros make equal g values in different blocks, and 300 values span up to ~25 blocks.
+    p = np.array(values)
+    result = select_c0(p, lam)
+    assert (result.c0, result.g_max, result.candidates) == _full_evaluation(p, lam)
+
+
+def _z_mixture(m):
+    """m LFC z-test p-values, pi0 = 0.7."""
+    from pi0rand.simkit import ModelSpec, gen_lfc_pvalues
+
+    spec = ModelSpec("z", ((7 * m // 10, 0.0), (m - 7 * m // 10, 2.5 / np.sqrt(50))), n=50)
+    return gen_lfc_pvalues(spec, RngStream(27, m))
+
+
+@pytest.mark.parametrize("lam", _BLOCK_LAMS)
+@pytest.mark.parametrize("m", [10_000, 100_000])
+@pytest.mark.parametrize("draw", [_z_mixture, lambda m: RngStream(28, m).generator.random(m)], ids=["pi0_0.7", "uniform"])
+def test_select_c0_matches_full_evaluation_at_scale(draw, m, lam):
+    # The mixture keeps a few of the ~sqrt(1.4m) blocks of candidates; uniform p (pi0 = 1) keeps the most.
+    p = draw(m)
+    result = select_c0(p, lam)
+    assert (result.c0, result.g_max, result.candidates) == _full_evaluation(p, lam)
 
 
 class TestConditionalExpectation:

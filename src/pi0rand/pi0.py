@@ -162,12 +162,96 @@ def _part_count(rows: int) -> int:
     return max(1, min(rows // _CSV_PART_ROWS, _usable_cpus()))
 
 
+_CSV_KERNEL_CELLS = 1 << 10  # the fewest cells of a block that _repr_cells formats: fewer are faster by %r (README)
+_POW10 = np.array([1e17, 1e18, 1e19, 1e20])  # exact doubles: 5^20 < 2^53
+_SEP_WORDS = np.frombuffer(b",".ljust(8, b"\0") + b"\n".ljust(8, b"\0"), np.uint64)
+# At 10 * z + d: "0.", z zeros and the digit d, right-aligned after NUL bytes in one uint64.
+_LEAD_WORDS = np.frombuffer(b"".join((b"0." + b"0" * z + b"%d" % d).rjust(8, b"\0") for z in range(4)
+                                     for d in range(10)), np.uint64)
+
+
+@functools.cache  # built on the first call: a command that formats no large block, such as simulate, never does
+def _digit_words() -> np.ndarray:
+    """"0000" to "9999" as one uint32 of ASCII each, then at 10000 on the same with their trailing "0"s as NUL bytes."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + 48  # row j: digit j of 0000 ... 9999, in ASCII
+    kept = digits > 48
+    for j in (2, 1, 0):
+        kept[j] |= kept[j + 1]  # a digit other than "0" at or after
+    return np.concatenate([digits, digits * kept], axis=1).T.copy().view(np.uint32).ravel()
+
+
+def _split(v):
+    """Veltkamp's split of ``v`` into ``hi + lo``, each of at most 26 significant bits."""
+    t = v * 134217729.0  # 2^27 + 1
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _repr_cells(cells: np.ndarray, columns: int) -> str:
+    """The float64 ``cells``, in row order, as rows of ``columns`` comma-separated ``repr(float)`` texts.
+
+    numpy formats each cell x with 1e-4 <= x < 1 and a mantissa other than 1/2, as Ryu does (Adams, PLDI 2018): with
+    e10 = floor(log10 x), x * 10^(16 - e10) = N + D exactly, N a 17-digit integer and |D| <= 1/2. In those units the
+    numbers that read back as x lie strictly within hw, half an ulp of x, of N + D (below a power of two, within hw/2),
+    and 0.555 < hw < 11.1. ``repr`` is the shortest decimal among them, the nearer of two: a multiple of 10^s below or
+    above N + D within hw at the largest s that has one (one at s is one at s - 1 too). No multiple lies on a bound:
+    a bound has 54 or more binary fraction digits, a multiple at most 20 decimal places, so the strict comparisons
+    decide exactly. Where they decide, each float result is below 64 and a multiple of 2^-47, so exact too. ``repr``
+    formats every other cell, an exact tie of two multiples and a carry to 10^17.
+    """
+    n = cells.size
+    domain = (cells >= 1e-4) & (cells < 1.0)  # False at nan; other cells are replaced before any arithmetic
+    x = np.where(domain, cells, 0.3)
+    mantissa, exponent = np.frexp(x)
+    z = np.clip(-1 - np.floor(np.log10(x)).astype(np.int64), 0, 3)  # -1 - e10, the zeros after "0."
+    scale = _POW10[z]
+    p = x * scale
+    (xh, xl), (sh, sl) = _split(x), _split(scale)
+    e = ((xh * sh - p) + xh * sl + xl * sh) + xl * sl  # x * scale = p + e exactly: Dekker's product
+    whole = np.rint(e)
+    N, D = p.astype(np.int64) + whole.astype(np.int64), e - whole  # p >= 2^53 is a whole number
+    hw = np.ldexp(scale, exponent - 54)
+    run = domain & (mantissa != 0.5) & (N >= 10**16) & (N < 10**17)  # N has 17 digits unless floor(log10 x) is one off
+    best, s, back = N.copy(), np.zeros(n, np.int64), ~run
+    at, n_at, d_at, hw_at = np.arange(n), N, D, hw  # the cells with a multiple within hw at every s so far
+    for step in range(1, 17):
+        r = n_at % 10**step
+        down, up = d_at < hw_at - r, d_at > (10**step - r) - hw_at  # N - r, N - r + 10^s lie within hw
+        hit = np.flatnonzero((down | up) & run[at])
+        if not hit.size:
+            break
+        at, n_at, d_at, hw_at, r, down, up = at[hit], n_at[hit], d_at[hit], hw_at[hit], r[hit], down[hit], up[hit]
+        near = 2.0 * d_at - (10**step - 2 * r)  # below 0 where N - r is the nearer
+        best[at] = n_at - r + np.where(up & ~(down & (near < 0)), 10**step, 0)
+        s[at] = step
+        back[at] = down & up & (near == 0)
+    back |= best >= 10**17
+    best[back] = 10**16
+    lead = best // 10**16
+    hi, lo = np.divmod(best - lead * 10**16, 10**8)
+    last = (15 - s) // 4  # the 4-digit group of the last significant digit: NUL from its trailing "0"s on
+    words = np.empty((n, 4), np.uint64)  # per cell, text and separator among NUL bytes
+    words[:, 0] = _LEAD_WORDS[10 * z + lead]
+    digit_words = _digit_words()
+    for j, group in enumerate((hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)):
+        words.view(np.uint32)[:, 2 + j] = digit_words[group + 10000 * (last <= j)]
+    words[:, 3] = _SEP_WORDS[0]
+    words[columns - 1 :: columns, 3] = _SEP_WORDS[1]
+    if (fall := np.flatnonzero(back)).size:  # a repr has at most 24 characters
+        words[fall, :3] = np.array([repr(v) for v in cells[fall].tolist()], "S24").view(np.uint64).reshape(-1, 3)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_rows(columns, lo: int, hi: int):
-    """Rows ``lo:hi`` of float columns as ``repr`` text, one format call per block of ``_CSV_BLOCK_ROWS`` rows."""
+    """Rows ``lo:hi`` of float columns as ``repr`` text, by blocks of ``_CSV_BLOCK_ROWS`` rows: ``_repr_cells``
+    formats a block of ``_CSV_KERNEL_CELLS`` or more cells, one ``%r`` format call a smaller one."""
     row = ",".join(["%r"] * len(columns)) + "\n"
     for a in range(lo, hi, _CSV_BLOCK_ROWS):
-        block = np.column_stack([col[a:min(a + _CSV_BLOCK_ROWS, hi)] for col in columns])
-        yield row * len(block) % tuple(block.ravel().tolist())  # cells in row order
+        cells = np.column_stack([col[a:min(a + _CSV_BLOCK_ROWS, hi)] for col in columns]).ravel()  # in row order
+        if cells.size >= _CSV_KERNEL_CELLS:
+            yield _repr_cells(cells, len(columns))
+        else:
+            yield row * (cells.size // len(columns)) % tuple(cells.tolist())
 
 
 def _csv_part(columns) -> str:

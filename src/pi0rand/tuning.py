@@ -51,10 +51,11 @@ def _g_values(x_sorted: np.ndarray, lam: float, cs) -> np.ndarray:
     return lam * n_ge + n_le
 
 
-def _candidate_points(values: np.ndarray, lam: float) -> np.ndarray:
-    """Sorted, deduplicated {0, 1} U {p_j} U {p_j / lambda <= 1}."""
-    q = values / lam
-    points = np.sort(np.concatenate([[0.0, 1.0], values, q[q <= 1.0]]))
+def _candidate_points(x_sorted: np.ndarray, lam: float) -> np.ndarray:
+    """Sorted, deduplicated {0, 1} U {p_j} U {p_j / lambda <= 1}, from the sorted p-values."""
+    q = x_sorted / lam
+    runs = [[0.0], x_sorted, [1.0], q[: q.searchsorted(1.0, side="right")]]
+    points = np.sort(np.concatenate(runs), kind="stable")  # two sorted runs: one merge
     points = points[np.append(True, points[1:] != points[:-1])]  # the first of each run of equal points
     points[0] = 0.0  # the endpoint, even when some p_j is -0.0
     return points
@@ -62,7 +63,7 @@ def _candidate_points(values: np.ndarray, lam: float) -> np.ndarray:
 
 def candidate_set(p_lfc, lam: float) -> np.ndarray:
     """Build {p_j} and {p_j / lambda} clipped to [0, 1], plus the endpoints, sorted and deduplicated."""
-    return _candidate_points(_pvalue_array(p_lfc), _check_lambda(lam))
+    return _candidate_points(np.sort(_pvalue_array(p_lfc)), _check_lambda(lam))
 
 
 class SelectionResult(NamedTuple):
@@ -80,7 +81,8 @@ def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
     ``candidates`` is the size of the candidate set.
     """
     lam, values = _check_lambda(lam), _pvalue_array(p_lfc)
-    points, x = _candidate_points(values, lam), np.sort(values)
+    x = np.sort(values)
+    points = _candidate_points(x, lam)
     n, k = points.size, isqrt(points.size)
     # Blocks of k candidates, a first and b last: on [a, b], g <= lam * #{p >= a} + #{p <= lam*b} (in float64 too).
     n_le, n_ge = _grid_counts(x, *_grid_thresholds(lam, points[::k]))

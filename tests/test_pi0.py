@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from _oracles import csv_text_row_first
 from pi0rand import pi0
@@ -300,6 +301,83 @@ def test_a_writer_left_early_shuts_its_pool_down(split_writer):
     text.close()
     assert multiprocessing.active_children() == []
 
+
+def _repr_rows(cells, columns=1):
+    """The oracle of ``pi0._repr_cells``: one ``repr`` per cell, a comma between cells and a line end after each row."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.reshape(cells, (-1, columns)).tolist())
+
+
+def _assert_repr_cells(cells, columns=1):
+    # In blocks of 2^15 cells, as _csv_rows calls it; a failure names the first row that differs.
+    cells = np.asarray(cells, dtype=float)
+    for a in range(0, cells.size, 1 << 15):
+        block = cells[a:a + (1 << 15)]
+        got, want = pi0._repr_cells(block, columns), _repr_rows(block, columns)
+        if got != want:
+            pairs = enumerate(zip(got.split("\n"), want.split("\n")))
+            pytest.fail("row %d: %r, not %r" % next((a + i, g, w) for i, (g, w) in pairs if g != w))
+
+
+def _power_neighbours(gen, m):
+    # 2^-1 ... 2^-14, 10^-1 ... 10^-4 and 1, each with the floats up to 2^15 steps either side of it.
+    powers = np.array([*(2.0**-j for j in range(1, 15)), *(10.0**-j for j in range(1, 5)), 1.0])
+    return (powers.view(np.int64)[:, None] + np.arange(-(1 << 15), 1 << 15)).view(np.float64).ravel()
+
+
+def _quotients(gen, m):
+    # p / c for p < c, as analyze randomizes p below c0.
+    c = gen.random(m)
+    return c * gen.random(m) / c
+
+
+_KERNEL_KINDS = {
+    "uniform": lambda gen, m: gen.random(m),
+    "bit_patterns": lambda gen, m: gen.integers(*np.array([1e-4, 1.0]).view(np.int64), m).view(np.float64),
+    "short_decimals": lambda gen, m: np.concatenate([np.round(part, d) for d, part in
+                                                     enumerate(np.array_split(gen.random(m), 15), 1)]),
+    "quotients": _quotients,
+    "z_pvalues": lambda gen, m: special.ndtr(np.where(gen.random(m) < 0.7, 1.0, -2.5) - gen.standard_normal(m)),
+    "power_neighbours": _power_neighbours,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_KINDS))
+def test_repr_cells_matches_repr(kind):
+    # 2^20 cells of each kind (power_neighbours: 19 * 2^16). The cells outside [1e-4, 1) among them, around 2^-14
+    # and 1 and the zeros among the short decimals, go to repr.
+    gen = RngStream(2501, sorted(_KERNEL_KINDS).index(kind)).generator
+    _assert_repr_cells(_KERNEL_KINDS[kind](gen, 1 << 20))
+
+
+def test_repr_cells_at_dyadic_ties_and_edges():
+    # q / 2^j, q odd, has j decimal places: for j = 17 and x >= 1/2, N + D is a whole N ending in 5 with the two
+    # 16-digit numbers beside it at the same distance within half an ulp, an exact tie. 0.602281868751045 is written
+    # as 0.6022818687510449 when N is rounded in place from one s to the next.
+    gen = RngStream(2502, 0).generator
+    dyadic = [np.ldexp(gen.integers(0, 1 << (j - 1), 1 << 13) * 2 + 1, -j) for j in range(14, 30)]
+    edges = [1.0 - 2.0**-53, *(2.0**-j for j in range(1, 15)), 0.602281868751045, 1e-4]
+    edges += [np.nextafter(10.0**-j, toward) for j in range(1, 5) for toward in (0.0, 1.0)]
+    _assert_repr_cells(np.concatenate([*dyadic, edges]))
+
+
+@given(cells=st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=6), one_row=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_repr_cells_property(cells, one_row):
+    columns = len(cells) if one_row else 1
+    assert pi0._repr_cells(np.array(cells), columns) == _repr_rows(cells, columns)
+
+
+def test_csv_text_formats_special_cells_by_repr():
+    # Among in-domain cells, in a block that _repr_cells formats: the cells that go to repr.
+    gen = RngStream(2503, 0).generator
+    rows = pi0._CSV_KERNEL_CELLS
+    cols = [gen.random(rows), gen.random(rows)]
+    odd = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.0**-1022, -0.25, -0.5, -1e-300, 1e300, 1.0, 1.5, 9.999e-05]
+    for col in cols:
+        col[gen.choice(rows, len(odd), replace=False)] = odd
+    assert len(cols) * rows >= pi0._CSV_KERNEL_CELLS
+    meta, header = {"rows": rows}, ["a", "b"]
+    assert "".join(_csv_text(meta, header, cols)) == csv_text_row_first(meta, header, cols)
 
 
 @given(

@@ -112,30 +112,22 @@ def _read_pvalue_csv(path):
             values = np.concatenate([parts[0](), *(result() for result in results)])
             if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
                 return values
-    lines = raw.replace("\r\n", "\n").split("\n")[header_no:]
-    values, fault = [], None  # the walk, line by line after the header
-    for line_no, row in enumerate(map(str.strip, lines), header_no + 1):
+    values = []  # the walk, line by line after the header
+    for line_no, row in enumerate(map(str.strip, raw.replace("\r\n", "\n").split("\n")[header_no:]), header_no + 1):
         if not row or row[0] == "#":
             continue
         fields = row.split(",")
         if len(fields) != len(columns):
-            fault = f"row {line_no}: expected {len(columns)} fields"
-            break
+            raise ValueError(f"{path}: row {line_no}: expected {len(columns)} fields")
         try:
             values.append(float(fields[col]))
-        except ValueError:
-            fault = f"row {line_no}: p_lfc value {fields[col]!r} is not a number"
-            break
-    p = np.array(values)
-    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))  # nan too
-    if outside.size:  # it comes before the fault, if any: walk back to its line
-        line_no = [n for n, row in enumerate(map(str.strip, lines), header_no + 1) if row and row[0] != "#"][outside[0]]
-        raise ValueError(f"{path}: row {line_no}: p_lfc value {values[outside[0]]!r} outside [0, 1]")
-    if fault:
-        raise ValueError(f"{path}: {fault}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number") from exc
+        if not 0.0 <= values[-1] <= 1.0:
+            raise ValueError(f"{path}: row {line_no}: p_lfc value {values[-1]!r} outside [0, 1]")
     if len(values) < 2:
         raise ValueError(f"{path}: need at least two p-values, got {len(values)}")
-    return p
+    return np.array(values)
 
 
 def _parse_grid(text):

@@ -162,7 +162,6 @@ def _part_count(rows: int) -> int:
     return max(1, min(rows // _CSV_PART_ROWS, _usable_cpus()))
 
 
-_CSV_KERNEL_CELLS = 1 << 10  # the fewest cells of a block that _repr_cells formats: fewer are faster by %r (README)
 _POW10 = np.array([1e17, 1e18, 1e19, 1e20])  # exact doubles: 5^20 < 2^53
 _SEP_WORDS = np.frombuffer(b",".ljust(8, b"\0") + b"\n".ljust(8, b"\0"), np.uint64)
 # At 10 * z + d: "0.", z zeros and the digit d, right-aligned after NUL bytes in one uint64.
@@ -170,14 +169,10 @@ _LEAD_WORDS = np.frombuffer(b"".join((b"0." + b"0" * z + b"%d" % d).rjust(8, b"\
                                      for d in range(10)), np.uint64)
 
 
-@functools.cache  # built on the first call: a command that formats no large block, such as simulate, never does
-def _digit_words() -> np.ndarray:
-    """"0000" to "9999" as one uint32 of ASCII each, then at 10000 on the same with their trailing "0"s as NUL bytes."""
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + 48  # row j: digit j of 0000 ... 9999, in ASCII
-    kept = digits > 48
-    for j in (2, 1, 0):
-        kept[j] |= kept[j + 1]  # a digit other than "0" at or after
-    return np.concatenate([digits, digits * kept], axis=1).T.copy().view(np.uint32).ravel()
+# "0000" to "9999" as one uint32 of ASCII each, then at 10000 on the same with their trailing "0"s as NUL bytes.
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + 48  # row j: digit j of 0000 ... 9999, in ASCII
+_KEPT = np.logical_or.accumulate(_DIGITS[::-1] > 48)[::-1]  # row j: a digit other than "0" at or after j
+_DIGIT_WORDS = np.concatenate([_DIGITS, _DIGITS * _KEPT], axis=1).T.copy().view(np.uint32).ravel()
 
 
 def _split(v):
@@ -212,29 +207,29 @@ def _repr_cells(cells: np.ndarray, columns: int) -> str:
     N, D = p.astype(np.int64) + whole.astype(np.int64), e - whole  # p >= 2^53 is a whole number
     hw = np.ldexp(scale, exponent - 54)
     run = domain & (mantissa != 0.5) & (N >= 10**16) & (N < 10**17)  # N has 17 digits unless floor(log10 x) is one off
-    best, s, back = N.copy(), np.zeros(n, np.int64), ~run
-    at, n_at, d_at, hw_at = np.arange(n), N, D, hw  # the cells with a multiple within hw at every s so far
+    s, at = np.zeros(n, np.int64), np.flatnonzero(run)  # s: the last s with a multiple of 10^s within hw so far
+    n_at, d_at, hw_at = N[at], D[at], hw[at]  # of the cells with one at every s so far
     for step in range(1, 17):
         r = n_at % 10**step
-        down, up = d_at < hw_at - r, d_at > (10**step - r) - hw_at  # N - r, N - r + 10^s lie within hw
-        hit = np.flatnonzero((down | up) & run[at])
+        hit = np.flatnonzero((d_at < hw_at - r) | (d_at > (10**step - r) - hw_at))  # N - r or N - r + 10^s
         if not hit.size:
             break
-        at, n_at, d_at, hw_at, r, down, up = at[hit], n_at[hit], d_at[hit], hw_at[hit], r[hit], down[hit], up[hit]
-        near = 2.0 * d_at - (10**step - 2 * r)  # below 0 where N - r is the nearer
-        best[at] = n_at - r + np.where(up & ~(down & (near < 0)), 10**step, 0)
+        at, n_at, d_at, hw_at = at[hit], n_at[hit], d_at[hit], hw_at[hit]
         s[at] = step
-        back[at] = down & up & (near == 0)
-    back |= best >= 10**17
+    unit = 10**s
+    r = N % unit
+    down, up = D < hw - r, D > (unit - r) - hw  # N - r, N - r + 10^s lie within hw
+    near = 2.0 * D - (unit - 2 * r)  # below 0 where N - r is the nearer
+    best = N - r + np.where(up & ~(down & (near < 0)), unit, 0)
+    back = ~run | (down & up & (near == 0)) | (best >= 10**17)
     best[back] = 10**16
     lead = best // 10**16
     hi, lo = np.divmod(best - lead * 10**16, 10**8)
     last = (15 - s) // 4  # the 4-digit group of the last significant digit: NUL from its trailing "0"s on
     words = np.empty((n, 4), np.uint64)  # per cell, text and separator among NUL bytes
     words[:, 0] = _LEAD_WORDS[10 * z + lead]
-    digit_words = _digit_words()
     for j, group in enumerate((hi // 10**4, hi % 10**4, lo // 10**4, lo % 10**4)):
-        words.view(np.uint32)[:, 2 + j] = digit_words[group + 10000 * (last <= j)]
+        words.view(np.uint32)[:, 2 + j] = _DIGIT_WORDS[group + 10000 * (last <= j)]
     words[:, 3] = _SEP_WORDS[0]
     words[columns - 1 :: columns, 3] = _SEP_WORDS[1]
     if (fall := np.flatnonzero(back)).size:  # a repr has at most 24 characters
@@ -243,15 +238,10 @@ def _repr_cells(cells: np.ndarray, columns: int) -> str:
 
 
 def _csv_rows(columns, lo: int, hi: int):
-    """Rows ``lo:hi`` of float columns as ``repr`` text, by blocks of ``_CSV_BLOCK_ROWS`` rows: ``_repr_cells``
-    formats a block of ``_CSV_KERNEL_CELLS`` or more cells, one ``%r`` format call a smaller one."""
-    row = ",".join(["%r"] * len(columns)) + "\n"
+    """Rows ``lo:hi`` of float columns as ``repr`` text, one ``_repr_cells`` call per ``_CSV_BLOCK_ROWS`` rows."""
     for a in range(lo, hi, _CSV_BLOCK_ROWS):
         cells = np.column_stack([col[a:min(a + _CSV_BLOCK_ROWS, hi)] for col in columns]).ravel()  # in row order
-        if cells.size >= _CSV_KERNEL_CELLS:
-            yield _repr_cells(cells, len(columns))
-        else:
-            yield row * (cells.size // len(columns)) % tuple(cells.tolist())
+        yield _repr_cells(cells, len(columns))
 
 
 def _csv_part(columns) -> str:

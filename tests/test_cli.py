@@ -148,10 +148,6 @@ class TestAnalyzeParsing:
             code, _, err = self.analyze_text(capsys, tmp_path, f"p_lfc\n0.1\n{bad}\n0.3\n")
             assert code == 2 and "row 3" in err and "outside [0, 1]" in err
 
-    def test_out_of_range_precedes_later_faults(self, capsys, tmp_path):
-        code, _, err = self.analyze_text(capsys, tmp_path, "p_lfc\n0.1\n1.5\nabc\n0.2,0.3\n")
-        assert code == 2 and err.endswith("row 3: p_lfc value 1.5 outside [0, 1]\n")
-
     def test_multi_column_with_p_lfc_second(self, capsys, tmp_path):
         single = self.analyze_text(capsys, tmp_path, HAND_CSV)
         # A numeric first column must not be mistaken for p_lfc.

@@ -361,6 +361,19 @@ def _expected_ecdf(spec: PopulationSpec, lam: float, c):
     return ef / spec.m
 
 
+def _estimator_variance(spec: PopulationSpec, lam: float, c):
+    """Exact variance of the estimator (either variant) at each threshold of ``c`` under independence.
+
+    The indicators ``1{p_rand <= lambda}`` are then independent, so N is a sum of Binomial(m_g, q_g) with q_g the
+    randomized cdf at lambda of group g, and Var(N) = sum_g m_g q_g (1 - q_g).
+    """
+    var_n = np.zeros_like(c, dtype=float)
+    for count, law in spec.groups:
+        q = _randomized_cdf(lam, c, law)
+        var_n += count * q * (1.0 - q)
+    return var_n / (spec.m * (1.0 - lam)) ** 2
+
+
 def h_value(spec: PopulationSpec, lam: float, c: float) -> float:
     """Exact expectation of the estimator at threshold c."""
     return (1.0 - float(_expected_ecdf(spec, _check_lambda(lam), _probability(c, "c")))) / (1.0 - lam)

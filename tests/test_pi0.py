@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.stats import binom
 
 from _oracles import csv_text_row_first
 from pi0rand import pi0
@@ -20,7 +21,7 @@ from pi0rand.pi0 import (
     schweder_spjotvoll,
 )
 from pi0rand.pvalues import RandomizationRule, TwoSampleTLaw, ZTestLaw, randomize_vector
-from pi0rand.simkit import ModelSpec
+from pi0rand.simkit import ModelSpec, SimulationPlan, run_mc
 from pi0rand.statdist import RngStream
 
 
@@ -123,6 +124,54 @@ class TestExpectedEcdf:
         spec = interior_null_population()
         ef = pi0._expected_ecdf(spec, 0.5, 0.3276)
         assert (1.0 - ef) / 0.5 == pytest.approx(0.7508, abs=1e-3)
+
+
+class TestEstimatorVariance:
+    """The exact variance of the estimator under independence, Var(N) / (m (1 - lambda))^2."""
+
+    LAWS = (ZTestLaw(-1.0), ZTestLaw(2.5), TwoSampleTLaw(1.5, 18))
+    GRID = np.array([0.0, 0.05, 0.3276, 0.5, 0.9, 1.0])
+
+    @staticmethod
+    def q(law, lam, c):
+        """The randomized cdf at lambda, written out from the law's cdf."""
+        return lam * (1.0 - law.cdf(c)) + law.cdf(lam * c)
+
+    def test_one_group_is_the_binomial_closed_form(self):
+        for law in self.LAWS:
+            for lam in (0.3, 0.5, 0.8):
+                got = pi0._estimator_variance(PopulationSpec(((37, law),)), lam, self.GRID)
+                want = binom.var(37, self.q(law, lam, self.GRID)) / (37 * (1.0 - lam)) ** 2
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_two_groups_are_the_variance_of_the_convolved_pmf(self):
+        lam, (m1, m2) = 0.5, (23, 14)
+        spec = PopulationSpec(((m1, self.LAWS[0]), (m2, self.LAWS[1])))
+        k = np.arange(m1 + m2 + 1)
+        for c in self.GRID:
+            pmf = np.convolve(binom.pmf(np.arange(m1 + 1), m1, self.q(self.LAWS[0], lam, c)),
+                              binom.pmf(np.arange(m2 + 1), m2, self.q(self.LAWS[1], lam, c)))
+            var_n = np.sum(k**2 * pmf) - np.sum(k * pmf) ** 2
+            assert pi0._estimator_variance(spec, lam, c) == pytest.approx(var_n / ((m1 + m2) * (1.0 - lam)) ** 2,
+                                                                          rel=1e-9)
+
+    def test_zero_threshold_is_lambda_over_m_one_minus_lambda(self):
+        # Every p-value is replaced at c = 0, so N is Binomial(m, lambda) whatever the laws.
+        for spec in (interior_null_population(), lfc_null_population(),
+                     PopulationSpec(((10, TwoSampleTLaw(-0.5, 18)), (5, TwoSampleTLaw(1.5, 18))))):
+            for lam in (0.25, 0.5, 0.75):
+                want = lam / (spec.m * (1.0 - lam))
+                assert pi0._estimator_variance(spec, lam, 0.0) == pytest.approx(want, rel=1e-12)
+
+    def test_run_mc_variance_agrees_at_the_acceptance_study(self):
+        # The acceptance suite's independent study (10,000 replicates at m = 1000, 21 thresholds, its seed). The
+        # bound is z* se_variance per threshold, z* = 4.575 from a Sidak family false-alarm rate of 1e-4 over 21.
+        spec = ModelSpec("z", ((700, -1 / np.sqrt(50)), (300, 2.5 / np.sqrt(50))), n=50)
+        plan = SimulationPlan(spec=spec, lam=0.5, c_grid=tuple(np.linspace(0.0, 1.0, 21)), replicates=10_000,
+                              seed=20240601)
+        summary = run_mc(plan)
+        exact = pi0._estimator_variance(spec.population(), plan.lam, summary.c_grid)
+        assert np.all(np.abs(summary.variance - exact) <= 4.575 * summary.se_variance)
 
 
 class TestHCurve:

@@ -278,6 +278,9 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     meta = {
         "seed": plan.seed,
         "spec": plan.spec.population().digest(),
+        "model": plan.spec.model,
+        "dependence": plan.spec.dependence,
+        "nu": repr(float(plan.spec.nu)),
         "replicates": reps,
         "lambda": repr(float(plan.lam)),
         "variant": plan.estimator_variant,

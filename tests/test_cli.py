@@ -664,10 +664,10 @@ def test_non_finite_model_flag_exits_2(capsys, command, flags):
 # on one re-keyed stream (x86-64, numpy 2.4, scipy 1.17). Any change to the
 # stream layout or to the p-value arithmetic shows up here.
 _FROZEN_SIMULATE_SHA256 = {
-    ("z", "independent"): "0d2e907045d3fbb822c0ee66dc2df6dec5cb98c1eb528430823250d884d0e469",
-    ("z", "gumbel"): "77ae2c4aa424a0b2982baa232f1ded97f563418883fb4526d8aa07461cadfb0f",
-    ("two-sample", "independent"): "51477cc73e56c5158f6acc917fbe1077009d9a0103d5011f217addb59272e1e8",
-    ("two-sample", "gumbel"): "64ea51d248780636e7a92f22274f37d14e95b4d7d453bfc06c90ea9a407ddc73",
+    ("z", "independent"): "f0bf9381b4ac7e692a1bd37a3fe0700abb61a2fab036c9782489e5d68c8fd48a",
+    ("z", "gumbel"): "a9ffd7ccc725c11766490cc3c376d0632f10e7320cd846aca74ec0d40f9d7286",
+    ("two-sample", "independent"): "cc3686e123c70f234f3c022abedb6e58ad0ae34e00c2a17f71b3e0e7d5616a86",
+    ("two-sample", "gumbel"): "b138bd39606dff640156e471df2e1f55ffd1427e0ef5560f2d28d4816c8afe93",
 }
 
 

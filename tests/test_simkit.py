@@ -348,6 +348,14 @@ class TestRunMc:
         assert len(lines) == header_at + 1 + 6
         assert any(ln.startswith("# seed=") for ln in lines[:header_at])
 
+    def test_csv_names_its_configuration(self):
+        # The spec digest covers the marginals only; the model, the copula and nu have lines of their own.
+        for kw, want in ((dict(), ["# model=z", "# dependence=independent", "# nu=1.0"]),
+                         (dict(dependence="gumbel", nu=2.0), ["# model=z", "# dependence=gumbel", "# nu=2.0"])):
+            header = run_mc(self.small_plan(replicates=5, spec_kw=kw)).to_csv_string().split("\n")[:9]
+            assert header[:2] == ["# seed=51", f"# spec={study_spec(m=100).population().digest()}"]
+            assert header[2:5] == want
+
 
 _KERNEL_SPECS = {
     "z-independent": study_spec(),

@@ -23,13 +23,17 @@ against P^-1(lambda*c) and P^-1(c), mapped once per block. It evaluates
 neither P nor a quantile, and counts the exact p-values also where P(x)
 rounds to 1.0 under a strongly conservative null.
 
-Replicate r owns the streams ``(seed, 2r)`` for data and ``(seed, 2r + 1)``
-for the binomials, so results are bitwise identical for any worker count.
-Replicates run in chunks of ``CHUNK_VALUES`` drawn values on one generator
-re-keyed to each stream in turn, with one transform and one sort per chunk;
-the streams and output bytes are those of one replicate at a time. Under a
-Gumbel copula each row draws its frailty in stream order, and log S and the
-copula uniforms are formed once per chunk.
+Replicates come in groups of ``GROUP`` = 32: group g = r // 32 draws its
+rows from the stream ``(seed, 2g)``, in replicate order, each row's values
+in the order of one row drawn alone, and all its binomials from
+``(seed, 2g + 1)``, row after row, one per grid point. Worker blocks are cut
+at multiples of 32, so results are bitwise identical for any worker count,
+and the replicates of a shorter run are the first ones of a longer run.
+One generator per block is re-keyed twice per group. Rows run in chunks of
+``CHUNK_VALUES`` drawn values, with one draw (the normals of an independent
+model), one transform and one sort per chunk; a Gumbel row draws its
+frailty, then its exponentials, and log S and the copula uniforms are formed
+once per chunk. Each group's binomials are one ``binomial`` call.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
 
 MODELS = ("z", "two_sample")
 DEPENDENCE = ("independent", "gumbel")
+GROUP = 32  # consecutive replicates that share one data stream and one binomial stream
 CHUNK_VALUES = 8192  # random values drawn per chunk of replicates: 8 replicates at m = 1000
 
 
@@ -135,7 +140,7 @@ class SimulationPlan:
         object.__setattr__(self, "c_grid", tuple(_increasing_grid(self.c_grid, "c_grid").tolist()))
         object.__setattr__(self, "replicates", _positive_int(self.replicates, "replicates"))
         object.__setattr__(self, "seed", _checked_uint64(self.seed, "seed"))
-        if 2 * (self.replicates - 1) + 1 >= 2**64:  # last randomization stream id
+        if 2 * ((self.replicates - 1) // GROUP) + 1 >= 2**64:  # the last group's binomial stream id
             raise ValueError("replicate budget exceeds the stream id space")
 
 
@@ -157,35 +162,31 @@ class McSummary:
         return "".join(_csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols))
 
 
-def _gumbel_rows(m: int, nu: float, rng: RngStream, stream_ids) -> np.ndarray:
-    """Per stream id (``None``: ``rng`` as it stands), m uniforms coupled by the Gumbel-Hougaard copula.
+def _gumbel_rows(m: int, nu: float, gen: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` rows of m uniforms coupled by the Gumbel-Hougaard copula, drawn from ``gen`` one row after another.
 
     Frailty construction: with S positive stable of index 1/nu and E_j iid
     standard exponential, ``V_j = exp(-(E_j / S)**(1/nu))``, formed from log S
     as ``exp(-E_j**(1/nu) * exp(-log S / nu))``: S overflows at large nu.
-    The frailty's U and W are drawn before the E_j; each row draws its own
-    in stream order, and log S and V are formed once for the chunk.
+    Each row draws its frailty's U and W, then its E_j; log S and V are formed
+    once for all the rows.
     """
-    alpha, uw, e = 1.0 / nu, np.empty((2, len(stream_ids))), np.empty((len(stream_ids), m))
-    for i, gen in enumerate(_streams(rng, stream_ids)):
-        if alpha < 1.0:  # at nu = 1, S = 1 and no frailty is drawn
+    alpha, e = 1.0 / nu, np.empty((rows, m))
+    if alpha < 1.0:
+        uw = np.empty((2, rows))
+        for i in range(rows):
             uw[:, i] = gen.random(), gen.standard_exponential()
-        gen.standard_exponential(out=e[i])
-    log_s = _kanter_log_stable(alpha, *uw) if alpha < 1.0 else np.zeros(len(stream_ids))
+            gen.standard_exponential(out=e[i])
+        log_s = _kanter_log_stable(alpha, *uw)
+    else:  # at nu = 1, S = 1 and no frailty is drawn
+        gen.standard_exponential(out=e)
+        log_s = np.zeros(rows)
     return np.exp(-(e**alpha) * np.exp(-log_s / nu)[:, None])
-
-
-def _streams(rng: RngStream, stream_ids):
-    """Re-key ``rng`` to each stream id in turn (``None``: leave it as it stands) and yield its generator."""
-    for stream_id in stream_ids:
-        if stream_id is not None:
-            rng.rekey(stream_id)
-        yield rng.generator
 
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     """Generate one LFC p-value vector from the model."""
-    x = _counted_rows(spec, rng, (None,))[0]
+    x = _counted_rows(spec, rng.generator, 1)[0]
     return np.hstack([to_p(x[a:b]) for a, b, to_p, _ in _count_maps(spec)])
 
 
@@ -193,19 +194,20 @@ def _draws_per_replicate(spec: ModelSpec) -> int:
     return spec.m * (spec.n1 + spec.n2 if spec.model == "two_sample" and spec.dependence == "independent" else 1)
 
 
-def _counted_rows(spec: ModelSpec, rng: RngStream, stream_ids) -> np.ndarray:
-    """One row per stream id (``None``: ``rng`` as it stands) of the values a replicate counts: a Gumbel
-    model's copula uniforms, else x = -sqrt(n) * (theta + mean noise) for z and x = -T for two-sample."""
+def _counted_rows(spec: ModelSpec, gen: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` rows, drawn from ``gen`` one after another, of the values a replicate counts: a Gumbel model's
+    copula uniforms, else x = -sqrt(n) * (theta + mean noise) for z and x = -T for two-sample."""
     if spec.dependence == "gumbel":
-        return _gumbel_rows(spec.m, spec.nu, rng, stream_ids)
-    raw = np.empty((len(stream_ids), _draws_per_replicate(spec)))
-    for row, gen in zip(raw, _streams(rng, stream_ids)):
-        gen.standard_normal(out=row)
+        return _gumbel_rows(spec.m, spec.nu, gen, rows)
+    raw = gen.standard_normal((rows, _draws_per_replicate(spec)))
     thetas = np.concatenate([np.full(count, theta) for count, theta in spec.groups])
-    rows, m = raw.shape[0], thetas.size
+    m = thetas.size
     if spec.model == "z":
         with np.errstate(over="ignore"):  # a finite theta whose scaled product overflows has p exactly 0 or 1
-            return -np.sqrt(spec.n) * (thetas + raw / np.sqrt(spec.n))
+            raw /= np.sqrt(spec.n)
+            raw += thetas
+            raw *= -np.sqrt(spec.n)
+        return raw
     x = thetas[:, None] + spec.sigma * raw[:, : m * spec.n1].reshape(rows, m, spec.n1)
     y = spec.sigma * raw[:, m * spec.n1 :].reshape(rows, m, spec.n2)
     xbar, ybar, df = x.mean(axis=-1), y.mean(axis=-1), spec.n1 + spec.n2 - 2
@@ -227,31 +229,36 @@ def _count_maps(spec: ModelSpec) -> list:
 
 
 def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
-    c = np.asarray(plan.c_grid)
-    ranges = [(a, b, *_grid_thresholds(plan.lam, c, from_p)) for a, b, _, from_p in _count_maps(plan.spec)]
-    rows = max(1, CHUNK_VALUES // _draws_per_replicate(plan.spec))
-    rng = RngStream(plan.seed, 2 * start)
-    out = np.empty((stop - start, len(plan.c_grid)))
-    for first in range(start, stop, rows):
-        reps = range(first, min(first + rows, stop))
-        x = _counted_rows(plan.spec, rng, [2 * r for r in reps])
-        for a, b, _, _ in ranges:
-            x[:, a:b].sort(axis=1)
-        for i, r in enumerate(reps):
-            n_low = n_up_trials = 0
-            for a, b, low, up in ranges:
-                d_low, d_up = _grid_counts(x[i, a:b], low, up)
-                n_low, n_up_trials = n_low + d_low, n_up_trials + d_up
-            rng.rekey(2 * r + 1)
-            out[r - start] = n_low + rng.generator.binomial(n_up_trials, plan.lam)  # N, exact in a float
-    return _estimate_from_count(out, plan.spec.m, plan.lam, plan.estimator_variant)
+    """Estimates of replicates start..stop - 1, a row each. A block that starts inside a group runs the group from
+    its first row, since its streams are read in replicate order."""
+    spec, c, first = plan.spec, np.asarray(plan.c_grid), start - start % GROUP
+    ranges = [(a, b, *_grid_thresholds(plan.lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
+    rows = max(1, CHUNK_VALUES // _draws_per_replicate(spec))
+    n = np.empty((stop - first, c.size), dtype=np.int64)  # N per replicate
+    part = np.empty((len(ranges), GROUP, 2, c.size), dtype=np.int64)  # per range and row, #{p <= lambda*c}, #{p >= c}
+    rng = RngStream(plan.seed)
+    for g in range(first // GROUP, -(-stop // GROUP)):
+        a0, b0 = GROUP * g - first, min(GROUP * (g + 1), stop) - first
+        rng.rekey(2 * g)
+        for lo in range(0, b0 - a0, rows):
+            x = _counted_rows(spec, rng.generator, min(rows, b0 - a0 - lo))
+            for j, (a, b, low, up) in enumerate(ranges):
+                x[:, a:b].sort(axis=1)
+                for i, row in enumerate(x[:, a:b], lo):
+                    part[j, i] = _grid_counts(row, low, up)
+        counts = part[:, : b0 - a0].sum(axis=0)
+        rng.rekey(2 * g + 1)
+        n[a0:b0] = counts[:, 0] + rng.generator.binomial(counts[:, 1], plan.lam)
+    return _estimate_from_count(n[start - first :], spec.m, plan.lam, plan.estimator_variant)
 
 
 def _blocks(reps: int, workers: int) -> list:
-    """Contiguous non-empty replicate ranges, one per worker and at most one per usable CPU."""
-    n = min(workers, reps, _usable_cpus())
-    bounds = np.linspace(0, reps, n + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    """Contiguous non-empty replicate ranges cut at multiples of ``GROUP``, one per worker and at most one per
+    usable CPU."""
+    groups = -(-reps // GROUP)
+    n = min(workers, groups, _usable_cpus())
+    bounds = [min(GROUP * (groups * k // n), reps) for k in range(n + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:

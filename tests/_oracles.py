@@ -167,32 +167,31 @@ def gumbel_uniforms_reference(m: int, nu: float, seed: int, stream_id: int) -> n
 
 
 def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
-    """The Monte Carlo kernel as one loop over replicates, with fresh streams.
+    """The Monte Carlo kernel as one loop over replicates, with fresh streams per group of 32.
 
-    Replicate r builds its own Philox streams: ``(seed, 2r)`` generates the LFC
-    vector (as one vector, no chunking) and ``(seed, 2r + 1)`` draws one
-    binomial per threshold. The marginal quantiles and the copula uniforms are
-    the library's; everything else is written out here.
+    Group g = r // 32 builds its own Philox streams: ``(seed, 2g)`` generates
+    the LFC vectors of its replicates one after another (each as one vector,
+    no chunking) and ``(seed, 2g + 1)`` draws one binomial per threshold, a
+    call per replicate, in the same order. A group is run from its first
+    replicate, whether or not ``start`` is. The marginal quantiles and the
+    copula uniforms are the library's; everything else is written out here.
     """
-    from types import SimpleNamespace
-
     from scipy import special
 
     from pi0rand.simkit import _gumbel_rows
 
     def stream(stream_id):
-        key = np.array([plan.seed, stream_id], dtype=np.uint64)
-        return SimpleNamespace(generator=np.random.Generator(np.random.Philox(key=key)))
+        return np.random.Generator(np.random.Philox(key=np.array([plan.seed, stream_id], dtype=np.uint64)))
 
     spec, c, lam = plan.spec, np.asarray(plan.c_grid), plan.lam
     thetas = np.concatenate([np.full(count, theta) for count, theta in spec.groups])
     m = thetas.size
     out = np.empty((stop - start, c.size))
-    for r in range(start, stop):
-        rng = stream(2 * r)
-        gen = rng.generator
+    for r in range(start - start % 32, stop):
+        if r % 32 == 0:
+            gen, binomials = stream(2 * (r // 32)), stream(2 * (r // 32) + 1)
         if spec.dependence == "gumbel":
-            v = _gumbel_rows(m, spec.nu, rng, (None,))[0]
+            v = _gumbel_rows(m, spec.nu, gen, 1)[0]
             p = np.empty(m)
             offset = 0
             for count, theta in spec.groups:
@@ -213,11 +212,12 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
         p = np.sort(p)
         n_low = np.where(c > 0.0, np.searchsorted(p, lam * c, side="right"), 0)
         n_up_trials = m - np.searchsorted(p, c, side="left")
-        n_up = stream(2 * r + 1).generator.binomial(n_up_trials, lam)
+        n_up = binomials.binomial(n_up_trials, lam)
         est = (1.0 - (n_low + n_up) / m) / (1.0 - lam)
         if plan.estimator_variant == "storey_plus":
             est += 1.0 / (m * (1.0 - lam))
-        out[r - start] = est
+        if r >= start:
+            out[r - start] = est
     return out
 
 

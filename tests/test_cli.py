@@ -664,10 +664,10 @@ def test_non_finite_model_flag_exits_2(capsys, command, flags):
 # on one re-keyed stream (x86-64, numpy 2.4, scipy 1.17). Any change to the
 # stream layout or to the p-value arithmetic shows up here.
 _FROZEN_SIMULATE_SHA256 = {
-    ("z", "independent"): "f0bf9381b4ac7e692a1bd37a3fe0700abb61a2fab036c9782489e5d68c8fd48a",
-    ("z", "gumbel"): "a9ffd7ccc725c11766490cc3c376d0632f10e7320cd846aca74ec0d40f9d7286",
-    ("two-sample", "independent"): "cc3686e123c70f234f3c022abedb6e58ad0ae34e00c2a17f71b3e0e7d5616a86",
-    ("two-sample", "gumbel"): "b138bd39606dff640156e471df2e1f55ffd1427e0ef5560f2d28d4816c8afe93",
+    ("z", "independent"): "0c9205db75000915a6678aa3cd5691aedcda086d86ad44405387c793fa6309db",
+    ("z", "gumbel"): "4a882cace72b1b84d8f17ae5ca1e141d96a4f656a03d58d981272d3c5b6fdd6e",
+    ("two-sample", "independent"): "376663f7c102d51d2a39c4bda3d76544d9f5bbb7e97561ede1c184d3d7ce197c",
+    ("two-sample", "gumbel"): "a1542521fc1ac5784efe72c5c119654b28ff7b50a77d9840a388eb88f95e6e7a",
 }
 
 

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,15 +175,21 @@ class TestGenLfcPvalues:
 
 @pytest.fixture(scope="module")
 def gumbel_pairs():
-    """1e5 independent bivariate draws of the nu=2 copula (one frailty each)."""
-    return _gumbel_rows(2, 2.0, RngStream(4100, 0), range(100_000))
+    """1e5 independent bivariate draws of the nu=2 copula (one frailty each), row i from stream (4100, i)."""
+    rng = RngStream(4100, 0)
+
+    def row(stream_id):
+        rng.rekey(stream_id)
+        return _gumbel_rows(2, 2.0, rng.generator, 1)[0]
+
+    return np.array([row(i) for i in range(100_000)])
 
 
 class TestGumbelUniforms:
     def test_nu_one_is_independent(self):
         # At nu = 1 the copula is the product copula, so a single vector is
         # already iid uniform and within-vector pairs are independent.
-        v = _gumbel_rows(2 * 100_000, 1.0, RngStream(41, 0), (None,))[0].reshape(-1, 2)
+        v = _gumbel_rows(2 * 100_000, 1.0, RngStream(41, 0).generator, 1)[0].reshape(-1, 2)
         tau = kendalltau(v[:, 0], v[:, 1]).statistic
         # 3 sigma of the null Kendall tau for this sample size.
         se = np.sqrt(2.0 * (2 * v.shape[0] + 5) / (9.0 * v.shape[0] * (v.shape[0] - 1)))
@@ -202,7 +209,7 @@ class TestGumbelUniforms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for stream_id in (2, 24, 57):
-                assert np.all(_gumbel_rows(100, 200.0, RngStream(9, stream_id), (None,))[0] < 1.0)
+                assert np.all(_gumbel_rows(100, 200.0, RngStream(9, stream_id).generator, 1)[0] < 1.0)
 
     @pytest.mark.parametrize("nu", [1.0, 1.001, 2.0, 5.0, 200.0, 1000.0])
     def test_matches_the_written_out_reference(self, nu):
@@ -211,7 +218,7 @@ class TestGumbelUniforms:
             warnings.simplefilter("error")
             for stream_id in range(200):
                 want = gumbel_uniforms_reference(50, nu, 2**63 + 11, stream_id)
-                got = _gumbel_rows(50, nu, RngStream(2**63 + 11, stream_id), (None,))[0]
+                got = _gumbel_rows(50, nu, RngStream(2**63 + 11, stream_id).generator, 1)[0]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -269,8 +276,10 @@ class TestRunMc:
             self.small_plan(c_grid=(0.5, 0.2))
         with pytest.raises(ValueError):
             self.small_plan(lam=1.0)
+        # The last group, (reps - 1) // 32, draws its binomials from stream 2 * group + 1 < 2^64.
+        assert self.small_plan(replicates=2**68).replicates == 2**68
         with pytest.raises(ValueError, match="stream id space"):
-            self.small_plan(replicates=2**63 + 1)
+            self.small_plan(replicates=2**68 + 1)
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
     def test_plan_rejects_bad_seed(self, bad):
@@ -292,10 +301,23 @@ class TestRunMc:
         cpus = _usable_cpus()
         for reps, workers in ((1, 1), (1, 8), (120, 3), (7, 10**6), (10_000, 10**6)):
             blocks = _blocks(reps, workers)
-            assert len(blocks) == min(workers, reps, cpus)
+            assert len(blocks) == min(workers, -(-reps // simkit.GROUP), cpus)
             assert blocks[0][0] == 0 and blocks[-1][1] == reps
             assert all(b > a for a, b in blocks)
             assert all(x[1] == y[0] for x, y in zip(blocks, blocks[1:]))
+
+    def test_blocks_are_cut_at_multiples_of_the_group(self, monkeypatch):
+        # Each group's streams are read from its first row, so a block that starts inside a group would
+        # draw that group's rows twice.
+        assert simkit.GROUP == 32
+        for cpus in (2, 3, 7, 64):
+            monkeypatch.setattr(simkit, "_usable_cpus", lambda: cpus)
+            for reps in (1, 31, 32, 33, 100, 1000, 10_000):
+                blocks = _blocks(reps, 10**6)
+                assert len(blocks) == min(cpus, -(-reps // 32))
+                assert [a for a, _ in blocks] == [a for a, _ in blocks if a % 32 == 0]
+                assert blocks[0][0] == 0 and blocks[-1][1] == reps
+                assert all(b > a for a, b in blocks) and all(x[1] == y[0] for x, y in zip(blocks, blocks[1:]))
 
     def test_usable_cpus_are_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
@@ -332,7 +354,7 @@ class TestRunMc:
 
         monkeypatch.setattr(simkit, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(simkit, "_replicate_block", block)
-        with pytest.raises(LookupError, match="^block from 20 failed$"):
+        with pytest.raises(LookupError, match="^block from 32 failed$"):
             run_mc(self.small_plan(replicates=40), workers=2)
         assert multiprocessing.active_children() == []
 
@@ -384,8 +406,16 @@ class TestChunkedKernel:
         assert np.array_equal(_replicate_block(plan, 5, 42), expected)
 
     @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, name):
+        # 40 replicates end 8 rows into the second group; they are the first 40 of a 100-replicate run.
+        plan = SimulationPlan(spec=_KERNEL_SPECS[name], c_grid=(0.0, 0.3, 0.7, 1.0), replicates=100, seed=91)
+        longer = _replicate_block(plan, 0, 100)
+        assert np.array_equal(_replicate_block(replace(plan, replicates=40), 0, 40), longer[:40])
+        assert np.array_equal(np.concatenate([_replicate_block(plan, 0, 37), _replicate_block(plan, 37, 100)]), longer)
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS))
     def test_run_mc_workers_one_and_two(self, name):
-        plan = SimulationPlan(spec=_KERNEL_SPECS[name], replicates=21, seed=77)
+        plan = SimulationPlan(spec=_KERNEL_SPECS[name], replicates=40, seed=77)  # two groups: two blocks
         serial, parallel = run_mc(plan, workers=1), run_mc(plan, workers=2)
         for field in ("mean", "variance", "mse", "se_mean", "se_variance"):
             assert np.array_equal(getattr(serial, field), getattr(parallel, field))
@@ -394,13 +424,18 @@ class TestChunkedKernel:
     def test_gen_lfc_pvalues_is_one_row(self):
         # The public generator maps one counted row of a chunk to its p-values, drawn from the stream as it stands.
         for spec in _KERNEL_SPECS.values():
-            chunk = simkit._counted_rows(spec, RngStream(81, 0), [4, 6, 8])
-            assert np.array_equal(simkit._counted_rows(spec, RngStream(81, 6), [None])[0], chunk[1])
-            p = gen_lfc_pvalues(spec, RngStream(81, 6))
-            assert all(np.array_equal(p[a:b], to_p(chunk[1, a:b])) for a, b, to_p, _ in simkit._count_maps(spec))
+            # A chunk's rows are the rows drawn one at a time from the same stream.
+            chunk = simkit._counted_rows(spec, RngStream(81, 6).generator, 3)
+            rng = RngStream(81, 6)
+            rows = [simkit._counted_rows(spec, rng.generator, 1)[0] for _ in range(3)]
+            assert all(np.array_equal(row, chunk[i]) for i, row in enumerate(rows))
+            rng = RngStream(81, 6)
+            p = [gen_lfc_pvalues(spec, rng) for _ in range(2)]
+            for i in range(2):
+                assert all(np.array_equal(p[i][a:b], to_p(chunk[i, a:b])) for a, b, to_p, _ in simkit._count_maps(spec))
             advanced = RngStream(81, 6)
             advanced.generator.random(3)
-            assert not np.array_equal(gen_lfc_pvalues(spec, advanced), p)
+            assert not np.array_equal(gen_lfc_pvalues(spec, advanced), p[0])
 
 
 def _two_sample_gumbel(df, ncps, count=200):
@@ -436,12 +471,14 @@ class TestThresholdKernel:
     def test_a_quantile_rounded_to_one_is_not_replaced_at_c_one(self):
         # At theta*sqrt(n) = -7.07 the null quantile Q(v) rounds to exactly 1.0 for v above ~0.89, so counting
         # p-values would randomize about a tenth of the nulls at c = 1. The uniforms below 1 stay below
-        # F(1) = 1, as for the exact p-values, and the mean meets the exact curve; the other columns are the
-        # quantile oracle's.
+        # F(1) = 1, as for the exact p-values, and the mean meets the exact curve. Without c = 1 the kernel is the
+        # quantile oracle; with it, the oracle's c = 1 column differs (and, since a group draws its binomials row
+        # after row, so do its later draws).
         spec = ModelSpec("z", ((700, -1.0), (300, 0.5)), n=50, dependence="gumbel", nu=2.0)
         plan = SimulationPlan(spec=spec, c_grid=(0.5, 0.9, 1.0), replicates=2000, seed=3)
-        kernel, oracle = _replicate_block(plan, 0, 200), replicate_block_per_replicate(plan, 0, 200)
-        assert np.array_equal(kernel[:, :2], oracle[:, :2]) and not np.array_equal(kernel[:, 2], oracle[:, 2])
+        below_one = replace(plan, c_grid=(0.5, 0.9))
+        assert np.array_equal(_replicate_block(below_one, 0, 200), replicate_block_per_replicate(below_one, 0, 200))
+        assert not np.array_equal(_replicate_block(plan, 0, 200)[:, 2], replicate_block_per_replicate(plan, 0, 200)[:, 2])
         summary = run_mc(plan)
         exact = h_curve(spec.population(), plan.lam, plan.c_grid).values["value"]
         assert np.all(np.abs(summary.mean - exact) <= 4.0 * summary.se_mean)
@@ -497,7 +534,9 @@ class TestCountingKernel:
         n_explicit = np.empty_like(n_kernel)
         rng = RngStream(62, 0)
         for r in range(plan.replicates):
-            p = gen_lfc_pvalues(spec, RngStream(plan.seed, 2 * r))
+            if r % simkit.GROUP == 0:  # the group's data stream; each call draws the next replicate's vector
+                data = RngStream(plan.seed, 2 * (r // simkit.GROUP))
+            p = gen_lfc_pvalues(spec, data)
             for k, c in enumerate(plan.c_grid):
                 prand = randomize_vector(p, RandomizationRule.constant(c), rng)
                 n_explicit[r, k] = np.count_nonzero(prand <= plan.lam)

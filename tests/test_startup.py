@@ -232,7 +232,7 @@ def test_workers_fork_from_a_one_thread_parent(tmp_path):
             "threads, fork = [], os.fork\n"
             f"os.fork = lambda: (threads.append({THREADS}), fork())[1]\n"
             "assert cli.main(['analyze', sys.argv[1], '--seed', '9', '--out', sys.argv[2]]) == 0\n"
-            "assert cli.main(['simulate', '--model', 'z', '--m', '100', '--reps', '4', '--workers', '2', "
+            "assert cli.main(['simulate', '--model', 'z', '--m', '100', '--reps', '40', '--workers', '2', "
             "'--out', sys.argv[2]]) == 0\n"
             "print('threads at each fork:', *threads)")
     out = _run(code, str(src), str(tmp_path / "out.csv"), env=_blas_env())

@@ -3,6 +3,7 @@
 
 1. Bias, variance and MSE by Monte Carlo, with independent p-values and under a Gumbel copula
    (nu = 2): `pi0rand simulate`, which runs first and checks the flags before any file is written.
+   For independent p-values, the exact MSE at c* and at c = 1 is printed beside the Monte Carlo one.
 2. The exact curve h(lambda, c) and its minimizer c*, nulls below the LFC and at it: `curves`, `cstar`.
 3. The data-driven c0 on one simulated dataset: the g curve and the ecdf of its p-values.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from pi0rand import cli
-from pi0rand.pi0 import CurveTable, EstimatorConfig, schweder_spjotvoll
+from pi0rand.pi0 import CurveTable, EstimatorConfig, _estimator_variance, cstar_search, h_value, schweder_spjotvoll
 from pi0rand.pvalues import RandomizationRule, randomize_vector
 from pi0rand.simkit import ModelSpec, gen_lfc_pvalues
 from pi0rand.statdist import RngStream
@@ -34,6 +35,16 @@ def pi0rand(*argv):
         raise SystemExit(code)
 
 
+def _mse_line(spec, rows):
+    """The exact MSE of the estimator at c* and at c = 1, each beside the Monte Carlo MSE at the nearest grid point."""
+    pop, parts = spec.population(), []
+    for name, c in (("c*", cstar_search(pop, LAM).c_star), ("c", 1.0)):
+        mse = float(_estimator_variance(pop, LAM, c)) + (h_value(pop, LAM, c) - spec.pi0) ** 2
+        row = min(rows, key=lambda r: abs(float(r["c"]) - c))
+        parts.append(f"at {name}={c:.4f} {mse:.3e} (Monte Carlo at c={float(row['c']):.2f}: {float(row['mse']):.3e})")
+    return "exact mse " + ", ".join(parts)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out-dir", dest="out", type=Path, default=Path("results"))
@@ -47,6 +58,8 @@ def main():
     except OSError as exc:
         parser.error(f"--out-dir: {exc.strerror}")
 
+    n_null = round(PI0 * M)
+    spec = ModelSpec("z", ((n_null, THETA_NULL), (M - n_null, THETA_ALT)), n=N)
     for copula in ("independent", "gumbel"):
         path = out / f"mc_{copula}.csv"
         pi0rand("simulate", *STUDY, f"--theta-null={THETA_NULL!r}", "--copula", copula, "--nu", 2.0,
@@ -55,6 +68,8 @@ def main():
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
         best = min(rows, key=lambda row: float(row["mse"]))
         print(f"{copula}: var(c=1)={float(rows[-1]['variance']):.3e} mse argmin c={float(best['c']):.2f} -> {path}")
+        if copula == "independent":  # the paper's MSE claim, exact: independent indicators make N a sum of binomials
+            print(f"{copula}: {_mse_line(spec, rows)}")
 
     for name, theta_null in (("interior_null", THETA_NULL), ("lfc_null", 0.0)):
         path = out / f"h_curve_{name}.csv"
@@ -63,8 +78,6 @@ def main():
         print(f"{name} -> {path}")
         pi0rand("cstar", *model)
 
-    n_null = round(PI0 * M)
-    spec = ModelSpec("z", ((n_null, THETA_NULL), (M - n_null, THETA_ALT)), n=N)
     p = gen_lfc_pvalues(spec, RngStream(args.seed, 0))
     cands = candidate_set(p, LAM)
     g_meta = {"quantity": "g", "lambda": repr(LAM), "seed": args.seed}

@@ -12,7 +12,9 @@ p-values, the expected ecdf of the randomized p-values at threshold c is
 
 from which the exact expectation curve ``h(lambda, c)`` of the estimator
 and its minimizing threshold ``c_star`` follow. ``h`` depends on the
-marginals only, never on the dependence structure.
+marginals only, never on the dependence structure. Under independence the
+variance is exact too, since N = #{p_rand <= lambda} is then a sum of
+binomials.
 """
 
 from __future__ import annotations

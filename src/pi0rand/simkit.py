@@ -171,16 +171,12 @@ def _gumbel_rows(m: int, nu: float, gen: np.random.Generator, rows: int) -> np.n
     Each row draws its frailty's U and W, then its E_j; log S and V are formed
     once for all the rows.
     """
-    alpha, e = 1.0 / nu, np.empty((rows, m))
-    if alpha < 1.0:
-        uw = np.empty((2, rows))
-        for i in range(rows):
+    alpha, uw, e = 1.0 / nu, np.empty((2, rows)), np.empty((rows, m))
+    for i in range(rows):
+        if alpha < 1.0:  # at nu = 1, S = 1 and no frailty is drawn
             uw[:, i] = gen.random(), gen.standard_exponential()
-            gen.standard_exponential(out=e[i])
-        log_s = _kanter_log_stable(alpha, *uw)
-    else:  # at nu = 1, S = 1 and no frailty is drawn
-        gen.standard_exponential(out=e)
-        log_s = np.zeros(rows)
+        gen.standard_exponential(out=e[i])
+    log_s = _kanter_log_stable(alpha, *uw) if alpha < 1.0 else np.zeros(rows)
     return np.exp(-(e**alpha) * np.exp(-log_s / nu)[:, None])
 
 

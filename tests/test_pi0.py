@@ -163,6 +163,13 @@ class TestEstimatorVariance:
                 want = lam / (spec.m * (1.0 - lam))
                 assert pi0._estimator_variance(spec, lam, 0.0) == pytest.approx(want, rel=1e-12)
 
+    def test_exact_mse_is_smaller_at_c_star_than_at_one(self):
+        # The paper's MSE claim for the study population, exact: randomizing at c* beats the LFC p-values (c = 1).
+        spec, pi0_true = interior_null_population(), 0.7
+        c_star = cstar_search(spec, 0.5).c_star
+        mse = [pi0._estimator_variance(spec, 0.5, c) + (h_value(spec, 0.5, c) - pi0_true) ** 2 for c in (c_star, 1.0)]
+        assert mse[0] < mse[1]
+
     def test_run_mc_variance_agrees_at_the_acceptance_study(self):
         # The acceptance suite's independent study (10,000 replicates at m = 1000, 21 thresholds, its seed). The
         # bound is z* se_variance per threshold, z* = 4.575 from a Sidak family false-alarm rate of 1e-4 over 21.

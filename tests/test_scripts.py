@@ -34,6 +34,7 @@ def test_reproduce_writes_the_seven_tables(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
     assert digests == TABLES
     assert "c_star = 0.3275" in proc.stdout and "c_star = 1.0\n" in proc.stdout
+    assert "independent: exact mse at c*=0.3276 " in proc.stdout and ", at c=1.0000 " in proc.stdout
 
 
 @pytest.mark.parametrize("script,args,outputs", [

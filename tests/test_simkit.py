@@ -230,7 +230,7 @@ class TestRunMc:
         defaults.update(kw)
         return SimulationPlan(**defaults)
 
-    def test_mean_matches_exact_curve_within_exact_se(self):
+    def test_mean_is_within_exact_se_of_h(self):
         # h(lambda, 0) = 1, and the c = 0 column is pure Binomial(m, lambda) draws. Per threshold the bound is
         # z* sqrt(Var_exact(c) / reps), z* = 4.305 from a Sidak family false-alarm rate of 1e-4 over the six.
         plan = self.small_plan(replicates=20_000)
@@ -315,7 +315,7 @@ class TestRunMc:
             for reps in (1, 31, 32, 33, 100, 1000, 10_000):
                 blocks = _blocks(reps, 10**6)
                 assert len(blocks) == min(cpus, -(-reps // 32))
-                assert [a for a, _ in blocks] == [a for a, _ in blocks if a % 32 == 0]
+                assert all(a % 32 == 0 for a, _ in blocks)
                 assert blocks[0][0] == 0 and blocks[-1][1] == reps
                 assert all(b > a for a, b in blocks) and all(x[1] == y[0] for x, y in zip(blocks, blocks[1:]))
 
@@ -424,15 +424,12 @@ class TestChunkedKernel:
     def test_gen_lfc_pvalues_is_one_row(self):
         # The public generator maps one counted row of a chunk to its p-values, drawn from the stream as it stands.
         for spec in _KERNEL_SPECS.values():
-            # A chunk's rows are the rows drawn one at a time from the same stream.
+            # A chunk's rows are the rows that calls on the same stream draw one at a time.
             chunk = simkit._counted_rows(spec, RngStream(81, 6).generator, 3)
             rng = RngStream(81, 6)
-            rows = [simkit._counted_rows(spec, rng.generator, 1)[0] for _ in range(3)]
-            assert all(np.array_equal(row, chunk[i]) for i, row in enumerate(rows))
-            rng = RngStream(81, 6)
-            p = [gen_lfc_pvalues(spec, rng) for _ in range(2)]
-            for i in range(2):
-                assert all(np.array_equal(p[i][a:b], to_p(chunk[i, a:b])) for a, b, to_p, _ in simkit._count_maps(spec))
+            p = [gen_lfc_pvalues(spec, rng) for _ in chunk]
+            for row, p_row in zip(chunk, p):
+                assert all(np.array_equal(p_row[a:b], to_p(row[a:b])) for a, b, to_p, _ in simkit._count_maps(spec))
             advanced = RngStream(81, 6)
             advanced.generator.random(3)
             assert not np.array_equal(gen_lfc_pvalues(spec, advanced), p[0])

@@ -230,14 +230,24 @@ class TestRunMc:
         defaults.update(kw)
         return SimulationPlan(**defaults)
 
-    def test_mean_is_within_exact_se_of_h(self):
+    @pytest.fixture(scope="class")
+    def exact_gate(self):
         # h(lambda, 0) = 1, and the c = 0 column is pure Binomial(m, lambda) draws. Per threshold the bound is
         # z* sqrt(Var_exact(c) / reps), z* = 4.305 from a Sidak family false-alarm rate of 1e-4 over the six.
         plan = self.small_plan(replicates=20_000)
         pop, c = plan.spec.population(), np.asarray(plan.c_grid)
         h = h_curve(pop, plan.lam, c).column()
         bound = 4.305 * np.sqrt(pi0._estimator_variance(pop, plan.lam, c) / plan.replicates)
-        assert np.all(np.abs(run_mc(plan).mean - h) <= bound)
+        return run_mc(plan).mean, h, bound
+
+    def test_zero_threshold_mean_is_one(self, exact_gate):
+        mean, h, bound = exact_gate
+        assert h[0] == 1.0
+        assert abs(mean[0] - 1.0) <= bound[0]
+
+    def test_mean_matches_exact_curve(self, exact_gate):
+        mean, h, bound = exact_gate
+        assert np.all(np.abs(mean - h) <= bound)
 
     def test_mse_identity(self):
         summary = run_mc(self.small_plan())

@@ -12,8 +12,10 @@ with a fixed replicate budget. Given the LFC vector p, the estimator sees the
 randomized vector only through N = #{p_rand <= lambda}, and exactly
 N = #{p <= lambda*c} + Binomial(#{p >= c}, lambda) (first term 0 at c = 0),
 so a replicate needs one binomial per grid point. Every model draws a row x
-with p = P(x), P increasing: the statistic with P = ndtr (z) or the central
-t cdf (two-sample), or the copula uniforms with P = Q_g on group g. With
+with p = P(x), P increasing: uniforms with P = Q_g on group g (the copula
+uniforms, or iid uniforms for an independent z model, whose p-values are iid
+with cdf F_g within group g and so have the law of Q_g(U)), or for an
+independent two-sample model its statistic with P the central t cdf. With
 P^-1 the inverse (the cdf F_g of Q_g; -inf at 0 and +inf at 1 for a statistic),
 
     #{P(x) <= t} = #{x <= P^-1(t)}    and    #{P(x) >= t} = #{x >= P^-1(t)},
@@ -30,10 +32,13 @@ in the order of one row drawn alone, and all its binomials from
 at multiples of 32, so results are bitwise identical for any worker count,
 and the replicates of a shorter run are the first ones of a longer run.
 One generator per block is re-keyed twice per group. Rows run in chunks of
-``CHUNK_VALUES`` drawn values, with one draw (the normals of an independent
-model), one transform and one sort per chunk; a Gumbel row draws its
-frailty, then its exponentials, and log S and the copula uniforms are formed
-once per chunk. Each group's binomials are one ``binomial`` call.
+``CHUNK_VALUES`` drawn values, with one draw (the uniforms of an independent
+z model, the normals of an independent two-sample model, then its statistics)
+and one sort per chunk; a Gumbel row draws its frailty, then its
+exponentials, and log S and the copula uniforms are formed once per chunk.
+Each group's binomials are one ``binomial`` call. ``gen_lfc_pvalues`` is
+the data-level sampler: it draws an independent z model's statistics, not
+the uniforms the kernel counts.
 """
 
 from __future__ import annotations
@@ -181,9 +186,19 @@ def _gumbel_rows(m: int, nu: float, gen: np.random.Generator, rows: int) -> np.n
 
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> np.ndarray:
-    """Generate one LFC p-value vector from the model."""
+    """Generate one LFC p-value vector from the model. An independent z model's comes from its statistics
+    -sqrt(n) * (theta + mean noise), where the Monte Carlo kernel draws uniforms instead; every other model's maps
+    one counted row to its p-values."""
+    if spec.model == "z" and spec.dependence == "independent":
+        noise = rng.generator.standard_normal(spec.m) / np.sqrt(spec.n)
+        with np.errstate(over="ignore"):  # a finite theta whose scaled product overflows has p exactly 0 or 1
+            return _special.ndtr(-np.sqrt(spec.n) * (_thetas(spec) + noise))
     x = _counted_rows(spec, rng.generator, 1)[0]
     return np.hstack([to_p(x[a:b]) for a, b, to_p, _ in _count_maps(spec)])
+
+
+def _thetas(spec: ModelSpec) -> np.ndarray:
+    return np.concatenate([np.full(count, theta) for count, theta in spec.groups])
 
 
 def _draws_per_replicate(spec: ModelSpec) -> int:
@@ -192,18 +207,13 @@ def _draws_per_replicate(spec: ModelSpec) -> int:
 
 def _counted_rows(spec: ModelSpec, gen: np.random.Generator, rows: int) -> np.ndarray:
     """``rows`` rows, drawn from ``gen`` one after another, of the values a replicate counts: a Gumbel model's
-    copula uniforms, else x = -sqrt(n) * (theta + mean noise) for z and x = -T for two-sample."""
+    copula uniforms, an independent z model's iid uniforms, and x = -T for an independent two-sample model."""
     if spec.dependence == "gumbel":
         return _gumbel_rows(spec.m, spec.nu, gen, rows)
-    raw = gen.standard_normal((rows, _draws_per_replicate(spec)))
-    thetas = np.concatenate([np.full(count, theta) for count, theta in spec.groups])
-    m = thetas.size
     if spec.model == "z":
-        with np.errstate(over="ignore"):  # a finite theta whose scaled product overflows has p exactly 0 or 1
-            raw /= np.sqrt(spec.n)
-            raw += thetas
-            raw *= -np.sqrt(spec.n)
-        return raw
+        return gen.random((rows, spec.m))
+    raw = gen.standard_normal((rows, _draws_per_replicate(spec)))
+    thetas, m = _thetas(spec), spec.m
     x = thetas[:, None] + spec.sigma * raw[:, : m * spec.n1].reshape(rows, m, spec.n1)
     y = spec.sigma * raw[:, m * spec.n1 :].reshape(rows, m, spec.n2)
     xbar, ybar, df = x.mean(axis=-1), y.mean(axis=-1), spec.n1 + spec.n2 - 2
@@ -214,14 +224,12 @@ def _counted_rows(spec: ModelSpec, gen: np.random.Generator, rows: int) -> np.nd
 def _count_maps(spec: ModelSpec) -> list:
     """``(start, stop, to_p, from_p)`` per column range of a counted row: ``to_p`` maps its values to their
     p-values, increasing, and ``from_p`` maps a p-value threshold back to the counted scale."""
-    if spec.dependence == "gumbel":
-        groups = spec.population().groups
-        stops = np.cumsum([count for count, _ in groups])
-        return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, law) in zip(stops, groups)]
-    if spec.model == "z":
-        return [(0, spec.m, _special.ndtr, _special.ndtri)]
-    df = spec.n1 + spec.n2 - 2
-    return [(0, spec.m, lambda x: _special.stdtr(df, x), lambda p: _t_quantile(p, df))]
+    if spec.model == "two_sample" and spec.dependence == "independent":
+        df = spec.n1 + spec.n2 - 2
+        return [(0, spec.m, lambda x: _special.stdtr(df, x), lambda p: _t_quantile(p, df))]
+    groups = spec.population().groups
+    stops = np.cumsum([count for count, _ in groups])
+    return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, law) in zip(stops, groups)]
 
 
 def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:

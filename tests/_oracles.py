@@ -6,8 +6,9 @@ fraction for the regularized incomplete beta, quantiles from bisection on
 those cdfs, and g from direct indicator counting. Three helpers read the
 library's marginal laws instead, since what they check is a property of
 those laws: ``validity_diagnostic`` and ``stochastic_order_diagnostic``
-(the paper's validity and stochastic-order conditions, on grids) and
-``replicate_block_per_replicate`` (its quantiles and copula uniforms).
+(the paper's validity and stochastic-order conditions, on grids),
+``replicate_block_per_replicate`` (its quantiles and copula uniforms) and
+``count_pmf_under_independence`` (its cdfs).
 """
 
 import math
@@ -173,8 +174,11 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     the LFC vectors of its replicates one after another (each as one vector,
     no chunking) and ``(seed, 2g + 1)`` draws one binomial per threshold, a
     call per replicate, in the same order. A group is run from its first
-    replicate, whether or not ``start`` is. The marginal quantiles and the
-    copula uniforms are the library's; everything else is written out here.
+    replicate, whether or not ``start`` is. An independent z vector maps m
+    uniforms through each group's quantile, as a Gumbel vector maps its copula
+    uniforms; a two-sample vector without a copula comes from its raw data.
+    The marginal quantiles and the copula uniforms are the library's;
+    everything else is written out here.
     """
     from scipy import special
 
@@ -190,16 +194,13 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     for r in range(start - start % 32, stop):
         if r % 32 == 0:
             gen, binomials = stream(2 * (r // 32)), stream(2 * (r // 32) + 1)
-        if spec.dependence == "gumbel":
-            v = _gumbel_rows(m, spec.nu, gen, 1)[0]
+        if spec.dependence == "gumbel" or spec.model == "z":
+            v = _gumbel_rows(m, spec.nu, gen, 1)[0] if spec.dependence == "gumbel" else gen.random(m)
             p = np.empty(m)
             offset = 0
             for count, theta in spec.groups:
                 p[offset : offset + count] = spec.marginal_law(theta).quantile(v[offset : offset + count])
                 offset += count
-        elif spec.model == "z":
-            t = thetas + gen.standard_normal(m) / np.sqrt(spec.n)
-            p = special.ndtr(-np.sqrt(spec.n) * t)
         else:
             x = thetas[:, None] + spec.sigma * gen.standard_normal((m, spec.n1))
             y = spec.sigma * gen.standard_normal((m, spec.n2))
@@ -218,6 +219,24 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
             est += 1.0 / (m * (1.0 - lam))
         if r >= start:
             out[r - start] = est
+    return out
+
+
+def count_pmf_under_independence(pop, lam: float, c) -> np.ndarray:
+    """The exact pmf of N = #{p_rand <= lambda} under independence, one row over 0..m per threshold of ``c``.
+
+    The randomized indicators are then independent, with P(p_rand <= lambda) = F_g(lambda c) + lambda (1 - F_g(c))
+    in group g, so N is the convolution over groups of Binomial(m_g, q_g) pmfs.
+    """
+    from scipy.stats import binom
+
+    out = np.empty((len(c), pop.m + 1))
+    for k, ck in enumerate(c):
+        pmf = np.ones(1)
+        for count, law in pop.groups:
+            q = law.cdf(lam * ck) + lam * (1.0 - law.cdf(ck))
+            pmf = np.convolve(pmf, binom.pmf(np.arange(count + 1), count, q))
+        out[k] = pmf
     return out
 
 

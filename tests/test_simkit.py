@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
 
-from _oracles import dkw_band, gumbel_uniforms_reference, ks_critical, replicate_block_per_replicate
+from _oracles import count_pmf_under_independence, dkw_band, gumbel_uniforms_reference, ks_critical
+from _oracles import replicate_block_per_replicate
 from pi0rand import pi0, simkit
 from pi0rand.pi0 import _csv_text, _estimate_from_count, _grid_thresholds, _usable_cpus, h_curve
 from pi0rand.pvalues import MarginalLaw, RandomizationRule, ZTestLaw, randomize_vector
@@ -137,14 +138,14 @@ class TestGenLfcPvalues:
         assert _ks_uniform(pooled) <= ks_critical(pooled.size)
 
     def test_alternative_matches_closed_form_law(self):
-        spec = ModelSpec("z", ((1000, 2.5 / np.sqrt(50)),), n=50)
-        pooled = np.concatenate(
-            [gen_lfc_pvalues(spec, RngStream(32, i)) for i in range(100)]
-        )
+        # And the interior null at theta*sqrt(n) = -1, the law behind the paper's bias. run_mc counts uniforms
+        # against the cdf of an independent z model and never draws its statistics, so this is their check.
         t = np.linspace(0.001, 0.999, 200)
-        emp = np.searchsorted(np.sort(pooled), t, side="right") / pooled.size
-        law = ZTestLaw(2.5)
-        assert np.max(np.abs(emp - law.cdf(t))) <= dkw_band(pooled.size)
+        for theta_scaled, seed in ((2.5, 32), (-1.0, 36)):
+            spec = ModelSpec("z", ((1000, theta_scaled / np.sqrt(50)),), n=50)
+            pooled = np.concatenate([gen_lfc_pvalues(spec, RngStream(seed, i)) for i in range(100)])
+            emp = np.searchsorted(np.sort(pooled), t, side="right") / pooled.size
+            assert np.max(np.abs(emp - ZTestLaw(theta_scaled).cdf(t))) <= dkw_band(pooled.size)
 
     def test_lfc_two_sample_is_uniform(self):
         spec = ModelSpec("two_sample", ((200, 0.0),), n1=6, n2=8, sigma=1.7)
@@ -432,8 +433,10 @@ class TestChunkedKernel:
         assert serial.to_csv_string() == parallel.to_csv_string()
 
     def test_gen_lfc_pvalues_is_one_row(self):
-        # The public generator maps one counted row of a chunk to its p-values, drawn from the stream as it stands.
-        for spec in _KERNEL_SPECS.values():
+        # The public generator maps one counted row of a chunk to its p-values, drawn from the stream as it stands:
+        # the copula uniforms of both Gumbel specs and the -T of two-sample independent. Not z independent, whose
+        # kernel rows are iid uniforms while the generator draws its z statistics (pinned in test_acceptance.py).
+        for spec in (spec for name, spec in _KERNEL_SPECS.items() if name != "z-independent"):
             # A chunk's rows are the rows that calls on the same stream draw one at a time.
             chunk = simkit._counted_rows(spec, RngStream(81, 6).generator, 3)
             rng = RngStream(81, 6)
@@ -470,7 +473,7 @@ class TestThresholdKernel:
             raise AssertionError("run_mc called MarginalLaw.quantile")
 
         monkeypatch.setattr(MarginalLaw, "quantile", no_quantile)
-        for name in ("z-gumbel", "two_sample-gumbel"):
+        for name in ("z-independent", "z-gumbel", "two_sample-gumbel"):
             run_mc(SimulationPlan(spec=_KERNEL_SPECS[name], replicates=20, seed=5))
         with pytest.raises(AssertionError):
             gen_lfc_pvalues(_KERNEL_SPECS["z-gumbel"], RngStream(5, 0))
@@ -515,16 +518,40 @@ class TestThresholdKernel:
         exact = h_curve(spec.population(), plan.lam, plan.c_grid).values["value"]
         assert np.all(np.abs(summary.mean - exact) <= 4.0 * summary.se_mean)
 
-def _merged_histograms(a, b, m, min_count=10):
-    """Two count samples histogrammed over 0..m, sparse adjacent bins merged."""
-    rows, acc = [], np.zeros(2)
-    for cell in zip(np.bincount(a, minlength=m + 1), np.bincount(b, minlength=m + 1)):
-        acc = acc + cell
-        if acc.sum() >= min_count:
-            rows.append(acc)
+
+class TestExactCountLaw:
+    """Under independence the replicate histogram of N = #{p_rand <= lambda} follows the exact pmf of N."""
+
+    @pytest.mark.parametrize("spec, replicates, seed", [
+        (study_spec(), 20_000, 2718),
+        (ModelSpec("two_sample", ((70, -1.0 / np.sqrt(5.0)), (30, 2.5 / np.sqrt(5.0))), n1=10, n2=10), 10_000, 2719),
+    ], ids=["z", "two_sample-df18"])
+    def test_replicate_histogram_fits_the_exact_pmf(self, spec, replicates, seed):
+        # z counts uniforms against each group's cdf; two-sample counts its raw-data statistics, so its histogram
+        # is checked against TwoSampleTLaw.cdf. Per threshold a Pearson chi-square over cells pooled to >= 5
+        # expected, at the Sidak level of a family false-alarm rate of 1e-4 over the 21 thresholds.
+        plan = SimulationPlan(spec=spec, replicates=replicates, seed=seed)
+        c = np.asarray(plan.c_grid)
+        n = np.rint(spec.m * (1.0 - (1.0 - plan.lam) * _replicate_block(plan, 0, plan.replicates))).astype(int)
+        pmf = count_pmf_under_independence(spec.population(), plan.lam, c)
+        level = 1.0 - (1.0 - 1e-4) ** (1.0 / c.size)
+        for k in range(c.size):
+            cells = np.array([np.bincount(n[:, k], minlength=spec.m + 1), replicates * pmf[k]])
+            observed, expected = _merged_cells(cells, lambda col: col[1] >= 5.0)
+            assert chisquare(observed, expected).pvalue > level, c[k]
+
+
+def _merged_cells(table, full):
+    """The columns of a two-row histogram table merged, from the left, until ``full`` holds for the merged column;
+    a last column that never gets full joins the one before it."""
+    cols, acc = [], np.zeros(2)
+    for col in table.T:
+        acc = acc + col
+        if full(acc):
+            cols.append(acc)
             acc = np.zeros(2)
-    rows[-1] = rows[-1] + acc
-    return np.array(rows).T
+    cols[-1] = cols[-1] + acc
+    return np.array(cols).T
 
 
 class TestCountingKernel:
@@ -532,7 +559,8 @@ class TestCountingKernel:
 
     def test_counts_match_explicit_randomization(self):
         # At m = 20 the kernel's N and the N of an explicitly randomized
-        # vector, on the same LFC vectors, agree in law at every threshold.
+        # vector agree in law at every threshold. On each group's data stream the
+        # kernel counts uniforms and gen_lfc_pvalues draws the z statistics.
         spec = study_spec(m=20)
         plan = SimulationPlan(spec=spec, lam=0.5, c_grid=(0.0, 0.2, 0.3276, 0.6, 1.0),
                               replicates=3000, seed=61)
@@ -548,7 +576,8 @@ class TestCountingKernel:
                 prand = randomize_vector(p, RandomizationRule.constant(c), rng)
                 n_explicit[r, k] = np.count_nonzero(prand <= plan.lam)
         for k in range(len(plan.c_grid)):
-            table = _merged_histograms(n_kernel[:, k], n_explicit[:, k], spec.m)
+            counts = np.array([np.bincount(n[:, k], minlength=spec.m + 1) for n in (n_kernel, n_explicit)])
+            table = _merged_cells(counts, lambda col: col.sum() >= 10)
             assert chi2_contingency(table).pvalue > 1e-3
 
     def test_rao_blackwell_identity(self):

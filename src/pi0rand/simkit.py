@@ -11,34 +11,39 @@ copula.
 with a fixed replicate budget. Given the LFC vector p, the estimator sees the
 randomized vector only through N = #{p_rand <= lambda}, and exactly
 N = #{p <= lambda*c} + Binomial(#{p >= c}, lambda) (first term 0 at c = 0),
-so a replicate needs one binomial per grid point. Every model draws a row x
-with p = P(x), P increasing: uniforms with P = Q_g on group g (the copula
-uniforms, or iid uniforms for an independent z model, whose p-values are iid
-with cdf F_g within group g and so have the law of Q_g(U)), or for an
-independent two-sample model its statistic with P the central t cdf. With
-P^-1 the inverse (the cdf F_g of Q_g; -inf at 0 and +inf at 1 for a statistic),
+so a replicate needs one binomial per grid point and these two counts. Every
+model counts a row x with p = P(x), P increasing: uniforms with P = Q_g on
+group g (the copula uniforms, or iid uniforms for an independent z model,
+whose p-values are iid with cdf F_g within group g and so have the law of
+Q_g(U)), or for an independent two-sample model its statistic with P the
+central t cdf. With P^-1 the inverse (the cdf F_g of Q_g; -inf at 0 and +inf
+at 1 for a statistic),
 
     #{P(x) <= t} = #{x <= P^-1(t)}    and    #{P(x) >= t} = #{x >= P^-1(t)},
 
-so a replicate sorts its row (per group for the uniforms) and counts it
-against P^-1(lambda*c) and P^-1(c), mapped once per block. It evaluates
-neither P nor a quantile, and counts the exact p-values also where P(x)
-rounds to 1.0 under a strongly conservative null.
+so a replicate counts x against P^-1(lambda*c) and P^-1(c), mapped once per
+block. It evaluates neither P nor a quantile, and counts the exact p-values
+also where P(x) rounds to 1.0 under a strongly conservative null. A row of
+iid uniforms (an independent z model, or a Gumbel model at nu = 1) needs only
+the counts of each group's uniforms in the cells between its sorted
+thresholds, which are one Multinomial(m_g, cell widths) draw; any other row
+is drawn and sorted (per group for the copula uniforms).
 
 Replicates come in groups of ``GROUP`` = 32: group g = r // 32 draws its
-rows from the stream ``(seed, 2g)``, in replicate order, each row's values
-in the order of one row drawn alone, and all its binomials from
-``(seed, 2g + 1)``, row after row, one per grid point. Worker blocks are cut
-at multiples of 32, so results are bitwise identical for any worker count,
-and the replicates of a shorter run are the first ones of a longer run.
-One generator per block is re-keyed twice per group. Rows run in chunks of
-``CHUNK_VALUES`` drawn values, with one draw (the uniforms of an independent
-z model, the normals of an independent two-sample model, then its statistics)
-and one sort per chunk; a Gumbel row draws its frailty, then its
-exponentials, and log S and the copula uniforms are formed once per chunk.
-Each group's binomials are one ``binomial`` call. ``gen_lfc_pvalues`` is
-the data-level sampler: it draws an independent z model's statistics, not
-the uniforms the kernel counts.
+rows from the stream ``(seed, 2g)``, in replicate order, and all its
+binomials from ``(seed, 2g + 1)``, row after row, one per grid point. Worker
+blocks are cut at multiples of 32, so results are bitwise identical for any
+worker count, and the replicates of a shorter run are the first ones of a
+longer run. One generator per block is re-keyed twice per group. The rows of
+iid uniforms of a group of replicates are one ``multinomial`` call, drawn
+row after row and, within a row, effect group after effect group. Other rows
+run in chunks of ``CHUNK_VALUES`` drawn values, each row's values in the
+order of one row drawn alone, with one draw (the normals of an independent
+two-sample model, then its statistics) and one sort per chunk; a Gumbel row
+draws its frailty, then its exponentials, and log S and the copula uniforms
+are formed once per chunk. Each group's binomials are one ``binomial`` call.
+``gen_lfc_pvalues`` is the data-level sampler: it draws an independent z
+model's statistics, not the counts the kernel draws.
 """
 
 from __future__ import annotations
@@ -187,8 +192,8 @@ def _gumbel_rows(m: int, nu: float, gen: np.random.Generator, rows: int) -> np.n
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     """Generate one LFC p-value vector from the model. An independent z model's comes from its statistics
-    -sqrt(n) * (theta + mean noise), where the Monte Carlo kernel draws uniforms instead; every other model's maps
-    one counted row to its p-values."""
+    -sqrt(n) * (theta + mean noise), where the Monte Carlo kernel draws cell counts instead; every other model's
+    maps one counted row to its p-values."""
     if spec.model == "z" and spec.dependence == "independent":
         noise = rng.generator.standard_normal(spec.m) / np.sqrt(spec.n)
         with np.errstate(over="ignore"):  # a finite theta whose scaled product overflows has p exactly 0 or 1
@@ -206,12 +211,10 @@ def _draws_per_replicate(spec: ModelSpec) -> int:
 
 
 def _counted_rows(spec: ModelSpec, gen: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` rows, drawn from ``gen`` one after another, of the values a replicate counts: a Gumbel model's
-    copula uniforms, an independent z model's iid uniforms, and x = -T for an independent two-sample model."""
+    """``rows`` rows, drawn from ``gen`` one after another, of the values a Gumbel or two-sample replicate counts: a
+    Gumbel model's copula uniforms, and x = -T for an independent two-sample model."""
     if spec.dependence == "gumbel":
         return _gumbel_rows(spec.m, spec.nu, gen, rows)
-    if spec.model == "z":
-        return gen.random((rows, spec.m))
     raw = gen.standard_normal((rows, _draws_per_replicate(spec)))
     thetas, m = _thetas(spec), spec.m
     x = thetas[:, None] + spec.sigma * raw[:, : m * spec.n1].reshape(rows, m, spec.n1)
@@ -232,25 +235,60 @@ def _count_maps(spec: ModelSpec) -> list:
     return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, law) in zip(stops, groups)]
 
 
-def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
-    """Estimates of replicates start..stop - 1, a row each. A block that starts inside a group runs the group from
-    its first row, since its streams are read in replicate order."""
-    spec, c, first = plan.spec, np.asarray(plan.c_grid), start - start % GROUP
-    ranges = [(a, b, *_grid_thresholds(plan.lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
-    rows = max(1, CHUNK_VALUES // _draws_per_replicate(spec))
-    n = np.empty((stop - first, c.size), dtype=np.int64)  # N per replicate
-    part = np.empty((len(ranges), GROUP, 2, c.size), dtype=np.int64)  # per range and row, #{p <= lambda*c}, #{p >= c}
-    rng = RngStream(plan.seed)
-    for g in range(first // GROUP, -(-stop // GROUP)):
-        a0, b0 = GROUP * g - first, min(GROUP * (g + 1), stop) - first
-        rng.rekey(2 * g)
-        for lo in range(0, b0 - a0, rows):
-            x = _counted_rows(spec, rng.generator, min(rows, b0 - a0 - lo))
+def _cell_counter(spec: ModelSpec, lam: float, c: np.ndarray):
+    """Per row of m iid uniforms, #{V <= F_g(lambda*c)} and #{V >= F_g(c)} summed over the groups, drawn as one
+    multinomial of each group's m_g uniforms over the cells between its sorted thresholds.
+
+    A threshold's count is the cumulative cell count at its place in its group's order, so a cdf that is not
+    monotone at the last bit still counts #{V <= F(t)}, and #{V >= F(1)} = #{V >= 1} is 0.
+    """
+    groups = spec.population().groups
+    sizes = np.array([count for count, _ in groups])
+    cuts = np.array([np.hstack([0.0, np.maximum(low, 0.0), up, 1.0])
+                     for low, up in (_grid_thresholds(lam, c, law.cdf) for _, law in groups)])
+    order = np.argsort(cuts, axis=1, kind="stable")
+    cells = np.diff(np.take_along_axis(cuts, order, axis=1), axis=1)
+    below = np.argsort(order, axis=1)[:, 1:-1] - 1  # per grid threshold, its last cell below: the 0 edge sorts first
+
+    def count(gen: np.random.Generator, rows: int) -> np.ndarray:
+        cum = gen.multinomial(sizes, np.broadcast_to(cells, (rows, *cells.shape))).cumsum(axis=-1)
+        n = np.take_along_axis(cum, np.broadcast_to(below, (rows, *below.shape)), axis=-1).sum(axis=1)
+        return np.stack([n[:, : c.size], spec.m - n[:, c.size :]], axis=1)
+
+    return count
+
+
+def _row_counter(spec: ModelSpec, lam: float, c: np.ndarray):
+    """Per row of ``_counted_rows``, #{p <= lambda*c} and #{p >= c}: each column range sorted and counted against
+    its mapped thresholds, in chunks of ``CHUNK_VALUES`` drawn values."""
+    ranges = [(a, b, *_grid_thresholds(lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
+    chunk = max(1, CHUNK_VALUES // _draws_per_replicate(spec))
+
+    def count(gen: np.random.Generator, rows: int) -> np.ndarray:
+        part = np.empty((len(ranges), rows, 2, c.size), dtype=np.int64)  # per range and row
+        for lo in range(0, rows, chunk):
+            x = _counted_rows(spec, gen, min(chunk, rows - lo))
             for j, (a, b, low, up) in enumerate(ranges):
                 x[:, a:b].sort(axis=1)
                 for i, row in enumerate(x[:, a:b], lo):
                     part[j, i] = _grid_counts(row, low, up)
-        counts = part[:, : b0 - a0].sum(axis=0)
+        return part.sum(axis=0)
+
+    return count
+
+
+def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
+    """Estimates of replicates start..stop - 1, a row each. A block that starts inside a group runs the group from
+    its first row, since its streams are read in replicate order."""
+    spec, c, first = plan.spec, np.asarray(plan.c_grid), start - start % GROUP
+    iid = spec.nu == 1.0 if spec.dependence == "gumbel" else spec.model == "z"  # rows of iid uniforms
+    count = (_cell_counter if iid else _row_counter)(spec, plan.lam, c)
+    n = np.empty((stop - first, c.size), dtype=np.int64)  # N per replicate
+    rng = RngStream(plan.seed)
+    for g in range(first // GROUP, -(-stop // GROUP)):
+        a0, b0 = GROUP * g - first, min(GROUP * (g + 1), stop) - first
+        rng.rekey(2 * g)
+        counts = count(rng.generator, b0 - a0)  # per row, #{p <= lambda*c} and #{p >= c}
         rng.rekey(2 * g + 1)
         n[a0:b0] = counts[:, 0] + rng.generator.binomial(counts[:, 1], plan.lam)
     return _estimate_from_count(n[start - first :], spec.m, plan.lam, plan.estimator_variant)

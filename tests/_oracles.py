@@ -7,7 +7,7 @@ those cdfs, and g from direct indicator counting. Three helpers read the
 library's marginal laws instead, since what they check is a property of
 those laws: ``validity_diagnostic`` and ``stochastic_order_diagnostic``
 (the paper's validity and stochastic-order conditions, on grids),
-``replicate_block_per_replicate`` (its quantiles and copula uniforms) and
+``replicate_block_per_replicate`` (its cdfs, quantiles and copula uniforms) and
 ``count_pmf_under_independence`` (its cdfs).
 """
 
@@ -171,14 +171,20 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     """The Monte Carlo kernel as one loop over replicates, with fresh streams per group of 32.
 
     Group g = r // 32 builds its own Philox streams: ``(seed, 2g)`` generates
-    the LFC vectors of its replicates one after another (each as one vector,
-    no chunking) and ``(seed, 2g + 1)`` draws one binomial per threshold, a
-    call per replicate, in the same order. A group is run from its first
-    replicate, whether or not ``start`` is. An independent z vector maps m
-    uniforms through each group's quantile, as a Gumbel vector maps its copula
-    uniforms; a two-sample vector without a copula comes from its raw data.
-    The marginal quantiles and the copula uniforms are the library's;
-    everything else is written out here.
+    the counts of its replicates one after another (each replicate alone, no
+    chunking) and ``(seed, 2g + 1)`` draws one binomial per threshold, a call
+    per replicate, in the same order. A group is run from its first
+    replicate, whether or not ``start`` is.
+
+    A replicate of iid uniforms (an independent z model, or a Gumbel model at
+    nu = 1) draws, group after group, one multinomial of the group's m_g
+    uniforms over the cells between its sorted thresholds
+    {0, F_g(lambda c) for c > 0, F_g(c), 1}; #{V <= F_g(t)} is then the count
+    of the cells whose upper edge is at most F_g(t). A Gumbel vector at nu > 1
+    maps its copula uniforms through each group's quantile, and a two-sample
+    vector without a copula comes from its raw data; both are counted as
+    p-values. The marginal cdfs and quantiles and the copula uniforms are the
+    library's; everything else is written out here.
     """
     from scipy import special
 
@@ -190,29 +196,42 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     spec, c, lam = plan.spec, np.asarray(plan.c_grid), plan.lam
     thetas = np.concatenate([np.full(count, theta) for count, theta in spec.groups])
     m = thetas.size
+    iid = spec.nu == 1.0 if spec.dependence == "gumbel" else spec.model == "z"
+    laws = [law for _, law in spec.population().groups]
+    low, up = [law.cdf(lam * c) for law in laws], [law.cdf(c) for law in laws]
+    cuts = [np.sort(np.concatenate([[0.0], lo[c > 0.0], hi, [1.0]])) for lo, hi in zip(low, up)]
     out = np.empty((stop - start, c.size))
     for r in range(start - start % 32, stop):
         if r % 32 == 0:
             gen, binomials = stream(2 * (r // 32)), stream(2 * (r // 32) + 1)
-        if spec.dependence == "gumbel" or spec.model == "z":
-            v = _gumbel_rows(m, spec.nu, gen, 1)[0] if spec.dependence == "gumbel" else gen.random(m)
-            p = np.empty(m)
-            offset = 0
-            for count, theta in spec.groups:
-                p[offset : offset + count] = spec.marginal_law(theta).quantile(v[offset : offset + count])
-                offset += count
+        if iid:
+            n_low, n_up_trials = np.zeros(c.size, dtype=np.int64), np.full(c.size, m)
+            for (count, _), lo, hi, edges in zip(spec.groups, low, up, cuts):
+                cells = gen.multinomial(count, np.diff(edges))
+                for k in range(c.size):
+                    if c[k] > 0.0:
+                        n_low[k] += cells[edges[1:] <= lo[k]].sum()
+                    n_up_trials[k] -= cells[edges[1:] <= hi[k]].sum()
         else:
-            x = thetas[:, None] + spec.sigma * gen.standard_normal((m, spec.n1))
-            y = spec.sigma * gen.standard_normal((m, spec.n2))
-            xbar = x.mean(axis=1)
-            ybar = y.mean(axis=1)
-            df = spec.n1 + spec.n2 - 2
-            pooled = (((x - xbar[:, None]) ** 2).sum(axis=1) + ((y - ybar[:, None]) ** 2).sum(axis=1)) / df
-            tstat = np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
-            p = special.stdtr(df, -tstat)
-        p = np.sort(p)
-        n_low = np.where(c > 0.0, np.searchsorted(p, lam * c, side="right"), 0)
-        n_up_trials = m - np.searchsorted(p, c, side="left")
+            if spec.dependence == "gumbel":
+                v = _gumbel_rows(m, spec.nu, gen, 1)[0]
+                p = np.empty(m)
+                offset = 0
+                for count, theta in spec.groups:
+                    p[offset : offset + count] = spec.marginal_law(theta).quantile(v[offset : offset + count])
+                    offset += count
+            else:
+                x = thetas[:, None] + spec.sigma * gen.standard_normal((m, spec.n1))
+                y = spec.sigma * gen.standard_normal((m, spec.n2))
+                xbar = x.mean(axis=1)
+                ybar = y.mean(axis=1)
+                df = spec.n1 + spec.n2 - 2
+                pooled = (((x - xbar[:, None]) ** 2).sum(axis=1) + ((y - ybar[:, None]) ** 2).sum(axis=1)) / df
+                tstat = np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
+                p = special.stdtr(df, -tstat)
+            p = np.sort(p)
+            n_low = np.where(c > 0.0, np.searchsorted(p, lam * c, side="right"), 0)
+            n_up_trials = m - np.searchsorted(p, c, side="left")
         n_up = binomials.binomial(n_up_trials, lam)
         est = (1.0 - (n_low + n_up) / m) / (1.0 - lam)
         if plan.estimator_variant == "storey_plus":

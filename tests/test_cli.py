@@ -662,10 +662,11 @@ def test_non_finite_model_flag_exits_2(capsys, command, flags):
 
 # sha256 of `simulate` CSVs written before replicates were generated in chunks
 # on one re-keyed stream (x86-64, numpy 2.4, scipy 1.17); z independent since
-# its replicates count uniforms instead of z statistics. Any change to the
-# stream layout or to the p-value arithmetic shows up here.
+# its replicates draw the counts of their uniforms as one multinomial of the
+# threshold cells. Any change to the stream layout or to the p-value
+# arithmetic shows up here.
 _FROZEN_SIMULATE_SHA256 = {
-    ("z", "independent"): "f5b876e66fdbfd3824500acf242a5fd44eea37699ba9c668ca092da61e5aa636",
+    ("z", "independent"): "e3fd6527ae0febcd6c4e06502e5d3f568fdb2f653028f61e6f4a6a855a63bd23",
     ("z", "gumbel"): "4a882cace72b1b84d8f17ae5ca1e141d96a4f656a03d58d981272d3c5b6fdd6e",
     ("two-sample", "independent"): "376663f7c102d51d2a39c4bda3d76544d9f5bbb7e97561ede1c184d3d7ce197c",
     ("two-sample", "gumbel"): "a1542521fc1ac5784efe72c5c119654b28ff7b50a77d9840a388eb88f95e6e7a",

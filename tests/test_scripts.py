@@ -11,9 +11,9 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 # sha256 prefixes of the tables at --reps 20 --seed 5, as written by the three scripts the one script replaced
 # (bias_curves.py, mc_study.py and practical_selection.py); mc_independent.csv since independent z replicates
-# count uniforms instead of z statistics.
+# draw the counts of their uniforms as one multinomial of the threshold cells.
 TABLES = {
-    "mc_independent.csv": "d996f5dd12039425",
+    "mc_independent.csv": "86323980ce48deb7",
     "mc_gumbel.csv": "a62ba3e5ab36fb1e",
     "h_curve_interior_null.csv": "10690cc951dce2bc",
     "h_curve_lfc_null.csv": "811ab62e81a284de",

@@ -268,6 +268,16 @@ class TestRunMc:
         assert np.array_equal(serial.mean, parallel.mean)
         assert np.array_equal(serial.mse, parallel.mse)
 
+    def test_independent_z_is_gumbel_at_nu_one(self):
+        # At nu = 1 the copula is the product copula, and both models count their iid uniforms as the same cells:
+        # only the CSV's dependence line differs.
+        indep = run_mc(self.small_plan(replicates=100))
+        gumbel = run_mc(self.small_plan(replicates=100, spec_kw=dict(dependence="gumbel", nu=1.0)))
+        for name in ("mean", "variance", "mse", "se_mean", "se_variance"):
+            assert np.array_equal(getattr(indep, name), getattr(gumbel, name))
+        lines = [summary.to_csv_string().split("\n") for summary in (indep, gumbel)]
+        assert [(a, b) for a, b in zip(*lines) if a != b] == [("# dependence=independent", "# dependence=gumbel")]
+
     def test_copula_leaves_mean_alone(self):
         indep = run_mc(self.small_plan())
         dep = run_mc(self.small_plan(spec_kw=dict(dependence="gumbel", nu=2.0)))
@@ -403,13 +413,15 @@ _FRAILTY_SPECS = {f"z-gumbel-nu{nu:g}": study_spec(dependence="gumbel", nu=nu) f
 
 
 class TestChunkedKernel:
-    """Chunked generation on one re-keyed stream reproduces the per-replicate kernel."""
+    """The group kernel on one re-keyed stream reproduces the per-replicate kernel."""
 
     @pytest.mark.parametrize("name", sorted(_KERNEL_SPECS) + sorted(_FRAILTY_SPECS))
     @pytest.mark.parametrize("chunk_values", [1, 3000, simkit.CHUNK_VALUES])
     def test_bitwise_equal_to_per_replicate_oracle(self, name, chunk_values, monkeypatch):
-        # Replicates 5..42 start and end inside a chunk for every chunk size
-        # above one row (3 or 8 rows at m = 1000, 2 or 7 at m*(n1 + n2) = 1100).
+        # Gumbel rows at nu > 1 and two-sample independent rows come in chunks: replicates 5..42 start and end
+        # inside a chunk for every chunk size above one row (3 or 8 rows at m = 1000, 2 or 7 at m*(n1 + n2) = 1100).
+        # Rows of iid uniforms (z independent, Gumbel at nu = 1) draw one multinomial per group of replicates,
+        # which no chunk size may change.
         monkeypatch.setattr(simkit, "CHUNK_VALUES", chunk_values)
         plan = SimulationPlan(spec={**_KERNEL_SPECS, **_FRAILTY_SPECS}[name], replicates=42, seed=2**63 + 5,
                               estimator_variant="storey_plus" if "gumbel" in name else "plain")
@@ -435,7 +447,7 @@ class TestChunkedKernel:
     def test_gen_lfc_pvalues_is_one_row(self):
         # The public generator maps one counted row of a chunk to its p-values, drawn from the stream as it stands:
         # the copula uniforms of both Gumbel specs and the -T of two-sample independent. Not z independent, whose
-        # kernel rows are iid uniforms while the generator draws its z statistics (pinned in test_acceptance.py).
+        # kernel draws cell counts while the generator draws its z statistics (pinned in test_acceptance.py).
         for spec in (spec for name, spec in _KERNEL_SPECS.items() if name != "z-independent"):
             # A chunk's rows are the rows that calls on the same stream draw one at a time.
             chunk = simkit._counted_rows(spec, RngStream(81, 6).generator, 3)
@@ -457,7 +469,7 @@ def _two_sample_gumbel(df, ncps, count=200):
 
 
 class TestThresholdKernel:
-    """Gumbel replicates count their copula uniforms against thresholds mapped by each group's cdf."""
+    """Replicates count their copula or iid uniforms against thresholds mapped by each group's cdf."""
 
     GRID = (0.0, 1e-9, 1e-6, 0.05, 0.3276, 0.5, 0.9, 0.999999, 1.0)
 
@@ -506,6 +518,28 @@ class TestThresholdKernel:
         summary = run_mc(plan)
         exact = h_curve(spec.population(), plan.lam, plan.c_grid).values["value"]
         assert np.all(np.abs(summary.mean - exact) <= 4.0 * summary.se_mean)
+
+    def test_a_cdf_not_monotone_at_the_last_bit_counts_each_threshold(self, monkeypatch):
+        # The patched cdf gives t = 0.1 and t = 0.2 a value above that of the next double up, a nextafter swap, so
+        # a group's thresholds are not in the order of t. The kernel raises nothing and still counts #{V <= F(t)}
+        # at each t: it equals the oracle, which counts the cells whose upper edge is at most F(t).
+        real = ZTestLaw.cdf
+
+        def cdf(law, t):
+            out = real(law, t)
+            for lo in (0.1, 0.2):  # lambda * 0.2 = 0.1: a low and an up threshold of the grid
+                hi = np.nextafter(lo, 1.0)
+                out = np.where(t == lo, np.nextafter(real(law, hi), 1.0), np.where(t == hi, real(law, lo), out))
+            return out
+
+        monkeypatch.setattr(ZTestLaw, "cdf", cdf)
+        law = ZTestLaw(-1.0)
+        assert law.cdf(0.1) > law.cdf(np.nextafter(0.1, 1.0)) and law.cdf(0.2) > law.cdf(np.nextafter(0.2, 1.0))
+        plan = SimulationPlan(spec=study_spec(), c_grid=(0.0, 0.2, np.nextafter(0.2, 1.0), 0.5, 1.0), replicates=70,
+                              seed=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_replicate_block(plan, 3, 70), replicate_block_per_replicate(plan, 3, 70))
 
     def test_gumbel_frailties_stay_finite_as_nu_nears_one(self):
         # At nu = 1.001 the direct positive-stable formula gave NaN frailties, with RuntimeWarnings only,

@@ -25,16 +25,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import gzip  # noqa: F401  np.loadtxt's DataSource imports it on first use; loaded with the module instead
-import os
-import re
-import stat
 import sys
 
 import numpy as np
 
-from .pi0 import EstimatorConfig, _check_lambda, _csv_text, _estimate_from_count, _open_text, _part_count, _workers
-from .pi0 import cstar_search, h_curve, schweder_spjotvoll
+from ._tableio import _csv_text, _open_text, _read_pvalue_csv
+from .pi0 import EstimatorConfig, _check_lambda, _estimate_from_count, cstar_search, h_curve, schweder_spjotvoll
 from .pvalues import RandomizationRule, randomize_vector
 from .simkit import ModelSpec, SimulationPlan, cdf_curves, run_mc
 from .statdist import RngStream, _finite_array, _increasing_grid, _positive_int, _probability
@@ -45,89 +41,6 @@ __all__ = ["main"]
 # The flag of each library field the CLI passes through unchecked, by the first word of the library's message.
 _FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers", "c_list": "--c-grid",
           "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
-
-
-def _part_lines(raw, start, commas=0):
-    """The line, counted from ``start``, where each part of the rows of ``raw[start:]`` begins, then None: the parts of
-    ``_part_count``, each ending at the first line end past its share of the bytes. None alone where numpy would read
-    the rows otherwise than the walk: a row (a line neither empty nor a comment) has other than ``commas`` commas, or
-    a "#" does not begin its line. One part when an empty or comment line falls before the last part, since numpy's
-    ``max_rows`` does not count it while ``skiprows`` does, or when the last part would begin with no row. ``raw`` is
-    bytes with no lone CR.
-    """
-    text = np.frombuffer(raw, np.uint8)[start - 1:]  # from the header's line end
-    line_end = text == 10
-    if commas or raw.find(b",", start) >= 0 or raw.find(b"#", start) >= 0:  # else each row has its one field
-        begins = np.flatnonzero(line_end[:-1]) + 1  # where each line after the header begins
-        first, commas_at = text[begins], np.flatnonzero(text == 44)
-        per_line = np.diff(np.searchsorted(commas_at, begins), append=commas_at.size)
-        rows = (first != 10) & (first != 13) & (first != 35)  # neither empty nor a comment
-        if (per_line[rows] != commas).any() or np.count_nonzero(first == 35) != np.count_nonzero(text == 35):
-            return None
-    parts = _part_count(np.count_nonzero(line_end) - 1)
-    ends = [at + int(np.argmax(line_end[at:])) for at in ((text.size - 1) * i // parts for i in range(1, parts))]
-    if ends:
-        cut = ends[-1] + 1  # where the last part begins
-        blank = (line_end[:cut - 1] & line_end[1:cut]).any()  # "\n\n", or "\n\r\n" below
-        blank = blank or b"\r" in raw and (line_end[:cut - 2] & (text[1:cut - 1] == 13) & line_end[2:cut]).any()
-        blank = blank or raw.find(b"#", start, start + cut) >= 0  # each "#" begins a line: a comment
-        if blank or not line_end[ends].all() or len(set(ends)) < len(ends) or cut == text.size or text[cut] in (10, 13):
-            ends = []
-    return [0, *(int(np.count_nonzero(line_end[1:end + 1])) for end in ends), None]
-
-
-def _read_pvalue_csv(path):
-    """The p_lfc column of a CSV: numpy's C reader takes a well-formed regular file, in the parts of ``_part_lines``,
-    and the walk any other, line by line, naming the first fault."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # a pipe could not be read a second time
-    try:
-        raw = data.decode("utf-8")
-    except UnicodeDecodeError as exc:  # the row is one more than the line ends (byte 10) before the fault
-        raise ValueError(f"{path}: row {data.count(10, 0, exc.start) + 1}: not UTF-8 text") from None
-    header_no, start, header = 0, int(raw[:1] == "\ufeff"), ""  # past the byte-order mark of a spreadsheet's CSV
-    while not header or header[0] == "#":  # the header is the first line that strips to neither "" nor a comment
-        if start > len(raw):
-            raise ValueError(f"{path}: empty input")
-        end = raw.find("\n", start)
-        end = len(raw) if end < 0 else end
-        header_no, header, start = header_no + 1, raw[start:end].strip(), end + 1
-    columns = [col.strip() for col in header.split(",")]
-    if "p_lfc" not in columns:
-        raise ValueError(f"{path}: row {header_no}: header must contain a p_lfc column")
-    col = columns.index("p_lfc")
-    full_path = os.path.abspath(path)  # never read as a URL by numpy's DataSource
-    plain = (regular and not full_path.endswith((".gz", ".bz2", ".xz", ".lzma"))  # numpy's DataSource would decompress
-             and ("\r" not in raw or raw.count("\r") == raw.count("\r\n"))  # numpy would end a line at a lone CR too
-             and all(raw.find(ch, start) < 0 for ch in "\x1c\x1d\x1e\x1f")  # numpy strips them off a field, float() not
-             and re.compile(r"(?m)^[^\r\n#]").search(raw, start) is not None)  # numpy warns on a file of no rows
-    bounds = _part_lines(data, len(raw[:start].encode()), len(columns) - 1) if plain else None
-    if bounds:
-        load = functools.partial(np.loadtxt, full_path, delimiter=",", comments="#", usecols=col, encoding="utf-8")
-        parts = [functools.partial(load, skiprows=header_no + a, max_rows=None if b is None else b - a, ndmin=1)
-                 for a, b in zip(bounds, bounds[1:])]
-        # Suppressed: numpy rejects the text, or cannot open the file again. Workers read parts 1 on, the caller part 0.
-        with contextlib.suppress(ValueError, OSError), _workers(parts[1:]) as results:
-            values = np.concatenate([parts[0](), *(result() for result in results)])
-            if len(values) >= 2 and np.all((values >= 0.0) & (values <= 1.0)):
-                return values
-    values = []  # the walk, line by line after the header
-    for line_no, row in enumerate(map(str.strip, raw.replace("\r\n", "\n").split("\n")[header_no:]), header_no + 1):
-        if not row or row[0] == "#":
-            continue
-        fields = row.split(",")
-        if len(fields) != len(columns):
-            raise ValueError(f"{path}: row {line_no}: expected {len(columns)} fields")
-        try:
-            values.append(float(fields[col]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {line_no}: p_lfc value {fields[col]!r} is not a number") from exc
-        if not 0.0 <= values[-1] <= 1.0:
-            raise ValueError(f"{path}: row {line_no}: p_lfc value {values[-1]!r} outside [0, 1]")
-    if len(values) < 2:
-        raise ValueError(f"{path}: need at least two p-values, got {len(values)}")
-    return np.array(values)
 
 
 def _parse_grid(text):

@@ -53,11 +53,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _csv_text, _estimate_from_count, _grid_counts
-from .pi0 import _grid_thresholds, _usable_cpus, _workers
-from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, randomized_cdf
+from . import _tableio
+from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _estimate_from_count, _grid_counts, _grid_thresholds
+from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
-from .statdist import _positive_finite, _positive_int, _special, _t_quantile
+from .statdist import _positive_finite, _positive_int, _t_quantile
 
 __all__ = [
     "ModelSpec",
@@ -82,7 +82,7 @@ class ModelSpec:
     are true nulls. For the Z model ``n`` is the per-hypothesis sample
     size; for the two-sample model ``n1``/``n2``/``sigma`` parameterize the
     two normal samples. ``nu = 1`` makes the Gumbel copula the product
-    copula.
+    copula; an independent spec checks nu, then keeps 1, the copula it runs.
     """
 
     model: str
@@ -110,6 +110,8 @@ class ModelSpec:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
         if not 1.0 <= self.nu < np.inf:
             raise ValueError(f"nu must be finite and >= 1, got {self.nu!r}")
+        if self.dependence == "independent":
+            object.__setattr__(self, "nu", 1.0)
         thetas = _finite_array([float(theta) for _, theta in self.groups], "group effects").tolist()
         with np.errstate(over="ignore"):  # a finite effect can overflow once scaled; its law rejects the inf
             pop = PopulationSpec(tuple((count, self.marginal_law(t)) for (count, _), t in zip(self.groups, thetas)))
@@ -169,7 +171,7 @@ class McSummary:
 
     def to_csv_string(self) -> str:
         cols = [self.c_grid, self.mean, self.variance, self.mse, self.bias, self.se_mean]
-        return "".join(_csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols))
+        return "".join(_tableio._csv_text(self.metadata, ["c", "mean", "variance", "mse", "bias", "se_mean"], cols))
 
 
 def _gumbel_rows(m: int, nu: float, gen: np.random.Generator, rows: int) -> np.ndarray:
@@ -196,8 +198,7 @@ def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     maps one counted row to its p-values."""
     if spec.model == "z" and spec.dependence == "independent":
         noise = rng.generator.standard_normal(spec.m) / np.sqrt(spec.n)
-        with np.errstate(over="ignore"):  # a finite theta whose scaled product overflows has p exactly 0 or 1
-            return _special.ndtr(-np.sqrt(spec.n) * (_thetas(spec) + noise))
+        return lfc_pvalue_z(_thetas(spec) + noise, spec.n)
     x = _counted_rows(spec, rng.generator, 1)[0]
     return np.hstack([to_p(x[a:b]) for a, b, to_p, _ in _count_maps(spec)])
 
@@ -229,7 +230,7 @@ def _count_maps(spec: ModelSpec) -> list:
     p-values, increasing, and ``from_p`` maps a p-value threshold back to the counted scale."""
     if spec.model == "two_sample" and spec.dependence == "independent":
         df = spec.n1 + spec.n2 - 2
-        return [(0, spec.m, lambda x: _special.stdtr(df, x), lambda p: _t_quantile(p, df))]
+        return [(0, spec.m, lambda x: lfc_pvalue_t(-x, df), lambda p: _t_quantile(p, df))]
     groups = spec.population().groups
     stops = np.cumsum([count for count, _ in groups])
     return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, law) in zip(stops, groups)]
@@ -298,7 +299,7 @@ def _blocks(reps: int, workers: int) -> list:
     """Contiguous non-empty replicate ranges cut at multiples of ``GROUP``, one per worker and at most one per
     usable CPU."""
     groups = -(-reps // GROUP)
-    n = min(workers, groups, _usable_cpus())
+    n = min(workers, groups, _tableio._usable_cpus())
     bounds = [min(GROUP * (groups * k // n), reps) for k in range(n + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -314,7 +315,7 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     """
     reps = plan.replicates
     blocks = _blocks(reps, _positive_int(workers, "workers"))
-    with _workers([functools.partial(_replicate_block, plan, a, b) for a, b in blocks[1:]]) as results:
+    with _tableio._workers([functools.partial(_replicate_block, plan, a, b) for a, b in blocks[1:]]) as results:
         mat = np.concatenate([_replicate_block(plan, *blocks[0]), *(result() for result in results)])  # block 0 here
     pi0 = plan.spec.pi0
     mean = mat.mean(axis=0)

@@ -132,7 +132,7 @@ def g_brute_max(values: np.ndarray, lam: float, grid: np.ndarray):
 
 
 def csv_text_row_first(metadata: dict, header, columns) -> str:
-    """Row-first reference for ``pi0._csv_text``: one tuple of floats, then one join, per row."""
+    """Row-first reference for ``_tableio._csv_text``: one tuple of floats, then one join, per row."""
     lines = [f"# {key}={val}" for key, val in metadata.items()] + [",".join(header)]
     rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     lines.extend(",".join(map(repr, row)) for row in rows)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pi0rand
-from pi0rand import cli, pi0, pvalues, simkit, statdist, tuning
+from pi0rand import _tableio, cli, pi0, pvalues, simkit, statdist, tuning
 from pi0rand.cli import main
 from pi0rand.statdist import RngStream
 from pi0rand.tuning import conditional_expectation
@@ -219,7 +219,7 @@ def test_reader_agrees_with_row_by_row_oracle(header, cells, filler, crlf, pream
             fh.write("\ufeff" * bom + text)
         want = _parse_oracle(path, text)
         try:
-            got = cli._read_pvalue_csv(path)
+            got = _tableio._read_pvalue_csv(path)
         except ValueError as exc:
             got = str(exc)
     if isinstance(want, str):
@@ -248,7 +248,7 @@ def test_reader_checks_field_count_wherever_p_lfc_is(header, cells, extra, odd):
             fh.write(text)
         want = _parse_oracle(path, text)
         try:
-            got = cli._read_pvalue_csv(path)
+            got = _tableio._read_pvalue_csv(path)
         except ValueError as exc:
             got = str(exc)
     if isinstance(want, str):
@@ -267,7 +267,7 @@ def test_reader_is_bitwise_float_at_scale(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("p_lfc\n" + "\n".join(cells) + "\n")
     want = np.fromiter(map(float, cells), float, len(cells))
-    assert np.array_equal(cli._read_pvalue_csv(str(path)).view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(_tableio._read_pvalue_csv(str(path)).view(np.uint64), want.view(np.uint64))
 
 
 _NUMPY_TAKES = [
@@ -300,7 +300,7 @@ def test_reader_gives_numpy_only_a_plain_file(tmp_path, monkeypatch, name, text,
     path.write_text(text, encoding="utf-8", newline="")
     want = _parse_oracle(str(path), text.removeprefix("\ufeff"))
     try:
-        got = cli._read_pvalue_csv(str(path))
+        got = _tableio._read_pvalue_csv(str(path))
     except ValueError as exc:
         got = str(exc)
     assert len(calls) == parsed_by_numpy
@@ -316,7 +316,7 @@ def test_reader_reads_a_pipe_once(recwarn):
     os.write(write, b"p_lfc\n0.25\n0.5\n")
     os.close(write)
     try:
-        got = cli._read_pvalue_csv(f"/dev/fd/{read}")
+        got = _tableio._read_pvalue_csv(f"/dev/fd/{read}")
     finally:
         os.close(read)
     assert got.tolist() == [0.25, 0.5] and not recwarn.list
@@ -393,7 +393,7 @@ def test_split_analyze_out_is_the_one_part_file(capsys, tmp_path, split_writer, 
         assert multiprocessing.active_children() == []  # every worker is joined before main returns
         runs.append((report, out.read_bytes()))
     assert runs[1] == runs[0] and runs[2] == runs[0]
-    workers = [min(rows // pi0._CSV_PART_ROWS, cpus) - 1 for cpus in (1, 2, 3)]
+    workers = [min(rows // _tableio._CSV_PART_ROWS, cpus) - 1 for cpus in (1, 2, 3)]
     assert started == {"read": workers, "write": workers}
 
 
@@ -462,7 +462,7 @@ def test_split_parse_is_the_one_part_parse(tmp_path, split_writer, name, cpus):
     for parts in (1, cpus):
         use_cpus(parts)
         try:
-            got = cli._read_pvalue_csv(str(path))
+            got = _tableio._read_pvalue_csv(str(path))
         except ValueError as exc:
             got = str(exc)
         if isinstance(want, str):
@@ -470,7 +470,7 @@ def test_split_parse_is_the_one_part_parse(tmp_path, split_writer, name, cpus):
         else:
             assert isinstance(got, np.ndarray) and np.array_equal(got.view(np.uint64), want.view(np.uint64))
     rows = text.split("p_lfc", 1)[1].count("\n") - 1
-    workers = min(rows // pi0._CSV_PART_ROWS, cpus) - 1 if splits else 0
+    workers = min(rows // _tableio._CSV_PART_ROWS, cpus) - 1 if splits else 0
     assert started["read"] == ([] if splits is None else [0, workers])
     assert multiprocessing.active_children() == []
 
@@ -483,9 +483,9 @@ def test_part_lines_at_the_part_floor(split_writer, cpus):
     use_cpus, _ = split_writer
     use_cpus(cpus)
     raw = _SPLIT_FILES["cut on the part floor"][0]
-    assert cli._part_lines(raw.encode(), len("p_lfc\n")) == [0, 64, None]
-    assert cli._part_lines(("p_lfc\n\n" + raw[6:]).encode(), len("p_lfc\n")) == [0, None]
-    assert cli._part_lines((raw + "\n" * 768).encode(), len("p_lfc\n")) == [0, None]
+    assert _tableio._part_lines(raw.encode(), len("p_lfc\n")) == [0, 64, None]
+    assert _tableio._part_lines(("p_lfc\n\n" + raw[6:]).encode(), len("p_lfc\n")) == [0, None]
+    assert _tableio._part_lines((raw + "\n" * 768).encode(), len("p_lfc\n")) == [0, None]
 
 
 def _split_analyze(tmp_path, prelude=""):
@@ -494,8 +494,8 @@ def _split_analyze(tmp_path, prelude=""):
     when ``main`` returns."""
     src, out, stdout = tmp_path / "p.csv", tmp_path / "out.csv", tmp_path / "stdout.txt"
     src.write_text("p_lfc\n" + "".join(f"{v!r}\n" for v in RngStream(53, 0).generator.random(1001).tolist()))
-    code = ("import multiprocessing, sys\nfrom pi0rand import cli, pi0\n" + prelude +
-            "pi0._CSV_PART_ROWS = 64\npi0._usable_cpus = lambda: 2\ncode = cli.main(sys.argv[1:])\n"
+    code = ("import multiprocessing, sys\nfrom pi0rand import _tableio, cli\n" + prelude +
+            "_tableio._CSV_PART_ROWS = 64\n_tableio._usable_cpus = lambda: 2\ncode = cli.main(sys.argv[1:])\n"
             "assert multiprocessing.active_children() == [] and 'multiprocessing' in sys.modules\n"
             "sys.exit(code)\n")
     src_dir = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -515,7 +515,7 @@ def test_report_is_printed_once_when_a_pool_starts(tmp_path):
 
 
 def test_a_failing_worker_exits_1_without_a_traceback(tmp_path):
-    fail = "def fail(columns):\n    raise RuntimeError('a part failed')\npi0._csv_part = fail\n"
+    fail = "def fail(columns):\n    raise RuntimeError('a part failed')\n_tableio._csv_part = fail\n"
     code, _, err = _split_analyze(tmp_path, fail)
     assert (code, err) == (1, "internal error: a part failed\n")
 
@@ -526,7 +526,7 @@ def test_a_dying_worker_exits_1_without_a_hang(tmp_path, kind):
     parent = "import os\nparent = os.getpid()\n"
     die = {"read": "load = cli.np.loadtxt\n"
                    "cli.np.loadtxt = lambda *a, **k: os._exit(3) if os.getpid() != parent else load(*a, **k)\n",
-           "write": "pi0._csv_part = lambda columns: os._exit(3)\n"}[kind]
+           "write": "_tableio._csv_part = lambda columns: os._exit(3)\n"}[kind]
     code, _, err = _split_analyze(tmp_path, parent + die)
     assert (code, err) == (1, "internal error: a worker process exited with code 3 before sending its result\n")
 
@@ -663,12 +663,13 @@ def test_non_finite_model_flag_exits_2(capsys, command, flags):
 # sha256 of `simulate` CSVs written before replicates were generated in chunks
 # on one re-keyed stream (x86-64, numpy 2.4, scipy 1.17); z independent since
 # its replicates draw the counts of their uniforms as one multinomial of the
-# threshold cells. Any change to the stream layout or to the p-value
-# arithmetic shows up here.
+# threshold cells; both independent models since their `# nu=` line names the
+# product copula that ran, 1.0, not the --nu given. Any change to the stream
+# layout or to the p-value arithmetic shows up here.
 _FROZEN_SIMULATE_SHA256 = {
-    ("z", "independent"): "e3fd6527ae0febcd6c4e06502e5d3f568fdb2f653028f61e6f4a6a855a63bd23",
+    ("z", "independent"): "1f7ed7841a242a0e979b90c1202c1fb456e6ff3b87e021a3107e5781c5149c7c",
     ("z", "gumbel"): "4a882cace72b1b84d8f17ae5ca1e141d96a4f656a03d58d981272d3c5b6fdd6e",
-    ("two-sample", "independent"): "376663f7c102d51d2a39c4bda3d76544d9f5bbb7e97561ede1c184d3d7ce197c",
+    ("two-sample", "independent"): "4e9f112acc2b2fa9a24bd9f7e79b24c76a7e0b284a2af2cda433d617804a2d5b",
     ("two-sample", "gumbel"): "a1542521fc1ac5784efe72c5c119654b28ff7b50a77d9840a388eb88f95e6e7a",
 }
 

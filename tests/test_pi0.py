@@ -8,12 +8,12 @@ from scipy import special
 from scipy.stats import binom
 
 from _oracles import csv_text_row_first
-from pi0rand import pi0
+from pi0rand import _tableio, pi0
+from pi0rand._tableio import _csv_text
 from pi0rand.pi0 import (
     CurveTable,
     EstimatorConfig,
     PopulationSpec,
-    _csv_text,
     cstar_search,
     ecdf,
     h_curve,
@@ -339,7 +339,7 @@ def test_split_csv_text_is_the_one_part_text(split_writer, cpus, columns):
     # min(rows // part, cpus) parts, that is a pool of one process fewer.
     use_cpus, started = split_writer
     use_cpus(cpus)
-    gen, part = RngStream(43, columns).generator, pi0._CSV_PART_ROWS
+    gen, part = RngStream(43, columns).generator, _tableio._CSV_PART_ROWS
     counts = [k * part + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [1001]
     for rows in counts:
         cols = [gen.standard_normal(rows) * 10.0 ** gen.integers(-320, 300, rows) for _ in range(columns)]
@@ -359,7 +359,7 @@ def test_a_writer_left_early_shuts_its_pool_down(split_writer):
 
 
 def _repr_rows(cells, columns=1):
-    """The oracle of ``pi0._repr_cells``: one ``repr`` per cell, a comma between cells and a line end after each row."""
+    """The oracle of ``_tableio._repr_cells``: one ``repr`` per cell, a comma between cells and a line end after each row."""
     return "".join(",".join(map(repr, row)) + "\n" for row in np.reshape(cells, (-1, columns)).tolist())
 
 
@@ -368,7 +368,7 @@ def _assert_repr_cells(cells, columns=1):
     cells = np.asarray(cells, dtype=float)
     for a in range(0, cells.size, 1 << 15):
         block = cells[a:a + (1 << 15)]
-        got, want = pi0._repr_cells(block, columns), _repr_rows(block, columns)
+        got, want = _tableio._repr_cells(block, columns), _repr_rows(block, columns)
         if got != want:
             pairs = enumerate(zip(got.split("\n"), want.split("\n")))
             pytest.fail("row %d: %r, not %r" % next((a + i, g, w) for i, (g, w) in pairs if g != w))
@@ -420,7 +420,7 @@ def test_repr_cells_at_dyadic_ties_and_edges():
 @settings(max_examples=500, deadline=None)
 def test_repr_cells_property(cells, one_row):
     columns = len(cells) if one_row else 1
-    assert pi0._repr_cells(np.array(cells), columns) == _repr_rows(cells, columns)
+    assert _tableio._repr_cells(np.array(cells), columns) == _repr_rows(cells, columns)
 
 
 def test_csv_text_formats_special_cells_by_repr():

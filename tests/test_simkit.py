@@ -9,8 +9,9 @@ from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
 
 from _oracles import count_pmf_under_independence, dkw_band, gumbel_uniforms_reference, ks_critical
 from _oracles import replicate_block_per_replicate
-from pi0rand import pi0, simkit
-from pi0rand.pi0 import _csv_text, _estimate_from_count, _grid_thresholds, _usable_cpus, h_curve
+from pi0rand import _tableio, cli, pi0, simkit
+from pi0rand._tableio import _csv_text, _usable_cpus
+from pi0rand.pi0 import _estimate_from_count, _grid_thresholds, h_curve
 from pi0rand.pvalues import MarginalLaw, RandomizationRule, ZTestLaw, randomize_vector
 from pi0rand.simkit import (
     ModelSpec,
@@ -278,6 +279,14 @@ class TestRunMc:
         lines = [summary.to_csv_string().split("\n") for summary in (indep, gumbel)]
         assert [(a, b) for a, b in zip(*lines) if a != b] == [("# dependence=independent", "# dependence=gumbel")]
 
+    def test_an_independent_spec_keeps_the_product_copula(self):
+        # A nu given with independence is checked, then replaced by 1, so the CSV names the copula that ran.
+        with pytest.raises(ValueError, match="^nu must be finite and >= 1, got 0.5$"):
+            study_spec(nu=0.5)
+        plan = self.small_plan(replicates=40, spec_kw=dict(nu=2.0))
+        assert plan.spec.nu == 1.0 and study_spec(dependence="gumbel", nu=2.0).nu == 2.0
+        assert "\n# nu=1.0\n" in run_mc(plan).to_csv_string()
+
     def test_copula_leaves_mean_alone(self):
         indep = run_mc(self.small_plan())
         dep = run_mc(self.small_plan(spec_kw=dict(dependence="gumbel", nu=2.0)))
@@ -332,7 +341,7 @@ class TestRunMc:
         # draw that group's rows twice.
         assert simkit.GROUP == 32
         for cpus in (2, 3, 7, 64):
-            monkeypatch.setattr(simkit, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(_tableio, "_usable_cpus", lambda: cpus)
             for reps in (1, 31, 32, 33, 100, 1000, 10_000):
                 blocks = _blocks(reps, 10**6)
                 assert len(blocks) == min(cpus, -(-reps // 32))
@@ -349,20 +358,25 @@ class TestRunMc:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _usable_cpus() == 1
 
-    def test_one_usable_cpu_gives_one_block_and_no_pool(self, monkeypatch):
-        # As under `taskset -c 0`: two workers asked for, one CPU to run them on.
+    def test_one_usable_cpu_gives_one_block_and_no_pool(self, monkeypatch, tmp_path, capsys):
+        # As under `taskset -c 0`: two workers asked for, one CPU to run them on. One patch of the usable CPUs
+        # reaches run_mc's blocks and the writer's and the reader's parts.
         def no_start(*args, **kwargs):
             raise AssertionError("a worker process started on one CPU")
 
         plan = self.small_plan(replicates=40)
         serial = run_mc(plan).to_csv_string()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(_tableio, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
-        monkeypatch.setattr(pi0, "_CSV_PART_ROWS", 64)
+        monkeypatch.setattr(_tableio, "_CSV_PART_ROWS", 64)
         assert _blocks(40, 2) == [(0, 40)]
         assert run_mc(plan, workers=2).to_csv_string() == serial
         rows = np.linspace(0.0, 1.0, 1001)
         assert "".join(_csv_text({}, ["x"], [rows])) == "x\n" + "".join(f"{v!r}\n" for v in rows.tolist())
+        src, out = tmp_path / "p.csv", tmp_path / "out.csv"  # two parts' worth of rows, read and written in one
+        src.write_text("p_lfc\n" + "".join(f"{v!r}\n" for v in rows[1:2 * 64 + 2].tolist()))
+        assert cli.main(["analyze", str(src), "--out", str(out)]) == 0, capsys.readouterr().err
+        assert out.read_text().count("\n") == 4 + 1 + 2 * 64 + 1  # metadata, header and rows
 
     def test_a_failing_block_worker_raises_its_exception(self, monkeypatch):
         # Block 0 runs in the caller, block 1 in a worker, which raises; the caller raises it again.
@@ -373,7 +387,7 @@ class TestRunMc:
                 raise LookupError(f"block from {start} failed")
             return real(plan, start, stop)
 
-        monkeypatch.setattr(simkit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_tableio, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(simkit, "_replicate_block", block)
         with pytest.raises(LookupError, match="^block from 32 failed$"):
             run_mc(self.small_plan(replicates=40), workers=2)

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from pi0rand.pi0 import _CSV_PART_ROWS, _usable_cpus
+from pi0rand._tableio import _CSV_PART_ROWS, _usable_cpus
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 UFUNCS = ("ndtr", "ndtri", "stdtr", "stdtrit", "nctdtr", "nctdtrit", "_nct_pdf")
@@ -146,9 +146,9 @@ def test_analyze_starts_a_pool_only_on_more_than_one_cpu(tmp_path):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux only")
 def test_workers_fork_on_linux_whatever_the_default():
     # A spawned or forkserver worker would import numpy and pi0rand again, and take its inputs pickled.
-    out = _run("import multiprocessing, os\nfrom pi0rand import pi0\nmultiprocessing.set_start_method('spawn')\n"
+    out = _run("import multiprocessing, os\nfrom pi0rand import _tableio\nmultiprocessing.set_start_method('spawn')\n"
                "method = lambda: multiprocessing.current_process()._start_method\n"
-               "with pi0._workers([method, os.getppid]) as results:\n"
+               "with _tableio._workers([method, os.getppid]) as results:\n"
                "    print(*[result() for result in results], os.getpid())")
     method, parent, pid = out.split()
     assert method == "fork" and parent == pid
@@ -226,9 +226,9 @@ def test_workers_fork_from_a_one_thread_parent(tmp_path):
     # thread.
     src = tmp_path / "p.csv"
     src.write_text("p_lfc\n" + "".join(f"{(7 * j % 997) / 997}\n" for j in range(1, 201)))
-    code = ("import os, sys\nfrom pi0rand import cli, pi0, simkit\n"
-            "pi0._CSV_PART_ROWS, pi0._CSV_BLOCK_ROWS = 64, 16\n"
-            "pi0._usable_cpus = simkit._usable_cpus = lambda: 2\n"
+    code = ("import os, sys\nfrom pi0rand import _tableio, cli\n"
+            "_tableio._CSV_PART_ROWS, _tableio._CSV_BLOCK_ROWS = 64, 16\n"
+            "_tableio._usable_cpus = lambda: 2\n"
             "threads, fork = [], os.fork\n"
             f"os.fork = lambda: (threads.append({THREADS}), fork())[1]\n"
             "assert cli.main(['analyze', sys.argv[1], '--seed', '9', '--out', sys.argv[2]]) == 0\n"

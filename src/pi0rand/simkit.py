@@ -37,9 +37,11 @@ worker count, and the replicates of a shorter run are the first ones of a
 longer run. One generator per block is re-keyed twice per group. The rows of
 iid uniforms of a group of replicates are one ``multinomial`` call, drawn
 row after row and, within a row, effect group after effect group. Other rows
-run in chunks of ``CHUNK_VALUES`` drawn values, each row's values in the
-order of one row drawn alone, with one draw (the normals of an independent
-two-sample model, then its statistics) and one sort per chunk; a Gumbel row
+run in chunks of ``CHUNK_VALUES`` counted values, each row's values drawn in
+the order of one row drawn alone, with one sort per chunk. An independent
+two-sample row is drawn from the sufficient statistics of its law: its m
+standard normals Z, then its m chi-squares V = 2 * Gamma(df / 2), counted as
+x = -T = -(Z + ncp) / sqrt(V / df), formed once per chunk. A Gumbel row
 draws its frailty, then its exponentials, and log S and the copula uniforms
 are formed once per chunk. Each group's binomials are one ``binomial`` call.
 ``gen_lfc_pvalues`` is the data-level sampler: it draws an independent z
@@ -71,7 +73,7 @@ __all__ = [
 MODELS = ("z", "two_sample")
 DEPENDENCE = ("independent", "gumbel")
 GROUP = 32  # consecutive replicates that share one data stream and one binomial stream
-CHUNK_VALUES = 8192  # random values drawn per chunk of replicates: 8 replicates at m = 1000
+CHUNK_VALUES = 8192  # counted values per chunk of replicates: 8 replicates at m = 1000
 
 
 @dataclass(frozen=True)
@@ -197,41 +199,36 @@ def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> np.ndarray:
     -sqrt(n) * (theta + mean noise), where the Monte Carlo kernel draws cell counts instead; every other model's
     maps one counted row to its p-values."""
     if spec.model == "z" and spec.dependence == "independent":
+        counts, thetas = zip(*spec.groups)
         noise = rng.generator.standard_normal(spec.m) / np.sqrt(spec.n)
-        return lfc_pvalue_z(_thetas(spec) + noise, spec.n)
+        return lfc_pvalue_z(np.repeat(thetas, counts) + noise, spec.n)
     x = _counted_rows(spec, rng.generator, 1)[0]
     return np.hstack([to_p(x[a:b]) for a, b, to_p, _ in _count_maps(spec)])
 
 
-def _thetas(spec: ModelSpec) -> np.ndarray:
-    return np.concatenate([np.full(count, theta) for count, theta in spec.groups])
-
-
-def _draws_per_replicate(spec: ModelSpec) -> int:
-    return spec.m * (spec.n1 + spec.n2 if spec.model == "two_sample" and spec.dependence == "independent" else 1)
-
-
 def _counted_rows(spec: ModelSpec, gen: np.random.Generator, rows: int) -> np.ndarray:
     """``rows`` rows, drawn from ``gen`` one after another, of the values a Gumbel or two-sample replicate counts: a
-    Gumbel model's copula uniforms, and x = -T for an independent two-sample model."""
+    Gumbel model's copula uniforms, and x = -T for an independent two-sample model. T is drawn from its sufficient
+    statistics, T = (Z + ncp) / sqrt(V / df), with a row's m standard normals Z drawn first, then its m chi-squares
+    V = 2 * Gamma(df / 2)."""
     if spec.dependence == "gumbel":
         return _gumbel_rows(spec.m, spec.nu, gen, rows)
-    raw = gen.standard_normal((rows, _draws_per_replicate(spec)))
-    thetas, m = _thetas(spec), spec.m
-    x = thetas[:, None] + spec.sigma * raw[:, : m * spec.n1].reshape(rows, m, spec.n1)
-    y = spec.sigma * raw[:, m * spec.n1 :].reshape(rows, m, spec.n2)
-    xbar, ybar, df = x.mean(axis=-1), y.mean(axis=-1), spec.n1 + spec.n2 - 2
-    pooled = (((x - xbar[..., None]) ** 2).sum(axis=-1) + ((y - ybar[..., None]) ** 2).sum(axis=-1)) / df
-    return -np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
+    counts, laws = zip(*spec.population().groups)
+    ncp, df = np.repeat([law.ncp for law in laws], counts), laws[0].df
+    z, v = np.empty((2, rows, spec.m))
+    for i in range(rows):
+        gen.standard_normal(out=z[i])
+        gen.standard_gamma(df / 2.0, out=v[i])
+    return -(z + ncp) / np.sqrt(2.0 * v / df)
 
 
 def _count_maps(spec: ModelSpec) -> list:
     """``(start, stop, to_p, from_p)`` per column range of a counted row: ``to_p`` maps its values to their
     p-values, increasing, and ``from_p`` maps a p-value threshold back to the counted scale."""
-    if spec.model == "two_sample" and spec.dependence == "independent":
-        df = spec.n1 + spec.n2 - 2
-        return [(0, spec.m, lambda x: lfc_pvalue_t(-x, df), lambda p: _t_quantile(p, df))]
     groups = spec.population().groups
+    if spec.model == "two_sample" and spec.dependence == "independent":
+        df = groups[0][1].df
+        return [(0, spec.m, lambda x: lfc_pvalue_t(-x, df), lambda p: _t_quantile(p, df))]
     stops = np.cumsum([count for count, _ in groups])
     return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, law) in zip(stops, groups)]
 
@@ -261,9 +258,9 @@ def _cell_counter(spec: ModelSpec, lam: float, c: np.ndarray):
 
 def _row_counter(spec: ModelSpec, lam: float, c: np.ndarray):
     """Per row of ``_counted_rows``, #{p <= lambda*c} and #{p >= c}: each column range sorted and counted against
-    its mapped thresholds, in chunks of ``CHUNK_VALUES`` drawn values."""
+    its mapped thresholds, in chunks of ``CHUNK_VALUES`` counted values."""
     ranges = [(a, b, *_grid_thresholds(lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
-    chunk = max(1, CHUNK_VALUES // _draws_per_replicate(spec))
+    chunk = max(1, CHUNK_VALUES // spec.m)
 
     def count(gen: np.random.Generator, rows: int) -> np.ndarray:
         part = np.empty((len(ranges), rows, 2, c.size), dtype=np.int64)  # per range and row

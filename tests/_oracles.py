@@ -7,8 +7,8 @@ those cdfs, and g from direct indicator counting. Three helpers read the
 library's marginal laws instead, since what they check is a property of
 those laws: ``validity_diagnostic`` and ``stochastic_order_diagnostic``
 (the paper's validity and stochastic-order conditions, on grids),
-``replicate_block_per_replicate`` (its cdfs, quantiles and copula uniforms) and
-``count_pmf_under_independence`` (its cdfs).
+``replicate_block_per_replicate`` (its laws, cdfs, quantiles and copula uniforms)
+and ``count_pmf_under_independence`` (its cdfs).
 """
 
 import math
@@ -182,9 +182,11 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     {0, F_g(lambda c) for c > 0, F_g(c), 1}; #{V <= F_g(t)} is then the count
     of the cells whose upper edge is at most F_g(t). A Gumbel vector at nu > 1
     maps its copula uniforms through each group's quantile, and a two-sample
-    vector without a copula comes from its raw data; both are counted as
-    p-values. The marginal cdfs and quantiles and the copula uniforms are the
-    library's; everything else is written out here.
+    vector without a copula comes from its sufficient statistics, m standard
+    normals Z and then m chi-squares V = 2 Gamma(df/2), as
+    T = (Z + ncp) / sqrt(V/df) with each group's ncp and df read from its law;
+    both are counted as p-values. The marginal laws and cdfs and quantiles and
+    the copula uniforms are the library's; everything else is written out here.
     """
     from scipy import special
 
@@ -193,11 +195,9 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     def stream(stream_id):
         return np.random.Generator(np.random.Philox(key=np.array([plan.seed, stream_id], dtype=np.uint64)))
 
-    spec, c, lam = plan.spec, np.asarray(plan.c_grid), plan.lam
-    thetas = np.concatenate([np.full(count, theta) for count, theta in spec.groups])
-    m = thetas.size
+    spec, c, lam, m = plan.spec, np.asarray(plan.c_grid), plan.lam, plan.spec.m
     iid = spec.nu == 1.0 if spec.dependence == "gumbel" else spec.model == "z"
-    laws = [law for _, law in spec.population().groups]
+    counts, laws = zip(*spec.population().groups)
     low, up = [law.cdf(lam * c) for law in laws], [law.cdf(c) for law in laws]
     cuts = [np.sort(np.concatenate([[0.0], lo[c > 0.0], hi, [1.0]])) for lo, hi in zip(low, up)]
     out = np.empty((stop - start, c.size))
@@ -221,14 +221,11 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
                     p[offset : offset + count] = spec.marginal_law(theta).quantile(v[offset : offset + count])
                     offset += count
             else:
-                x = thetas[:, None] + spec.sigma * gen.standard_normal((m, spec.n1))
-                y = spec.sigma * gen.standard_normal((m, spec.n2))
-                xbar = x.mean(axis=1)
-                ybar = y.mean(axis=1)
-                df = spec.n1 + spec.n2 - 2
-                pooled = (((x - xbar[:, None]) ** 2).sum(axis=1) + ((y - ybar[:, None]) ** 2).sum(axis=1)) / df
-                tstat = np.sqrt(spec.n1 * spec.n2 / (spec.n1 + spec.n2)) * (xbar - ybar) / np.sqrt(pooled)
-                p = special.stdtr(df, -tstat)
+                df = laws[0].df
+                ncp = np.concatenate([np.full(count, law.ncp) for count, law in zip(counts, laws)])
+                z = gen.standard_normal(m)
+                v = 2.0 * gen.standard_gamma(df / 2.0, m)
+                p = special.stdtr(df, (z + ncp) / -np.sqrt(v / df))
             p = np.sort(p)
             n_low = np.where(c > 0.0, np.searchsorted(p, lam * c, side="right"), 0)
             n_up_trials = m - np.searchsorted(p, c, side="left")
@@ -239,6 +236,17 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
         if r >= start:
             out[r - start] = est
     return out
+
+
+def two_sample_t_per_observation(gen, theta: float, n1: int, n2: int, sigma: float, size: int) -> np.ndarray:
+    """``size`` pooled two-sample t statistics, each from its own raw data: n1 normals of mean theta and n2 of mean 0,
+    all of standard deviation sigma, reduced to the two means and the pooled variance. The Monte Carlo kernel drew
+    its two-sample rows this way before it drew T from its sufficient statistics."""
+    x = theta + sigma * gen.standard_normal((size, n1))
+    y = sigma * gen.standard_normal((size, n2))
+    xbar, ybar, df = x.mean(axis=1), y.mean(axis=1), n1 + n2 - 2
+    pooled = (((x - xbar[:, None]) ** 2).sum(axis=1) + ((y - ybar[:, None]) ** 2).sum(axis=1)) / df
+    return math.sqrt(n1 * n2 / (n1 + n2)) * (xbar - ybar) / np.sqrt(pooled)
 
 
 def count_pmf_under_independence(pop, lam: float, c) -> np.ndarray:

@@ -598,6 +598,21 @@ class TestSimulate:
         joint = np.sqrt(mi[:, 1] ** 2 + mg[:, 1] ** 2)
         assert np.all(np.abs(mi[:, 0] - mg[:, 0]) <= 3.0 * joint)
 
+    def test_two_sample_is_exact_at_extreme_ncp(self, capsys, tmp_path):
+        # At --sigma 1e-10 the ncps are -+2.2e10: the null p-values are 1 and the alternative ones 0 to the last bit,
+        # so the means at c = 0, 0.5 and 1 are 1, 0.7 and 1.4, the last with zero variance. The kernel counts T
+        # against central t quantiles; a kernel that read the non-central t cdf there would print `curves`' 1, 1, 2.
+        out = tmp_path / "mc.csv"
+        code, _, err = run_cli(capsys, "simulate", "--model", "two-sample", "--sigma", "1e-10", "--theta-null", "-1",
+                               "--theta-alt", "1", "--c-grid", "0,0.5,1", "--reps", "2000", "--seed", "4",
+                               "--out", str(out))
+        assert code == 0, err
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in out.read_text().strip().split("\n")
+                         if not ln.startswith(("#", "c,"))])
+        mean, variance, se = rows[:, 1], rows[:, 2], rows[:, 5]
+        assert np.all(np.abs(mean - [1.0, 0.7, 1.4]) <= 4.0 * se + 1e-12)
+        assert variance[2] <= 1e-24
+
     def test_zero_reps_rejected(self, capsys):
         code, _, err = run_cli(capsys, *self.ARGS[:-4], "--reps", "0")
         assert code == 2 and "--reps" in err
@@ -664,12 +679,13 @@ def test_non_finite_model_flag_exits_2(capsys, command, flags):
 # on one re-keyed stream (x86-64, numpy 2.4, scipy 1.17); z independent since
 # its replicates draw the counts of their uniforms as one multinomial of the
 # threshold cells; both independent models since their `# nu=` line names the
-# product copula that ran, 1.0, not the --nu given. Any change to the stream
-# layout or to the p-value arithmetic shows up here.
+# product copula that ran, 1.0, not the --nu given; two-sample independent
+# since its rows draw T from its sufficient statistics. Any change to the
+# stream layout or to the p-value arithmetic shows up here.
 _FROZEN_SIMULATE_SHA256 = {
     ("z", "independent"): "1f7ed7841a242a0e979b90c1202c1fb456e6ff3b87e021a3107e5781c5149c7c",
     ("z", "gumbel"): "4a882cace72b1b84d8f17ae5ca1e141d96a4f656a03d58d981272d3c5b6fdd6e",
-    ("two-sample", "independent"): "4e9f112acc2b2fa9a24bd9f7e79b24c76a7e0b284a2af2cda433d617804a2d5b",
+    ("two-sample", "independent"): "069fc74674f1235ffe6d813ea711c786536559b82f0f74aba5da5033ff26de48",
     ("two-sample", "gumbel"): "a1542521fc1ac5784efe72c5c119654b28ff7b50a77d9840a388eb88f95e6e7a",
 }
 

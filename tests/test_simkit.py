@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import binom, chi2_contingency, chisquare, kendalltau
+from scipy.stats import binom, chi2_contingency, chisquare, kendalltau, ks_2samp
 
 from _oracles import count_pmf_under_independence, dkw_band, gumbel_uniforms_reference, ks_critical
-from _oracles import replicate_block_per_replicate
+from _oracles import replicate_block_per_replicate, two_sample_t_per_observation
 from pi0rand import _tableio, cli, pi0, simkit
 from pi0rand._tableio import _csv_text, _usable_cpus
 from pi0rand.pi0 import _estimate_from_count, _grid_thresholds, h_curve
@@ -154,6 +154,18 @@ class TestGenLfcPvalues:
             [gen_lfc_pvalues(spec, RngStream(33, i)) for i in range(100)]
         )
         assert _ks_uniform(pooled) <= ks_critical(pooled.size)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 2), (10, 10), (51, 51)], ids=["df1", "df18", "df100"])
+    def test_two_sample_t_has_the_law_of_its_raw_data_statistic(self, n1, n2):
+        # The kernel draws T from its sufficient statistics (Z, V) and the ncp of its law; the oracle draws it from
+        # n1 + n2 normals of standard deviation sigma. A two-sample KS test of 10^6 draws each, at a false-alarm
+        # rate of 1e-3 over the three dfs, drawn in chunks.
+        theta, sigma, size = 1.5, 1.3, 10**6
+        spec = ModelSpec("two_sample", ((10_000, theta),), n1=n1, n2=n2, sigma=sigma)
+        new = -simkit._counted_rows(spec, RngStream(606, n1).generator, size // spec.m).ravel()
+        gen = np.random.default_rng([606, n1])
+        old = np.concatenate([two_sample_t_per_observation(gen, theta, n1, n2, sigma, 20_000) for _ in range(50)])
+        assert ks_2samp(new, old).pvalue > 1e-3 / 3
 
     def test_dependent_marginals_match_laws(self):
         # The copula construction must preserve the exact marginals. A whole
@@ -433,7 +445,7 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("chunk_values", [1, 3000, simkit.CHUNK_VALUES])
     def test_bitwise_equal_to_per_replicate_oracle(self, name, chunk_values, monkeypatch):
         # Gumbel rows at nu > 1 and two-sample independent rows come in chunks: replicates 5..42 start and end
-        # inside a chunk for every chunk size above one row (3 or 8 rows at m = 1000, 2 or 7 at m*(n1 + n2) = 1100).
+        # inside a chunk for every chunk size above one row (3 or 8 rows at m = 1000, 30 or 81 at m = 100).
         # Rows of iid uniforms (z independent, Gumbel at nu = 1) draw one multinomial per group of replicates,
         # which no chunk size may change.
         monkeypatch.setattr(simkit, "CHUNK_VALUES", chunk_values)

@@ -112,6 +112,7 @@ class ZTestLaw(MarginalLaw):
     def __post_init__(self):
         if not np.isfinite(self.theta_scaled):
             raise ValueError("theta_scaled must be finite")
+        object.__setattr__(self, "theta_scaled", float(self.theta_scaled))  # a plain float repr, for the digest
 
     @property
     def _effect(self) -> float:
@@ -142,6 +143,7 @@ class TwoSampleTLaw(MarginalLaw):
     def __post_init__(self):
         if not np.isfinite(self.ncp):
             raise ValueError("ncp must be finite")
+        object.__setattr__(self, "ncp", float(self.ncp))
         object.__setattr__(self, "df", _positive_int(self.df, "df"))
 
     @property

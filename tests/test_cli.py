@@ -681,12 +681,14 @@ def test_non_finite_model_flag_exits_2(capsys, command, flags):
 # threshold cells; both independent models since their `# nu=` line names the
 # product copula that ran, 1.0, not the --nu given; two-sample independent
 # since its rows draw T from its sufficient statistics. Any change to the
-# stream layout or to the p-value arithmetic shows up here.
+# stream layout or to the p-value arithmetic shows up here. All four since
+# the laws keep their effects as plain floats, which changed the `# spec=`
+# line only.
 _FROZEN_SIMULATE_SHA256 = {
-    ("z", "independent"): "1f7ed7841a242a0e979b90c1202c1fb456e6ff3b87e021a3107e5781c5149c7c",
-    ("z", "gumbel"): "4a882cace72b1b84d8f17ae5ca1e141d96a4f656a03d58d981272d3c5b6fdd6e",
-    ("two-sample", "independent"): "069fc74674f1235ffe6d813ea711c786536559b82f0f74aba5da5033ff26de48",
-    ("two-sample", "gumbel"): "a1542521fc1ac5784efe72c5c119654b28ff7b50a77d9840a388eb88f95e6e7a",
+    ("z", "independent"): "5f4a657a587c66a334f28a8a457714df749f91302bbb6e03c392cfe0a0a0a4d6",
+    ("z", "gumbel"): "46f1a21b7310070cb895501775193cee0b0f327de6067a9a54efff3f2af13d3b",
+    ("two-sample", "independent"): "bd3ce8165d6379ff014588db6f838055b91ed1c8318a811d0350711b0a68e17d",
+    ("two-sample", "gumbel"): "37e5d430e606f00372f5e8aeb90faf8d06767c64601248aafda8d2524df071ec",
 }
 
 

@@ -292,6 +292,13 @@ class TestPopulationSpec:
         assert interior_null_population().digest() == interior_null_population().digest()
         assert interior_null_population().digest() != lfc_null_population().digest()
 
+    def test_equal_populations_share_one_digest(self):
+        # A law kept an np.float64 effect as given, and the digest hashes the laws' repr: equal populations built
+        # from a float and from an np.float64 hashed apart, and the np.float64 repr differs across numpy versions.
+        from_numpy = PopulationSpec(((700, ZTestLaw(np.float64(-1.0))), (300, TwoSampleTLaw(np.float64(2.5), 18))))
+        from_float = PopulationSpec(((700, ZTestLaw(-1.0)), (300, TwoSampleTLaw(2.5, 18))))
+        assert from_numpy == from_float and from_numpy.digest() == from_float.digest()
+
 
 class TestCurveTable:
     def test_csv_schema(self):

@@ -185,8 +185,9 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     vector without a copula comes from its sufficient statistics, m standard
     normals Z and then m chi-squares V = 2 Gamma(df/2), as
     T = (Z + ncp) / sqrt(V/df) with each group's ncp and df read from its law;
-    both are counted as p-values. The marginal laws and cdfs and quantiles and
-    the copula uniforms are the library's; everything else is written out here.
+    both are counted as p-values. The marginal laws, with their cdfs and
+    quantiles, and the copula uniforms are the library's; everything else is
+    written out here.
     """
     from scipy import special
 

@@ -24,10 +24,10 @@ at 1 for a statistic),
 so a replicate counts x against P^-1(lambda*c) and P^-1(c), mapped once per
 block. It evaluates neither P nor a quantile, and counts the exact p-values
 also where P(x) rounds to 1.0 under a strongly conservative null. A row of
-iid uniforms (an independent z model, or a Gumbel model at nu = 1) needs only
-the counts of each group's uniforms in the cells between its sorted
-thresholds, which are one Multinomial(m_g, cell widths) draw; any other row
-is drawn and sorted (per group for the copula uniforms).
+iid uniforms (an independent z model) needs only the counts of each group's
+uniforms in the cells between its sorted thresholds, which are one
+Multinomial(m_g, cell widths) draw; any other row is drawn and sorted (per
+group for the copula uniforms).
 
 Replicates come in groups of ``GROUP`` = 32: group g = r // 32 draws its
 rows from the stream ``(seed, 2g)``, in replicate order, and all its
@@ -83,8 +83,8 @@ class ModelSpec:
     ``groups`` lists ``(count, theta)`` pairs; hypotheses with theta <= 0
     are true nulls. For the Z model ``n`` is the per-hypothesis sample
     size; for the two-sample model ``n1``/``n2``/``sigma`` parameterize the
-    two normal samples. ``nu = 1`` makes the Gumbel copula the product
-    copula; an independent spec checks nu, then keeps 1, the copula it runs.
+    two normal samples. nu is checked; then an independent spec, or one at
+    nu = 1 (the product copula), is stored as independent at nu = 1.
     """
 
     model: str
@@ -112,7 +112,8 @@ class ModelSpec:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
         if not 1.0 <= self.nu < np.inf:
             raise ValueError(f"nu must be finite and >= 1, got {self.nu!r}")
-        if self.dependence == "independent":
+        if self.dependence == "independent" or self.nu == 1.0:
+            object.__setattr__(self, "dependence", "independent")
             object.__setattr__(self, "nu", 1.0)
         thetas = _finite_array([float(theta) for _, theta in self.groups], "group effects").tolist()
         with np.errstate(over="ignore"):  # a finite effect can overflow once scaled; its law rejects the inf
@@ -177,7 +178,7 @@ class McSummary:
 
 
 def _gumbel_rows(m: int, nu: float, gen: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` rows of m uniforms coupled by the Gumbel-Hougaard copula, drawn from ``gen`` one row after another.
+    """``rows`` rows of m uniforms coupled by the Gumbel-Hougaard copula at nu > 1, drawn from ``gen`` row by row.
 
     Frailty construction: with S positive stable of index 1/nu and E_j iid
     standard exponential, ``V_j = exp(-(E_j / S)**(1/nu))``, formed from log S
@@ -187,11 +188,9 @@ def _gumbel_rows(m: int, nu: float, gen: np.random.Generator, rows: int) -> np.n
     """
     alpha, uw, e = 1.0 / nu, np.empty((2, rows)), np.empty((rows, m))
     for i in range(rows):
-        if alpha < 1.0:  # at nu = 1, S = 1 and no frailty is drawn
-            uw[:, i] = gen.random(), gen.standard_exponential()
+        uw[:, i] = gen.random(), gen.standard_exponential()
         gen.standard_exponential(out=e[i])
-    log_s = _kanter_log_stable(alpha, *uw) if alpha < 1.0 else np.zeros(rows)
-    return np.exp(-(e**alpha) * np.exp(-log_s / nu)[:, None])
+    return np.exp(-(e**alpha) * np.exp(-_kanter_log_stable(alpha, *uw) / nu)[:, None])
 
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> np.ndarray:
@@ -279,7 +278,7 @@ def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
     """Estimates of replicates start..stop - 1, a row each. A block that starts inside a group runs the group from
     its first row, since its streams are read in replicate order."""
     spec, c, first = plan.spec, np.asarray(plan.c_grid), start - start % GROUP
-    iid = spec.nu == 1.0 if spec.dependence == "gumbel" else spec.model == "z"  # rows of iid uniforms
+    iid = spec.model == "z" and spec.dependence == "independent"  # rows of iid uniforms
     count = (_cell_counter if iid else _row_counter)(spec, plan.lam, c)
     n = np.empty((stop - first, c.size), dtype=np.int64)  # N per replicate
     rng = RngStream(plan.seed)

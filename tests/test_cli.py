@@ -598,20 +598,34 @@ class TestSimulate:
         joint = np.sqrt(mi[:, 1] ** 2 + mg[:, 1] ** 2)
         assert np.all(np.abs(mi[:, 0] - mg[:, 0]) <= 3.0 * joint)
 
-    def test_two_sample_is_exact_at_extreme_ncp(self, capsys, tmp_path):
+    @pytest.mark.parametrize("copula", [[], ["--copula", "gumbel", "--nu", "1"]], ids=["independent", "gumbel-nu1"])
+    def test_two_sample_is_exact_at_extreme_ncp(self, capsys, tmp_path, copula):
         # At --sigma 1e-10 the ncps are -+2.2e10: the null p-values are 1 and the alternative ones 0 to the last bit,
         # so the means at c = 0, 0.5 and 1 are 1, 0.7 and 1.4, the last with zero variance. The kernel counts T
-        # against central t quantiles; a kernel that read the non-central t cdf there would print `curves`' 1, 1, 2.
+        # against central t quantiles; a kernel that read the non-central t cdf there would print `curves`' 1, 1, 2,
+        # as a Gumbel copula at nu = 1 did while it counted its copula cells apart from the independent model.
         out = tmp_path / "mc.csv"
         code, _, err = run_cli(capsys, "simulate", "--model", "two-sample", "--sigma", "1e-10", "--theta-null", "-1",
                                "--theta-alt", "1", "--c-grid", "0,0.5,1", "--reps", "2000", "--seed", "4",
-                               "--out", str(out))
+                               *copula, "--out", str(out))
         assert code == 0, err
         rows = np.array([[float(v) for v in ln.split(",")] for ln in out.read_text().strip().split("\n")
                          if not ln.startswith(("#", "c,"))])
         mean, variance, se = rows[:, 1], rows[:, 2], rows[:, 5]
         assert np.all(np.abs(mean - [1.0, 0.7, 1.4]) <= 4.0 * se + 1e-12)
         assert variance[2] <= 1e-24
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("model", ["z", "two-sample"])
+    def test_gumbel_at_nu_one_writes_the_independent_csv(self, capsys, tmp_path, model, workers):
+        # The product copula is stored as the independent model, so both spellings run one kernel on one layout.
+        outs = [tmp_path / "i.csv", tmp_path / "g.csv"]
+        for out, copula in zip(outs, (["--copula", "independent"], ["--copula", "gumbel", "--nu", "1"])):
+            code, _, err = run_cli(capsys, "simulate", "--model", model, "--m", "90", "--reps", "70", "--seed", "31",
+                                   "--c-grid", "0:0.25:1", "--workers", workers, *copula, "--out", str(out))
+            assert code == 0, err
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert "# dependence=independent\n# nu=1.0\n" in outs[0].read_text()
 
     def test_zero_reps_rejected(self, capsys):
         code, _, err = run_cli(capsys, *self.ARGS[:-4], "--reps", "0")

@@ -153,9 +153,9 @@ def _add_model_flags(sub):
     sub.add_argument("--model", choices=("z", "two-sample"), default="z")
     sub.add_argument("--m", type=int, default=1000, help="number of hypotheses")
     sub.add_argument("--n", type=int, default=50, help="Z model sample size")
-    sub.add_argument("--n1", type=int, default=10)
-    sub.add_argument("--n2", type=int, default=10)
-    sub.add_argument("--sigma", type=float, default=1.0)
+    sub.add_argument("--n1", type=int, default=10, help="two-sample model: size of the first sample")
+    sub.add_argument("--n2", type=int, default=10, help="two-sample model: size of the second sample")
+    sub.add_argument("--sigma", type=float, default=1.0, help="two-sample model: standard deviation (z model: 1 only)")
     sub.add_argument("--pi0", type=float, default=0.7, help="fraction of true nulls")
     sub.add_argument("--theta-null", type=float, default=0.0, help="effect of the null group")
     sub.add_argument("--theta-alt", type=float, default=0.5, help="effect of the alternative group")

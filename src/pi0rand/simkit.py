@@ -108,6 +108,8 @@ class ModelSpec:
             if self.n1 + self.n2 < 3:
                 raise ValueError("need n1 + n2 - 2 >= 1")
         _positive_finite(self.sigma, "sigma")
+        if self.model == "z" and self.sigma != 1.0:
+            raise ValueError(f"sigma must be 1 for the z model, got {self.sigma!r}")
         if self.dependence not in DEPENDENCE:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
         if not 1.0 <= self.nu < np.inf:
@@ -209,7 +211,8 @@ def _counted_rows(spec: ModelSpec, gen: np.random.Generator, rows: int) -> np.nd
     """``rows`` rows, drawn from ``gen`` one after another, of the values a Gumbel or two-sample replicate counts: a
     Gumbel model's copula uniforms, and x = -T for an independent two-sample model. T is drawn from its sufficient
     statistics, T = (Z + ncp) / sqrt(V / df), with a row's m standard normals Z drawn first, then its m chi-squares
-    V = 2 * Gamma(df / 2)."""
+    V = 2 * Gamma(df / 2). An x that overflows is clipped to the largest double of its sign, beyond every finite
+    threshold, so it counts as +-inf would while the +-inf thresholds count no x."""
     if spec.dependence == "gumbel":
         return _gumbel_rows(spec.m, spec.nu, gen, rows)
     counts, laws = zip(*spec.population().groups)
@@ -218,7 +221,9 @@ def _counted_rows(spec: ModelSpec, gen: np.random.Generator, rows: int) -> np.nd
     for i in range(rows):
         gen.standard_normal(out=z[i])
         gen.standard_gamma(df / 2.0, out=v[i])
-    return -(z + ncp) / np.sqrt(2.0 * v / df)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = -(z + ncp) / np.sqrt(2.0 * v / df)
+    return np.clip(x, -np.finfo(float).max, np.finfo(float).max, out=x)
 
 
 def _count_maps(spec: ModelSpec) -> list:

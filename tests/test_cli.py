@@ -834,6 +834,7 @@ _SINGLE_BAD_FLAG = [
     (["simulate", "--workers", "-5"], "--workers must be a positive integer, got -5"),
     (["simulate", "--sigma", "inf"], "--sigma must be positive and finite, got inf"),
     (["curves", "--model", "two-sample", "--sigma", "0"], "--sigma must be positive and finite, got 0.0"),
+    (["cstar", "--sigma", "5"], "--sigma must be 1 for the z model, got 5.0"),  # the z model used to ignore it
     (["cstar", "--nu", "0.5"], "--nu must be finite and >= 1, got 0.5"),
     (["simulate", "--copula", "gumbel", "--nu", "nan"], "--nu must be finite and >= 1, got nan"),
     (["curves", "--n", "0"], "--n must be a positive integer, got 0"),

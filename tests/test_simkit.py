@@ -289,6 +289,20 @@ class TestRunMc:
             assert np.array_equal(getattr(indep, name), getattr(gumbel, name))
         assert indep.to_csv_string() == gumbel.to_csv_string()
 
+    def test_two_sample_statistic_that_overflows_counts_exactly(self):
+        # At ncp -+8.2e306 and df 1, about one x in 28 overflows the doubles. It used to raise an overflow warning,
+        # and without it an x of -inf counted at the -inf threshold: the c = 0 mean read 0.9666 (se 0.0072) and the
+        # c = 1 mean 0.9847, where both are exactly 1. The null p-values are 1 and the alternative ones 0.
+        spec = ModelSpec("two_sample", ((5, -1e307), (5, 1e307)), n1=1, n2=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_mc(SimulationPlan(spec=spec, c_grid=(0.0, 0.5, 1.0), replicates=2000, seed=1))
+            p = np.concatenate([gen_lfc_pvalues(spec, RngStream(1, k)) for k in range(200)])
+        # At c = 0, N is Binomial(m, lambda) whatever the p-values: the estimate has variance 1 / m at lambda = 1/2.
+        assert abs(summary.mean[0] - 1.0) <= 4.0 * np.sqrt(1.0 / spec.m / summary.metadata["replicates"])
+        assert (summary.mean[2], summary.variance[2]) == (1.0, 0.0)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+
     def test_an_independent_spec_keeps_the_product_copula(self):
         # A nu given with independence is checked, then replaced by 1, so the CSV names the copula that ran.
         with pytest.raises(ValueError, match="^nu must be finite and >= 1, got 0.5$"):

@@ -87,14 +87,14 @@ class MarginalLaw:
     def quantile(self, v):
         return self._mapped(v, "v", self._quantile_inner)
 
-    def _mapped(self, x, name, inner):
+    def _mapped(self, x, name, interior):
         arr = _probabilities(x, name)
         if self._effect == 0.0:
             return _match_input(arr.astype(float, copy=True), x)
         out = np.where(arr >= 1.0, 1.0, 0.0)  # the endpoints, pinned to +0.0 and 1.0
         mid = (arr > 0.0) & (arr < 1.0)
         if np.any(mid):
-            out[mid] = inner(arr[mid])
+            out[mid] = interior(arr[mid])
         return _match_input(out, x)
 
 

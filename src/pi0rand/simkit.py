@@ -26,8 +26,12 @@ block. It evaluates neither P nor a quantile, and counts the exact p-values
 also where P(x) rounds to 1.0 under a strongly conservative null. A row of
 iid uniforms (an independent z model) needs only the counts of each group's
 uniforms in the cells between its sorted thresholds, which are one
-Multinomial(m_g, cell widths) draw; any other row is drawn and sorted (per
-group for the copula uniforms).
+Multinomial(m_g, cell widths) draw; a threshold's count is the cumulative cell
+count at its place, and the places of all groups, laid end to end, are one
+flat index gathered once per group of rows. Any other row is drawn and sorted
+(per group for the copula uniforms) and counted by one binary search per row
+and column range, on the left side, at nextafter(P^-1(lambda*c), +inf) and
+P^-1(c): for doubles, x <= t exactly when x < nextafter(t, +inf).
 
 Replicates come in groups of ``GROUP`` = 32: group g = r // 32 draws its
 rows from the stream ``(seed, 2g)``, in replicate order, and all its
@@ -56,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tableio
-from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _estimate_from_count, _grid_counts, _grid_thresholds
+from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _estimate_from_count, _grid_thresholds
 from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
 from .statdist import _positive_finite, _positive_int, _t_quantile
@@ -242,7 +246,9 @@ def _cell_counter(spec: ModelSpec, lam: float, c: np.ndarray):
     multinomial of each group's m_g uniforms over the cells between its sorted thresholds.
 
     A threshold's count is the cumulative cell count at its place in its group's order, so a cdf that is not
-    monotone at the last bit still counts #{V <= F(t)}, and #{V >= F(1)} = #{V >= 1} is 0.
+    monotone at the last bit still counts #{V <= F(t)}, and #{V >= F(1)} = #{V >= 1} is 0. These places are one
+    flat index into a row's cumulative cells, the groups laid end to end: one gather and one sum over the groups
+    per call give #{V <= F_g(t)} at every threshold, and the upper half becomes m - #{V < F_g(c)} in place.
     """
     groups = spec.population().groups
     sizes = np.array([count for count, _ in groups])
@@ -251,30 +257,40 @@ def _cell_counter(spec: ModelSpec, lam: float, c: np.ndarray):
     order = np.argsort(cuts, axis=1, kind="stable")
     cells = np.diff(np.take_along_axis(cuts, order, axis=1), axis=1)
     below = np.argsort(order, axis=1)[:, 1:-1] - 1  # per grid threshold, its last cell below: the 0 edge sorts first
+    flat = below + cells.shape[1] * np.arange(len(groups))[:, None]  # its place in a row's flattened cells
 
     def count(gen: np.random.Generator, rows: int) -> np.ndarray:
         cum = gen.multinomial(sizes, np.broadcast_to(cells, (rows, *cells.shape))).cumsum(axis=-1)
-        n = np.take_along_axis(cum, np.broadcast_to(below, (rows, *below.shape)), axis=-1).sum(axis=1)
-        return np.stack([n[:, : c.size], spec.m - n[:, c.size :]], axis=1)
+        n = cum.reshape(rows, -1)[:, flat].sum(axis=1)
+        np.subtract(spec.m, n[:, c.size :], out=n[:, c.size :])
+        return n.reshape(rows, 2, c.size)
 
     return count
 
 
 def _row_counter(spec: ModelSpec, lam: float, c: np.ndarray):
     """Per row of ``_counted_rows``, #{p <= lambda*c} and #{p >= c}: each column range sorted and counted against
-    its mapped thresholds, in chunks of ``CHUNK_VALUES`` counted values."""
-    ranges = [(a, b, *_grid_thresholds(lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
+    its mapped thresholds, in chunks of ``CHUNK_VALUES`` counted values.
+
+    A row and range take one binary search for keys built once per block: for doubles, x <= t exactly when
+    x < nextafter(t, +inf), also at a low of -inf and for x at the largest double of either sign, so a search on the
+    left side counts #{x <= low} at nextafter(low, +inf) and #{x < up} at up. The ranges' counts are added, and
+    #{x >= up} = m - #{x < up} is formed once per call.
+    """
+    thresholds = [(a, b, _grid_thresholds(lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
+    ranges = [(a, b, np.concatenate([np.nextafter(low, np.inf), up])) for a, b, (low, up) in thresholds]
     chunk = max(1, CHUNK_VALUES // spec.m)
 
     def count(gen: np.random.Generator, rows: int) -> np.ndarray:
-        part = np.empty((len(ranges), rows, 2, c.size), dtype=np.int64)  # per range and row
+        n = np.zeros((rows, 2 * c.size), dtype=np.int64)  # per row, #{x <= low} then #{x < up}
         for lo in range(0, rows, chunk):
             x = _counted_rows(spec, gen, min(chunk, rows - lo))
-            for j, (a, b, low, up) in enumerate(ranges):
+            for a, b, keys in ranges:
                 x[:, a:b].sort(axis=1)
                 for i, row in enumerate(x[:, a:b], lo):
-                    part[j, i] = _grid_counts(row, low, up)
-        return part.sum(axis=0)
+                    n[i] += row.searchsorted(keys)
+        np.subtract(spec.m, n[:, c.size :], out=n[:, c.size :])
+        return n.reshape(rows, 2, c.size)
 
     return count
 
@@ -324,7 +340,8 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     bias = mean - pi0
     mse = np.mean((mat - pi0) ** 2, axis=0)
     se_mean = np.sqrt(variance / reps)
-    m4 = np.mean((mat - mean) ** 4, axis=0)
+    d2 = (mat - mean) ** 2
+    m4 = np.mean(d2 * d2, axis=0)  # the fourth central moment; ** 4 would take a pow per element
     se_variance = np.sqrt(np.maximum(m4 - variance**2, 0.0) / reps)
     meta = {
         "seed": plan.seed,

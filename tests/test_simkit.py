@@ -11,13 +11,12 @@ from _oracles import count_pmf_under_independence, dkw_band, gumbel_uniforms_ref
 from _oracles import replicate_block_per_replicate, two_sample_t_per_observation
 from pi0rand import _tableio, cli, pi0, simkit
 from pi0rand._tableio import _csv_text, _usable_cpus
-from pi0rand.pi0 import _estimate_from_count, _grid_thresholds, h_curve
+from pi0rand.pi0 import _estimate_from_count, _grid_counts, _grid_thresholds, h_curve
 from pi0rand.pvalues import MarginalLaw, RandomizationRule, ZTestLaw, randomize_vector
 from pi0rand.simkit import (
     ModelSpec,
     SimulationPlan,
     _blocks,
-    _grid_counts,
     _gumbel_rows,
     _replicate_block,
     cdf_curves,
@@ -267,6 +266,21 @@ class TestRunMc:
         summary = run_mc(self.small_plan())
         recomposed = summary.variance + summary.bias**2
         assert np.max(np.abs(summary.mse - recomposed) / summary.mse) <= 1e-10
+
+    @pytest.mark.parametrize("spec", [
+        study_spec(m=100),
+        ModelSpec("two_sample", ((70, -0.3), (30, 0.8)), n1=5, n2=6, dependence="gumbel", nu=2.0),
+    ], ids=["z-independent", "two_sample-gumbel"])
+    def test_se_variance_is_the_fourth_moment_formula(self, spec):
+        # se_variance is not in the CSV. run_mc squares the squared deviations for the fourth central moment, where
+        # ** 4 takes a pow per element; both round differently but agree to a few ulps.
+        plan = SimulationPlan(spec=spec, replicates=300, seed=12)
+        mat = _replicate_block(plan, 0, 300)
+        mean, variance = mat.mean(axis=0), mat.var(axis=0)
+        m4 = np.mean((mat - mean) ** 4, axis=0)
+        expected = np.sqrt(np.maximum(m4 - variance**2, 0.0) / 300)
+        assert np.all(expected > 0.0)
+        np.testing.assert_allclose(run_mc(plan).se_variance, expected, rtol=1e-12, atol=0.0)
 
     def test_bitwise_determinism(self):
         a = run_mc(self.small_plan())
@@ -578,6 +592,26 @@ class TestThresholdKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(_replicate_block(plan, 3, 70), replicate_block_per_replicate(plan, 3, 70))
+
+    @pytest.mark.parametrize("name", ["z-gumbel", "two_sample-independent", "two_sample-gumbel"])
+    def test_one_search_counts_ties_as_two_searches_do(self, name, monkeypatch):
+        # Rows that hold each mapped threshold, its neighbours on both sides, the -inf low at c = 0 and the largest
+        # doubles of both signs, where an overflowing two-sample x is clipped. The kernel's one search per row and
+        # range, at nextafter(low, +inf) and at up, gives the integers of _grid_counts' two searches.
+        spec, c, big = _KERNEL_SPECS[name], np.array(self.GRID), np.finfo(float).max
+        gen, rows = np.random.default_rng(4), np.empty((3, spec.m))
+        ranges = [(a, b, _grid_thresholds(0.5, c, from_p)) for a, b, _, from_p in simkit._count_maps(spec)]
+        for a, b, thresholds in ranges:
+            t = np.concatenate(thresholds)
+            pool = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), [-np.inf, -big, big]])
+            assert b - a >= pool.size  # every value is in every row, some more than once
+            for row in rows:
+                row[a:b] = np.resize(gen.permutation(pool), b - a)
+        monkeypatch.setattr(simkit, "_counted_rows", lambda spec, gen, k: rows[:k].copy())
+        expected = [sum(np.array(_grid_counts(np.sort(row[a:b]), *thresholds)) for a, b, thresholds in ranges)
+                    for row in rows]
+        counts = simkit._row_counter(spec, 0.5, c)(gen, 3)
+        assert counts.dtype == np.int64 and np.array_equal(counts, expected)
 
     def test_gumbel_frailties_stay_finite_as_nu_nears_one(self):
         # At nu = 1.001 the direct positive-stable formula gave NaN frailties, with RuntimeWarnings only,

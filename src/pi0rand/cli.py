@@ -149,8 +149,12 @@ def _cmd_cstar(args):
     return 0
 
 
+_LAMBDA_HELP = "the estimator's tuning parameter lambda, in (0, 1)"
+_VARIANT_HELP = "plain, or storey-plus, which adds 1 / (m (1 - lambda))"
+
+
 def _add_model_flags(sub):
-    sub.add_argument("--model", choices=("z", "two-sample"), default="z")
+    sub.add_argument("--model", choices=("z", "two-sample"), default="z", help="one-sided Z-test or two-sample t-test")
     sub.add_argument("--m", type=int, default=1000, help="number of hypotheses")
     sub.add_argument("--n", type=int, default=50, help="Z model sample size")
     sub.add_argument("--n1", type=int, default=10, help="two-sample model: size of the first sample")
@@ -159,7 +163,8 @@ def _add_model_flags(sub):
     sub.add_argument("--pi0", type=float, default=0.7, help="fraction of true nulls")
     sub.add_argument("--theta-null", type=float, default=0.0, help="effect of the null group")
     sub.add_argument("--theta-alt", type=float, default=0.5, help="effect of the alternative group")
-    sub.add_argument("--copula", choices=("independent", "gumbel"), default="independent")
+    sub.add_argument("--copula", choices=("independent", "gumbel"), default="independent",
+                     help="dependence between the p-values")
     sub.add_argument("--nu", type=float, default=2.0, help="Gumbel copula parameter")
 
 
@@ -172,35 +177,36 @@ def _build_parser():
 
     analyze = subs.add_parser("analyze", help="select c0 from a p-value CSV and estimate pi0")
     analyze.add_argument("input", help="CSV with a p_lfc column")
-    analyze.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--variant", choices=("plain", "storey-plus"), default="plain")
+    analyze.add_argument("--lambda", dest="lam", type=float, default=0.5, help=_LAMBDA_HELP)
+    analyze.add_argument("--seed", type=int, default=0, help="seed of the uniforms that randomize the p-values")
+    analyze.add_argument("--variant", choices=("plain", "storey-plus"), default="plain", help=_VARIANT_HELP)
     analyze.add_argument("--out", help="write the randomized p-values to this CSV")
     analyze.set_defaults(func=_cmd_analyze)
 
     simulate = subs.add_parser("simulate", help="Monte Carlo study over a threshold grid")
     _add_model_flags(simulate)
-    simulate.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--variant", choices=("plain", "storey-plus"), default="plain")
-    simulate.add_argument("--reps", type=int, default=10_000)
-    simulate.add_argument("--c-grid", default=_DEFAULT_GRID["h"])
-    simulate.add_argument("--workers", type=int, default=1)
+    simulate.add_argument("--lambda", dest="lam", type=float, default=0.5, help=_LAMBDA_HELP)
+    simulate.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo streams")
+    simulate.add_argument("--variant", choices=("plain", "storey-plus"), default="plain", help=_VARIANT_HELP)
+    simulate.add_argument("--reps", type=int, default=10_000, help="number of Monte Carlo replicates")
+    simulate.add_argument("--c-grid", default=_DEFAULT_GRID["h"], help="thresholds c: start:step:stop or a comma list")
+    simulate.add_argument("--workers", type=int, default=1, help="worker processes (the CSV does not depend on it)")
     simulate.add_argument("--out", help="output CSV path (default stdout)")
     simulate.set_defaults(func=_cmd_simulate)
 
     curves = subs.add_parser("curves", help="exact h or cdf curve tables")
     _add_model_flags(curves)
-    curves.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    curves.add_argument("--quantity", choices=("h", "cdf"), default="h")
+    curves.add_argument("--lambda", dest="lam", type=float, default=0.5, help=_LAMBDA_HELP)
+    curves.add_argument("--quantity", choices=("h", "cdf"), default="h",
+                        help="h(lambda, c) over c, or the randomized p-value cdfs at each c over t")
     curves.add_argument("--c-grid", help=f"default {_DEFAULT_GRID['h']}, or {_DEFAULT_GRID['cdf']} for --quantity cdf")
-    curves.add_argument("--t-points", type=int, default=1001)
+    curves.add_argument("--t-points", type=int, default=1001, help="--quantity cdf: number of t points in [0, 1]")
     curves.add_argument("--out", help="output CSV path (default stdout)")
     curves.set_defaults(func=_cmd_curves)
 
     cstar = subs.add_parser("cstar", help="exact bias-minimizing threshold")
     _add_model_flags(cstar)
-    cstar.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    cstar.add_argument("--lambda", dest="lam", type=float, default=0.5, help=_LAMBDA_HELP)
     cstar.set_defaults(func=_cmd_cstar)
 
     return parser

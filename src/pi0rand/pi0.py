@@ -34,7 +34,6 @@ __all__ = [
     "PopulationSpec",
     "CurveTable",
     "CStarResult",
-    "ecdf",
     "schweder_spjotvoll",
     "h_value",
     "h_curve",
@@ -123,14 +122,6 @@ class CurveTable:
     def save(self, path) -> None:
         with _open_text(path) as fh:
             fh.write(self.to_csv_string())
-
-
-def ecdf(p, t) -> float:
-    """Right-continuous empirical cdf of the p-values, ``#{p_j <= t} / m``."""
-    if np.isnan(t := float(t)):
-        raise ValueError("t must be a number, got nan")
-    values = _pvalue_array(p)
-    return int(np.count_nonzero(values <= t)) / values.size
 
 
 def _estimate_from_count(k, m, lam, variant):

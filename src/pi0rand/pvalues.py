@@ -22,7 +22,6 @@ where ``F`` is the marginal cdf of ``p_lfc`` under the true parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -63,11 +62,9 @@ class RandomizationRule:
     def constant(cls, c: float) -> "RandomizationRule":
         return cls(c, c)
 
-    def thresholds(self, rng: Union[RngStream, None], size):
+    def _thresholds(self, rng: RngStream, size):
         """Per-hypothesis thresholds; consumes ``size`` draws only if low < high."""
         if self.low < self.high:
-            if rng is None:
-                raise ValueError("the uniform rule needs an RngStream to draw R")
             return self.low + (self.high - self.low) * rng.generator.random(size)
         return np.full(size, self.low)
 
@@ -184,7 +181,7 @@ def randomize_vector(p_lfc, rule: RandomizationRule, rng: RngStream) -> np.ndarr
     values = _pvalue_array(p_lfc)
     m = values.size
     u = rng.generator.random(m)  # fresh, so the replaced entries are written into it
-    r = rule.thresholds(rng, m)
+    r = rule._thresholds(rng, m)
     lower = values < r
     if np.any(lower):
         u[lower] = values[lower] / r[lower]

@@ -86,9 +86,12 @@ class ModelSpec:
 
     ``groups`` lists ``(count, theta)`` pairs; hypotheses with theta <= 0
     are true nulls. For the Z model ``n`` is the per-hypothesis sample
-    size; for the two-sample model ``n1``/``n2``/``sigma`` parameterize the
-    two normal samples. nu is checked; then an independent spec, or one at
-    nu = 1 (the product copula), is stored as independent at nu = 1.
+    size, and ``n1``, ``n2`` and ``sigma`` must keep their defaults 0, 0 and
+    1; for the two-sample model ``n1``/``n2``/``sigma`` parameterize the
+    two normal samples. A two-sample spec keeps ``n`` unread and unchecked:
+    a 50 passed on purpose cannot be told apart from its default of 50.
+    nu is checked; then an independent spec, or one at nu = 1 (the product
+    copula), is stored as independent at nu = 1.
     """
 
     model: str
@@ -106,6 +109,8 @@ class ModelSpec:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.model == "z":
             object.__setattr__(self, "n", _positive_int(self.n, "n"))
+            if (self.n1, self.n2) != (0, 0):
+                raise ValueError(f"n1 and n2 must be 0 for the z model, got {self.n1!r} and {self.n2!r}")
         else:
             object.__setattr__(self, "n1", _positive_int(self.n1, "n1"))
             object.__setattr__(self, "n2", _positive_int(self.n2, "n2"))

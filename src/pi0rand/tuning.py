@@ -69,19 +69,16 @@ def candidate_set(p_lfc, lam: float) -> np.ndarray:
 class SelectionResult(NamedTuple):
     c0: float
     g_max: float
-    conditional_expectation: float
     candidates: int
 
 
 def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
     """Pick the smallest maximizer of g over the candidate set.
 
-    Pure function of ``(p_lfc, lambda)``; the returned conditional
-    expectation is the plain-variant value at the selected threshold, and
-    ``candidates`` is the size of the candidate set.
+    Pure function of ``(p_lfc, lambda)``; ``g_max`` is g at the selected
+    threshold, and ``candidates`` is the size of the candidate set.
     """
-    lam, values = _check_lambda(lam), _pvalue_array(p_lfc)
-    x = np.sort(values)
+    lam, x = _check_lambda(lam), np.sort(_pvalue_array(p_lfc))
     points = _candidate_points(x, lam)
     n, k = points.size, isqrt(points.size)
     # Blocks of k candidates, a first and b last: on [a, b], g <= lam * #{p >= a} + #{p <= lam*b} (in float64 too).
@@ -92,10 +89,7 @@ def select_c0(p_lfc, lam: float = 0.5) -> SelectionResult:
     cs = points[idx[idx < n]]  # the kept blocks in ascending order, so argmax finds the smallest maximizer
     g = _g_values(x, lam, cs)
     i = int(np.argmax(g))
-    c0 = float(cs[i])
-    g_max = float(g[i])
-    cond = _estimate_from_count(g_max, values.size, lam, "plain")
-    return SelectionResult(c0, g_max, cond, points.size)
+    return SelectionResult(float(cs[i]), float(g[i]), points.size)
 
 
 def conditional_expectation(p_lfc, lam: float, c: float, variant: str = "plain") -> float:

@@ -176,14 +176,14 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     per replicate, in the same order. A group is run from its first
     replicate, whether or not ``start`` is.
 
-    A replicate of iid uniforms (an independent z model, or a Gumbel model at
-    nu = 1) draws, group after group, one multinomial of the group's m_g
-    uniforms over the cells between its sorted thresholds
-    {0, F_g(lambda c) for c > 0, F_g(c), 1}; #{V <= F_g(t)} is then the count
-    of the cells whose upper edge is at most F_g(t). A Gumbel vector at nu > 1
-    maps its copula uniforms through each group's quantile, and a two-sample
-    vector without a copula comes from its sufficient statistics, m standard
-    normals Z and then m chi-squares V = 2 Gamma(df/2), as
+    A replicate of iid uniforms (an independent z model) draws, group after
+    group, one multinomial of the group's m_g uniforms over the cells between
+    its sorted thresholds {0, F_g(lambda c) for c > 0, F_g(c), 1};
+    #{V <= F_g(t)} is then the count of the cells whose upper edge is at most
+    F_g(t). A Gumbel vector (every Gumbel spec has nu > 1) maps its copula
+    uniforms through each group's quantile, and a two-sample vector without a
+    copula comes from its sufficient statistics, m standard normals Z and
+    then m chi-squares V = 2 Gamma(df/2), as
     T = (Z + ncp) / sqrt(V/df) with each group's ncp and df read from its law;
     both are counted as p-values. The marginal laws, with their cdfs and
     quantiles, and the copula uniforms are the library's; everything else is
@@ -197,7 +197,7 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
         return np.random.Generator(np.random.Philox(key=np.array([plan.seed, stream_id], dtype=np.uint64)))
 
     spec, c, lam, m = plan.spec, np.asarray(plan.c_grid), plan.lam, plan.spec.m
-    iid = spec.nu == 1.0 if spec.dependence == "gumbel" else spec.model == "z"
+    iid = spec.model == "z" and spec.dependence == "independent"
     counts, laws = zip(*spec.population().groups)
     low, up = [law.cdf(lam * c) for law in laws], [law.cdf(c) for law in laws]
     cuts = [np.sort(np.concatenate([[0.0], lo[c > 0.0], hi, [1.0]])) for lo, hi in zip(low, up)]

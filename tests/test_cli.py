@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import multiprocessing
 import os
@@ -802,6 +803,15 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["cstar", "--bogus", "1"]) == 2
+
+    def test_every_flag_and_argument_has_help(self):
+        # --lambda, --seed, --variant, --model, --copula and six more flags once printed no help.
+        (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(commands.choices) == ["analyze", "cstar", "curves", "simulate"]
+        for name, sub in commands.choices.items():
+            for action in sub._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    assert action.help and action.help.strip(), f"{name} {action.option_strings or action.dest}"
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

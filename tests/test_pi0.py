@@ -15,7 +15,6 @@ from pi0rand.pi0 import (
     EstimatorConfig,
     PopulationSpec,
     cstar_search,
-    ecdf,
     h_curve,
     h_value,
     schweder_spjotvoll,
@@ -35,27 +34,6 @@ def lfc_null_population():
     return PopulationSpec(((700, ZTestLaw(0.0)), (300, ZTestLaw(2.5))))
 
 
-class TestEcdf:
-    def test_at_one(self):
-        assert ecdf(np.array([0.2, 0.7, 1.0]), 1.0) == 1.0
-
-    def test_direct_count(self):
-        assert ecdf(np.array([0.1, 0.5, 0.9]), 0.5) == pytest.approx(2.0 / 3.0)
-
-    def test_at_zero(self):
-        assert ecdf(np.array([0.1, 0.5, 0.9]), 0.0) == 0.0
-
-    def test_right_continuity(self):
-        p = np.array([0.25, 0.25, 0.8])
-        assert ecdf(p, 0.25) == pytest.approx(2.0 / 3.0)
-
-    def test_nan_threshold_rejected(self):
-        # A NaN t compared false everywhere, so the ecdf read 0.0.
-        for p in ([0.1, 0.5], np.array([0.1, 0.5])):
-            with pytest.raises(ValueError, match="t must be a number"):
-                ecdf(p, float("nan"))
-
-
 class TestSchwederSpjotvoll:
     CFG = EstimatorConfig(0.5, "plain")
 
@@ -69,6 +47,11 @@ class TestSchwederSpjotvoll:
     def test_direct_arithmetic(self):
         p = np.array([0.1, 0.2, 0.6, 0.8])
         assert schweder_spjotvoll(p, self.CFG) == 1.0
+
+    def test_p_value_at_lambda_counts_as_below(self):
+        # The count is #{p <= lambda}: the estimator reads the right-continuous ecdf, so ties at lambda count.
+        p = np.array([0.25, 0.25, 0.8])
+        assert schweder_spjotvoll(p, EstimatorConfig(0.25)) == (1.0 - 2.0 / 3.0) / 0.75
 
     def test_not_clipped_above_one(self):
         p = np.array([0.9, 0.95, 0.99, 0.7])
@@ -95,8 +78,6 @@ class TestSchwederSpjotvoll:
         # A plain array once skipped the range check: NaN and 1.5 counted as above lambda.
         with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
             schweder_spjotvoll(np.array(values), self.CFG)
-        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
-            ecdf(np.array(values), 0.5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

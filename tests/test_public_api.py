@@ -9,7 +9,7 @@ MODULES = (statdist, pvalues, pi0, tuning, simkit)
 PUBLIC_NAMES = [
     "CStarResult", "CurveTable", "EstimatorConfig", "MarginalLaw", "McSummary", "ModelSpec", "PopulationSpec",
     "RandomizationRule", "RngStream", "SelectionResult", "SimulationPlan", "TwoSampleTLaw", "ZTestLaw",
-    "candidate_set", "cdf_curves", "conditional_expectation", "cstar_search", "ecdf", "g_values", "gen_lfc_pvalues",
+    "candidate_set", "cdf_curves", "conditional_expectation", "cstar_search", "g_values", "gen_lfc_pvalues",
     "h_curve", "h_value", "lfc_pvalue_t", "lfc_pvalue_z", "randomize_vector", "randomized_cdf", "run_mc",
     "schweder_spjotvoll", "select_c0",
 ]

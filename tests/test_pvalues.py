@@ -125,10 +125,6 @@ class TestRandomize:
         out, u = randomize_one(1.0, 1.0)
         assert out == u
 
-    def test_uniform_rule_needs_rng(self):
-        with pytest.raises(ValueError):
-            RandomizationRule(0.2, 0.6).thresholds(None, 3)
-
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             RandomizationRule.constant(1.3)

@@ -87,6 +87,13 @@ class TestModelSpec:
             with pytest.raises(ValueError, match="finite"):
                 ModelSpec("z", ((5, 0.0), (5, bad)))
 
+    def test_two_sample_sizes_rejected_on_a_z_spec(self):
+        # The z model never reads n1 and n2, yet a z spec kept them and compared unequal to the same law without them.
+        for sizes in (dict(n1=5, n2=9), dict(n1=5), dict(n2=9)):
+            with pytest.raises(ValueError, match="^n1 and n2 must be 0 for the z model, got"):
+                ModelSpec("z", ((5, 0.0),), **sizes)
+        assert ModelSpec("z", ((5, 0.0),), n1=0, n2=0) == ModelSpec("z", ((5, 0.0),))
+
     def test_effect_that_overflows_once_scaled_rejected_at_construction(self):
         # A finite theta whose theta * sqrt(n), or sqrt(n1 n2 / (n1 + n2)) theta / sigma, overflows used to pass
         # here and fail only after every replicate had run.

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import g_brute, g_brute_max
-from pi0rand.pi0 import EstimatorConfig, _estimate_from_count, _grid_counts, _grid_thresholds, ecdf, schweder_spjotvoll
+from pi0rand.pi0 import EstimatorConfig, _estimate_from_count, _grid_counts, _grid_thresholds, schweder_spjotvoll
 from pi0rand.pvalues import RandomizationRule, randomize_vector
 from pi0rand.statdist import RngStream
 from pi0rand.tuning import (
@@ -127,7 +127,7 @@ class TestSelectC0:
         result = select_c0(HAND_P3, 0.5)
         assert result.c0 == 0.8
         assert result.g_max == 2.5
-        assert result.conditional_expectation == pytest.approx((1 - 2.5 / 3) / 0.5)
+        assert conditional_expectation(HAND_P3, 0.5, result.c0) == pytest.approx((1 - 2.5 / 3) / 0.5)
 
     def test_earlier_block_wins_a_tie(self):
         # Candidates 0, 0.1 | 0.2, 0.4 | 0.6, 0.8 | 1 in blocks of isqrt(7) = 2, with g 1.5, 1.5 | 2, 2 | 1.5, 2 | 2.
@@ -344,7 +344,6 @@ class TestCandidateEdgeCases:
 # Each public function that takes p-values, at fixed other arguments, as a function of the p-values alone.
 _ENTRY_POINTS = {
     "randomize_vector": lambda p: randomize_vector(p, RandomizationRule.constant(0.3), RngStream(5, 1)),
-    "ecdf": lambda p: ecdf(p, 0.3),
     "schweder_spjotvoll": lambda p: schweder_spjotvoll(p, EstimatorConfig(0.5, "storey_plus")),
     "g_values": lambda p: g_values(p, 0.5, np.array([0.0, 0.3, 0.5, 1.0])),
     "candidate_set": lambda p: candidate_set(p, 0.5),

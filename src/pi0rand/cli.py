@@ -67,8 +67,8 @@ def _parse_grid(text):
     return _increasing_grid(grid, "--c-grid")
 
 
-def _model_spec(args):
-    """The ModelSpec of the model flags; it checks n, n1, n2, sigma and nu, which ``main`` names as flags."""
+def _model_spec(args, **dependence):
+    """The ModelSpec of the model flags, independent unless given; it checks n, n1, n2, sigma and nu."""
     _probability(args.pi0, "--pi0")
     if args.m < 2:  # ModelSpec would only see the groups
         raise ValueError(f"--m must be >= 2, got {args.m}")
@@ -77,7 +77,7 @@ def _model_spec(args):
     n_null = int(round(args.pi0 * args.m))
     groups = tuple(g for g in ((n_null, args.theta_null), (args.m - n_null, args.theta_alt)) if g[0] > 0)
     design = {"model": "z", "n": args.n} if args.model == "z" else {"model": "two_sample", "n1": args.n1, "n2": args.n2}
-    return ModelSpec(groups=groups, sigma=args.sigma, dependence=args.copula, nu=args.nu, **design)
+    return ModelSpec(groups=groups, sigma=args.sigma, **design, **dependence)
 
 
 _DEFAULT_GRID = {"h": "0:0.05:1", "cdf": "0,0.25,0.5,0.75,1"}  # by --quantity; simulate takes h's
@@ -114,7 +114,7 @@ def _cmd_analyze(args):
 
 def _cmd_simulate(args):
     plan = SimulationPlan(
-        spec=_model_spec(args),
+        spec=_model_spec(args, dependence=args.copula, nu=args.nu),
         lam=args.lam,
         c_grid=tuple(_parse_grid(args.c_grid)),
         replicates=args.reps,
@@ -149,54 +149,50 @@ def _cmd_cstar(args):
     return 0
 
 
-_LAMBDA_HELP = "the estimator's tuning parameter lambda, in (0, 1)"
-_VARIANT_HELP = "plain, or storey-plus, which adds 1 / (m (1 - lambda))"
-
-
-def _add_model_flags(sub):
-    sub.add_argument("--model", choices=("z", "two-sample"), default="z", help="one-sided Z-test or two-sample t-test")
-    sub.add_argument("--m", type=int, default=1000, help="number of hypotheses")
-    sub.add_argument("--n", type=int, default=50, help="Z model sample size")
-    sub.add_argument("--n1", type=int, default=10, help="two-sample model: size of the first sample")
-    sub.add_argument("--n2", type=int, default=10, help="two-sample model: size of the second sample")
-    sub.add_argument("--sigma", type=float, default=1.0, help="two-sample model: standard deviation (z model: 1 only)")
-    sub.add_argument("--pi0", type=float, default=0.7, help="fraction of true nulls")
-    sub.add_argument("--theta-null", type=float, default=0.0, help="effect of the null group")
-    sub.add_argument("--theta-alt", type=float, default=0.5, help="effect of the alternative group")
-    sub.add_argument("--copula", choices=("independent", "gumbel"), default="independent",
-                     help="dependence between the p-values")
-    sub.add_argument("--nu", type=float, default=2.0, help="Gumbel copula parameter")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as every other exit 2; add_subparsers hands the class to each command
+        self.exit(2, f"error: {message}\n")
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="pi0rand",
-        description="Randomized p-values and tuning for the Schweder-Spjotvoll estimator.",
-    )
+    spec = _Parser(add_help=False)  # simulate alone adds the dependence: h and c* read the marginals
+    spec.add_argument("--model", choices=("z", "two-sample"), default="z", help="one-sided Z-test or two-sample t-test")
+    spec.add_argument("--m", type=int, default=1000, help="number of hypotheses")
+    spec.add_argument("--n", type=int, default=50, help="Z model sample size")
+    spec.add_argument("--n1", type=int, default=10, help="two-sample model: size of the first sample")
+    spec.add_argument("--n2", type=int, default=10, help="two-sample model: size of the second sample")
+    spec.add_argument("--sigma", type=float, default=1.0, help="two-sample model: standard deviation (z model: 1 only)")
+    spec.add_argument("--pi0", type=float, default=0.7, help="fraction of true nulls")
+    spec.add_argument("--theta-null", type=float, default=0.0, help="effect of the null group")
+    spec.add_argument("--theta-alt", type=float, default=0.5, help="effect of the alternative group")
+    lam, variant = _Parser(add_help=False), _Parser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", type=float, default=0.5,
+                     help="the estimator's tuning parameter lambda, in (0, 1)")
+    variant.add_argument("--variant", choices=("plain", "storey-plus"), default="plain",
+                         help="plain, or storey-plus, which adds 1 / (m (1 - lambda))")
+
+    parser = _Parser(prog="pi0rand", description="Randomized p-values and tuning for the Schweder-Spjotvoll estimator.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    analyze = subs.add_parser("analyze", help="select c0 from a p-value CSV and estimate pi0")
+    analyze = subs.add_parser("analyze", parents=[lam, variant], help="select c0 from a p-value CSV and estimate pi0")
     analyze.add_argument("input", help="CSV with a p_lfc column")
-    analyze.add_argument("--lambda", dest="lam", type=float, default=0.5, help=_LAMBDA_HELP)
     analyze.add_argument("--seed", type=int, default=0, help="seed of the uniforms that randomize the p-values")
-    analyze.add_argument("--variant", choices=("plain", "storey-plus"), default="plain", help=_VARIANT_HELP)
     analyze.add_argument("--out", help="write the randomized p-values to this CSV")
     analyze.set_defaults(func=_cmd_analyze)
 
-    simulate = subs.add_parser("simulate", help="Monte Carlo study over a threshold grid")
-    _add_model_flags(simulate)
-    simulate.add_argument("--lambda", dest="lam", type=float, default=0.5, help=_LAMBDA_HELP)
+    simulate = subs.add_parser("simulate", parents=[spec, lam, variant],
+                               help="Monte Carlo study over a threshold grid")
+    simulate.add_argument("--copula", choices=("independent", "gumbel"), default="independent",
+                          help="dependence between the p-values")
+    simulate.add_argument("--nu", type=float, default=2.0, help="Gumbel copula parameter")
     simulate.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo streams")
-    simulate.add_argument("--variant", choices=("plain", "storey-plus"), default="plain", help=_VARIANT_HELP)
     simulate.add_argument("--reps", type=int, default=10_000, help="number of Monte Carlo replicates")
     simulate.add_argument("--c-grid", default=_DEFAULT_GRID["h"], help="thresholds c: start:step:stop or a comma list")
     simulate.add_argument("--workers", type=int, default=1, help="worker processes (the CSV does not depend on it)")
     simulate.add_argument("--out", help="output CSV path (default stdout)")
     simulate.set_defaults(func=_cmd_simulate)
 
-    curves = subs.add_parser("curves", help="exact h or cdf curve tables")
-    _add_model_flags(curves)
-    curves.add_argument("--lambda", dest="lam", type=float, default=0.5, help=_LAMBDA_HELP)
+    curves = subs.add_parser("curves", parents=[spec, lam], help="exact h or cdf curve tables")
     curves.add_argument("--quantity", choices=("h", "cdf"), default="h",
                         help="h(lambda, c) over c, or the randomized p-value cdfs at each c over t")
     curves.add_argument("--c-grid", help=f"default {_DEFAULT_GRID['h']}, or {_DEFAULT_GRID['cdf']} for --quantity cdf")
@@ -204,11 +200,7 @@ def _build_parser():
     curves.add_argument("--out", help="output CSV path (default stdout)")
     curves.set_defaults(func=_cmd_curves)
 
-    cstar = subs.add_parser("cstar", help="exact bias-minimizing threshold")
-    _add_model_flags(cstar)
-    cstar.add_argument("--lambda", dest="lam", type=float, default=0.5, help=_LAMBDA_HELP)
-    cstar.set_defaults(func=_cmd_cstar)
-
+    subs.add_parser("cstar", parents=[spec, lam], help="exact bias-minimizing threshold").set_defaults(func=_cmd_cstar)
     return parser
 
 

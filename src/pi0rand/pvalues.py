@@ -151,9 +151,10 @@ class TwoSampleTLaw(MarginalLaw):
     def _cdf_inner(self, u):
         x = _t_quantile(np.maximum(u, _TINY), self.df)
         f = _special.nctdtr(self.df, -self.ncp, x)
-        # NaN from nctdtr reads as 0 below zero and 1 above. It comes far in a tail, but not only there: at df 1,
-        # ncp -11.25 it comes at scattered u in (0.028, 0.26), e.g. cdf(0.03) is 0.0 for a true 7.6e-32.
-        return np.where(np.isnan(f), x > 0.0, f)
+        # NaN from nctdtr reads as 0 below the law's location -ncp and 1 above. At |ncp| >~ 1e10 every x gives NaN, and
+        # the reading is exact wherever |x| is small against |ncp|, as at every u but the most extreme. NaN also comes
+        # at scattered u elsewhere: at df 1, ncp -11.25 in (0.028, 0.26), e.g. cdf(0.03) is 0.0 for a true 7.6e-32.
+        return np.where(np.isnan(f), x > -self.ncp, f)
 
     def _quantile_inner(self, v):
         return _special.stdtr(self.df, _nct_search(self.df, -self.ncp, np.maximum(v, _TINY)))

@@ -599,12 +599,14 @@ class TestSimulate:
         joint = np.sqrt(mi[:, 1] ** 2 + mg[:, 1] ** 2)
         assert np.all(np.abs(mi[:, 0] - mg[:, 0]) <= 3.0 * joint)
 
-    @pytest.mark.parametrize("copula", [[], ["--copula", "gumbel", "--nu", "1"]], ids=["independent", "gumbel-nu1"])
+    @pytest.mark.parametrize("copula", [[], ["--copula", "gumbel", "--nu", "1"], ["--copula", "gumbel", "--nu", "2"]],
+                             ids=["independent", "gumbel-nu1", "gumbel-nu2"])
     def test_two_sample_is_exact_at_extreme_ncp(self, capsys, tmp_path, copula):
         # At --sigma 1e-10 the ncps are -+2.2e10: the null p-values are 1 and the alternative ones 0 to the last bit,
-        # so the means at c = 0, 0.5 and 1 are 1, 0.7 and 1.4, the last with zero variance. The kernel counts T
-        # against central t quantiles; a kernel that read the non-central t cdf there would print `curves`' 1, 1, 2,
-        # as a Gumbel copula at nu = 1 did while it counted its copula cells apart from the independent model.
+        # so the means at c = 0, 0.5 and 1 are 1, 0.7 and 1.4, the last with zero variance. The independent kernel
+        # counts T against central t quantiles; the Gumbel kernel counts its copula uniforms against the law's cdf,
+        # where scipy's nctdtr gives NaN at every threshold. Read as the side of 0 rather than of the law's location,
+        # that NaN inverted the law, and the Gumbel copula printed 1, 1, 2.
         out = tmp_path / "mc.csv"
         code, _, err = run_cli(capsys, "simulate", "--model", "two-sample", "--sigma", "1e-10", "--theta-null", "-1",
                                "--theta-alt", "1", "--c-grid", "0,0.5,1", "--reps", "2000", "--seed", "4",
@@ -683,11 +685,15 @@ def test_grid_flag_values(text, grid):
                                    ["--model", "two-sample", "--n1", "0"], ["--m", "1"]])
 @pytest.mark.parametrize("command", ["simulate", "curves", "cstar"])
 def test_non_finite_model_flag_exits_2(capsys, command, flags):
-    # Non-finite and out-of-range model flags alike are named with their dashes.
+    # Non-finite and out-of-range model flags alike are named with their dashes; curves and cstar take no
+    # dependence flag, so argparse refuses --copula and --nu there.
     extra = ["--reps", "2"] if command == "simulate" else []
     code, out, err = run_cli(capsys, command, "--m", "10", *extra, *flags)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {flags[-2]} ") and err.count("\n") == 1
+    if command != "simulate" and flags[0] in ("--copula", "--nu"):
+        assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
+    else:
+        assert err.startswith(f"error: {flags[-2]} ") and err.count("\n") == 1
 
 
 # sha256 of `simulate` CSVs written before replicates were generated in chunks
@@ -737,6 +743,17 @@ class TestCurvesAndCstar:
         assert code == 0
         report = dict(line.split(" = ") for line in out.strip().split("\n"))
         assert float(report["c_star"]) == 1.0
+
+    def test_two_sample_is_exact_at_extreme_ncp(self, capsys):
+        # As for simulate: at --sigma 1e-10 the p-values are 1 and 0 to the last bit, so h is 1, 0.7 and 1.4 at
+        # c = 0, 0.5 and 1, and its minimum over c is 0.7 (an inverted law gave 1, 1, 2 and h_min 1).
+        extreme = ("--model", "two-sample", "--theta-null=-1", "--theta-alt=1", "--sigma=1e-10")
+        rows = ["0.0,1.0", "0.5,0.7", "1.0,1.4"]
+        code, out, err = run_cli(capsys, "curves", *extreme, "--c-grid", "0,0.5,1")
+        assert (code, err) == (0, "")
+        assert [ln for ln in out.split("\n") if ln and not ln.startswith("#")] == ["c,value", *rows]
+        code, out, err = run_cli(capsys, "cstar", *extreme)
+        assert (code, err) == (0, "") and out.endswith("\nh_min = 0.7\n")
 
     def test_flat_curve_all_null(self, capsys, tmp_path):
         out_path = tmp_path / "h.csv"
@@ -798,11 +815,23 @@ class TestCurvesAndCstar:
 
 
 class TestUsage:
+    # argparse's own errors print one line, as every other exit 2 does, not its usage block.
     def test_no_subcommand(self, capsys):
-        assert main([]) == 2
+        assert run_cli(capsys) == (2, "", "error: the following arguments are required: command\n")
 
     def test_unknown_flag(self, capsys):
-        assert main(["cstar", "--bogus", "1"]) == 2
+        assert run_cli(capsys, "cstar", "--bogus", "1") == (2, "", "error: unrecognized arguments: --bogus 1\n")
+
+    def test_missing_value(self, capsys):
+        # argparse reads -1e6 as a flag, not as a negative number: --theta-null=-1e6 passes it.
+        code, out, err = run_cli(capsys, "cstar", "--theta-null", "-1e6")
+        assert (code, out, err) == (2, "", "error: argument --theta-null: expected one argument\n")
+
+    @pytest.mark.parametrize("command", ["curves", "cstar"])
+    def test_dependence_flags_are_simulate_only(self, capsys, command):
+        # h, the cdf tables and c* read the marginal laws only, so the copula is not theirs to take.
+        code, out, err = run_cli(capsys, command, "--copula", "gumbel")
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --copula gumbel\n")
 
     def test_every_flag_and_argument_has_help(self):
         # --lambda, --seed, --variant, --model, --copula and six more flags once printed no help.
@@ -831,7 +860,7 @@ def test_largest_seed_is_accepted(capsys, hand_file):
 
 # Each flag that only the library checks, set alone to a bad value: the CLI
 # puts the flag's name on the library's message, in the words of the checks
-# it keeps for its own flags (`--m`, `--pi0`, ...).
+# it keeps for its own flags (`--m`, `--pi0`, ...). `cstar` takes no --nu.
 _SINGLE_BAD_FLAG = [
     (["analyze", "--lambda", "1.5"], "--lambda must lie in (0, 1), got 1.5"),
     (["simulate", "--lambda", "0"], "--lambda must lie in (0, 1), got 0.0"),
@@ -845,7 +874,8 @@ _SINGLE_BAD_FLAG = [
     (["simulate", "--sigma", "inf"], "--sigma must be positive and finite, got inf"),
     (["curves", "--model", "two-sample", "--sigma", "0"], "--sigma must be positive and finite, got 0.0"),
     (["cstar", "--sigma", "5"], "--sigma must be 1 for the z model, got 5.0"),  # the z model used to ignore it
-    (["cstar", "--nu", "0.5"], "--nu must be finite and >= 1, got 0.5"),
+    (["cstar", "--nu", "0.5"], "unrecognized arguments: --nu 0.5"),
+    (["simulate", "--nu", "0.5"], "--nu must be finite and >= 1, got 0.5"),  # checked for the independent model too
     (["simulate", "--copula", "gumbel", "--nu", "nan"], "--nu must be finite and >= 1, got nan"),
     (["curves", "--n", "0"], "--n must be a positive integer, got 0"),
     (["curves", "--quantity", "cdf", "--c-grid", "0.1,0.1000001,0.5"],  # %g prints both as c=0.1

@@ -72,10 +72,11 @@ def _model_spec(args, **dependence):
     _probability(args.pi0, "--pi0")
     if args.m < 2:  # ModelSpec would only see the groups
         raise ValueError(f"--m must be >= 2, got {args.m}")
+    m = _positive_int(args.m, "--m")  # at most 2**53 before pi0 * m makes it a float
     _finite_array(args.theta_null, "--theta-null")
     _finite_array(args.theta_alt, "--theta-alt")
-    n_null = int(round(args.pi0 * args.m))
-    groups = tuple(g for g in ((n_null, args.theta_null), (args.m - n_null, args.theta_alt)) if g[0] > 0)
+    n_null = int(round(args.pi0 * m))
+    groups = tuple(g for g in ((n_null, args.theta_null), (m - n_null, args.theta_alt)) if g[0] > 0)
     design = {"model": "z", "n": args.n} if args.model == "z" else {"model": "two_sample", "n1": args.n1, "n2": args.n2}
     return ModelSpec(groups=groups, sigma=args.sigma, **design, **dependence)
 

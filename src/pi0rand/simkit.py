@@ -31,7 +31,10 @@ count at its place, and the places of all groups, laid end to end, are one
 flat index gathered once per group of rows. Any other row is drawn and sorted
 (per group for the copula uniforms) and counted by one binary search per row
 and column range, on the left side, at nextafter(P^-1(lambda*c), +inf) and
-P^-1(c): for doubles, x <= t exactly when x < nextafter(t, +inf).
+P^-1(c): for doubles, x <= t exactly when x < nextafter(t, +inf). Both counters
+take the column ranges (start, stop, low, up) and return per row #{x <= low}
+and then #{x < up}, summed over the ranges; ``_replicate_block`` alone maps a
+plan to those ranges and forms the binomial's trials m - #{x < up}.
 
 Replicates come in groups of ``GROUP`` = 32: group g = r // 32 draws its
 rows from the stream ``(seed, 2g)``, in replicate order, and all its
@@ -166,8 +169,6 @@ class SimulationPlan:
         object.__setattr__(self, "c_grid", tuple(_increasing_grid(self.c_grid, "c_grid").tolist()))
         object.__setattr__(self, "replicates", _positive_int(self.replicates, "replicates"))
         object.__setattr__(self, "seed", _checked_uint64(self.seed, "seed"))
-        if 2 * ((self.replicates - 1) // GROUP) + 1 >= 2**64:  # the last group's binomial stream id
-            raise ValueError("replicate budget exceeds the stream id space")
 
 
 @dataclass
@@ -246,74 +247,66 @@ def _count_maps(spec: ModelSpec) -> list:
     return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, law) in zip(stops, groups)]
 
 
-def _cell_counter(spec: ModelSpec, lam: float, c: np.ndarray):
-    """Per row of m iid uniforms, #{V <= F_g(lambda*c)} and #{V >= F_g(c)} summed over the groups, drawn as one
-    multinomial of each group's m_g uniforms over the cells between its sorted thresholds.
-
-    A threshold's count is the cumulative cell count at its place in its group's order, so a cdf that is not
-    monotone at the last bit still counts #{V <= F(t)}, and #{V >= F(1)} = #{V >= 1} is 0. These places are one
-    flat index into a row's cumulative cells, the groups laid end to end: one gather and one sum over the groups
-    per call give #{V <= F_g(t)} at every threshold, and the upper half becomes m - #{V < F_g(c)} in place.
+def _cell_counter(ranges: list):
+    """Per row of iid uniforms, #{V <= low} and then #{V < up} summed over the ranges: one multinomial of each
+    range's b - a uniforms over the cells between its sorted thresholds, a threshold's count being the cumulative cell
+    count at its place in its range's order (so a cdf not monotone at the last bit still counts #{V <= F(t)}). The
+    places are one flat index into a row's cumulative cells, the ranges laid end to end: one gather and one sum.
     """
-    groups = spec.population().groups
-    sizes = np.array([count for count, _ in groups])
-    cuts = np.array([np.hstack([0.0, np.maximum(low, 0.0), up, 1.0])
-                     for low, up in (_grid_thresholds(lam, c, law.cdf) for _, law in groups)])
+    sizes = np.array([b - a for a, b, _, _ in ranges])
+    cuts = np.array([np.hstack([0.0, np.maximum(low, 0.0), up, 1.0]) for _, _, low, up in ranges])
     order = np.argsort(cuts, axis=1, kind="stable")
     cells = np.diff(np.take_along_axis(cuts, order, axis=1), axis=1)
-    below = np.argsort(order, axis=1)[:, 1:-1] - 1  # per grid threshold, its last cell below: the 0 edge sorts first
-    flat = below + cells.shape[1] * np.arange(len(groups))[:, None]  # its place in a row's flattened cells
+    below = np.argsort(order, axis=1)[:, 1:-1] - 1  # per threshold, its last cell below: the 0 edge sorts first
+    flat = below + cells.shape[1] * np.arange(len(ranges))[:, None]  # its place in a row's flattened cells
 
     def count(gen: np.random.Generator, rows: int) -> np.ndarray:
         cum = gen.multinomial(sizes, np.broadcast_to(cells, (rows, *cells.shape))).cumsum(axis=-1)
-        n = cum.reshape(rows, -1)[:, flat].sum(axis=1)
-        np.subtract(spec.m, n[:, c.size :], out=n[:, c.size :])
-        return n.reshape(rows, 2, c.size)
+        return cum.reshape(rows, -1)[:, flat].sum(axis=1)
 
     return count
 
 
-def _row_counter(spec: ModelSpec, lam: float, c: np.ndarray):
-    """Per row of ``_counted_rows``, #{p <= lambda*c} and #{p >= c}: each column range sorted and counted against
-    its mapped thresholds, in chunks of ``CHUNK_VALUES`` counted values.
+def _row_counter(spec: ModelSpec, ranges: list):
+    """Per row of ``_counted_rows``, #{x <= low} and then #{x < up} summed over the column ranges: each range sorted
+    and counted against its thresholds, in chunks of ``CHUNK_VALUES`` counted values.
 
     A row and range take one binary search for keys built once per block: for doubles, x <= t exactly when
     x < nextafter(t, +inf), also at a low of -inf and for x at the largest double of either sign, so a search on the
-    left side counts #{x <= low} at nextafter(low, +inf) and #{x < up} at up. The ranges' counts are added, and
-    #{x >= up} = m - #{x < up} is formed once per call.
+    left side counts #{x <= low} at nextafter(low, +inf) and #{x < up} at up.
     """
-    thresholds = [(a, b, _grid_thresholds(lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
-    ranges = [(a, b, np.concatenate([np.nextafter(low, np.inf), up])) for a, b, (low, up) in thresholds]
+    keys = [(a, b, np.concatenate([np.nextafter(low, np.inf), up])) for a, b, low, up in ranges]
     chunk = max(1, CHUNK_VALUES // spec.m)
 
     def count(gen: np.random.Generator, rows: int) -> np.ndarray:
-        n = np.zeros((rows, 2 * c.size), dtype=np.int64)  # per row, #{x <= low} then #{x < up}
+        n = np.zeros((rows, keys[0][2].size), dtype=np.int64)  # per row, #{x <= low} then #{x < up}
         for lo in range(0, rows, chunk):
             x = _counted_rows(spec, gen, min(chunk, rows - lo))
-            for a, b, keys in ranges:
+            for a, b, k in keys:
                 x[:, a:b].sort(axis=1)
                 for i, row in enumerate(x[:, a:b], lo):
-                    n[i] += row.searchsorted(keys)
-        np.subtract(spec.m, n[:, c.size :], out=n[:, c.size :])
-        return n.reshape(rows, 2, c.size)
+                    n[i] += row.searchsorted(k)
+        return n
 
     return count
 
 
 def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
     """Estimates of replicates start..stop - 1, a row each. A block that starts inside a group runs the group from
-    its first row, since its streams are read in replicate order."""
+    its first row, since its streams are read in replicate order. Only here does the plan become counting inputs:
+    ``ranges`` of ``(start, stop, low, up)``, and per row N = #{x <= low} + Binomial(m - #{x < up}, lambda)."""
     spec, c, first = plan.spec, np.asarray(plan.c_grid), start - start % GROUP
+    ranges = [(a, b, *_grid_thresholds(plan.lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
     iid = spec.model == "z" and spec.dependence == "independent"  # rows of iid uniforms
-    count = (_cell_counter if iid else _row_counter)(spec, plan.lam, c)
+    count = _cell_counter(ranges) if iid else _row_counter(spec, ranges)
     n = np.empty((stop - first, c.size), dtype=np.int64)  # N per replicate
     rng = RngStream(plan.seed)
     for g in range(first // GROUP, -(-stop // GROUP)):
         a0, b0 = GROUP * g - first, min(GROUP * (g + 1), stop) - first
         rng.rekey(2 * g)
-        counts = count(rng.generator, b0 - a0)  # per row, #{p <= lambda*c} and #{p >= c}
+        below = count(rng.generator, b0 - a0)  # per row, #{x <= low} then #{x < up}
         rng.rekey(2 * g + 1)
-        n[a0:b0] = counts[:, 0] + rng.generator.binomial(counts[:, 1], plan.lam)
+        n[a0:b0] = below[:, : c.size] + rng.generator.binomial(spec.m - below[:, c.size :], plan.lam)
     return _estimate_from_count(n[start - first :], spec.m, plan.lam, plan.estimator_variant)
 
 
@@ -329,9 +322,11 @@ def _blocks(reps: int, workers: int) -> list:
 def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     """Replay the estimator across the threshold grid.
 
-    Every replicate generates one LFC p-value vector (chunked, see the module
-    docstring) and draws the count of randomized p-values at or below lambda
-    for each grid point. The per-replicate estimates land in a matrix indexed
+    Every replicate draws the counts of its LFC p-values below each grid
+    point's two thresholds (the cell counts of iid uniforms for an
+    independent z model, else one counted row; see the module docstring)
+    and then the count of randomized p-values at or below lambda for each
+    grid point. The per-replicate estimates land in a matrix indexed
     by (replicate, grid point) in replicate order, so the aggregation (and
     hence the summary) does not depend on how replicates were scheduled.
     """

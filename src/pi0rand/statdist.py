@@ -72,10 +72,13 @@ def _checked_uint64(value, name):
 
 
 def _positive_int(value, name):
-    """``value`` as an int, or ``ValueError`` unless it is a whole number >= 1."""
+    """``value`` as an int, or ``ValueError`` unless it is a whole number in [1, 2**53], where a double holds every
+    count exactly."""
     iv = _as_int(value)
     if iv is None or iv < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if iv > 2**53:
+        raise ValueError(f"{name} must be at most 2**53, got {value!r}")
     return iv
 
 

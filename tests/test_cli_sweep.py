@@ -1,10 +1,11 @@
-"""An edge sweep of `curves` (h and cdf) and `cstar` over each flag's valid range and its extremes.
+"""An edge sweep of `curves` (h and cdf), `cstar` and `simulate` over each flag's valid range and its extremes.
 
 Each flag is left at its default or set to a value drawn from its valid range, its extremes, or just past them;
 the effects and --sigma lie on a signed log scale up to 1e300. Flags are passed as --flag=value, since argparse
 reads a value such as -1e6 as a flag. The properties: exit 0 or 2; on 2, one `error:` line on stderr and nothing
 on stdout; on 0, every printed number finite; `cstar`'s h_min at most the smallest h of the 1001-point grid that
-`curves` prints for the same flags, and that grid's h(lambda, 0) within 3 eps / (1 - lambda) of 1.
+`curves` prints for the same flags, and that grid's h(lambda, 0) within 3 eps / (1 - lambda) of 1; `simulate`'s
+variance, mse and se_mean at least 0.
 """
 
 import contextlib
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 
 from pi0rand.cli import main
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a float, whose repr in a --c-grid list is a number
 _SIGNED_LOG = st.just(0.0) | st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
                                        st.floats(-300.0, 300.0))
-# Integer flags reach 2**63 - 1; above 2**64 they are a known fault with its own strict xfail below.
-_INT_EXTREMES = [1, 2, 3, 2**31 - 1, 2**53 + 1, 2**63 - 1, 0, -1]
+# Integer flags are counts, at most 2**53; the values past it, up to one beyond a double, exit 2.
+_INT_EXTREMES = [1, 2, 3, 2**31 - 1, 2**53 + 1, 2**63 - 1, 2**64, 10**400, 0, -1]
 _MODEL_FLAGS = {
     "--model": st.sampled_from(["z", "two-sample"]),
     "--m": st.integers(2, 10**6) | st.sampled_from(_INT_EXTREMES),
@@ -102,7 +103,30 @@ def test_cstar_is_at_most_the_grid_minimum(flags):
         assert c[0] == 0.0 and abs(h[0] - 1.0) <= 3.0 * _EPS / (1.0 - lam)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: an integer flag beyond uint64 or a double exits 1")
 @pytest.mark.parametrize("flag", [f"--n={2**64}", f"--m={10**400}"])
 def test_integer_flag_beyond_a_double_exits_2(flag):
     _run("cstar", flag)
+
+
+# simulate allocates and draws what --m and --reps ask for, so both stop near 10**4 and 64 (a row kernel holds m
+# doubles per row, and the sweep's time grows with both); the extremes past 2**53 still exit 2 before any work.
+# --reps is always set: its default of 10,000 replicates would take most of a second a run.
+_SMALL_OR_REJECTED = [v for v in _INT_EXTREMES if v <= 64 or v > 2**53]
+_SIMULATE_FLAGS = {
+    "--m": st.integers(2, 10**4) | st.sampled_from(_SMALL_OR_REJECTED),
+    "--nu": st.sampled_from([1.0, 1.0 + _EPS, 2.0, 200.0, 1e300, 0.5, np.inf, np.nan]),
+    "--seed": st.integers(0, 2**64 - 1) | st.sampled_from([-1, 2**64]),
+    "--variant": st.sampled_from(["plain", "storey-plus"]),
+    "--c-grid": _GRIDS,
+}
+
+
+@pytest.mark.parametrize("model", ["z", "two-sample"])
+@pytest.mark.parametrize("copula", ["independent", "gumbel"])
+@given(flags=_flags(_SIMULATE_FLAGS), reps=st.integers(1, 64) | st.sampled_from(_SMALL_OR_REJECTED))
+@settings(max_examples=60, deadline=None)
+def test_simulate_exits_0_or_2_and_prints_finite_moments(model, copula, flags, reps):
+    code, out = _run("simulate", f"--reps={reps}", *flags, f"--model={model}", f"--copula={copula}")  # the last wins
+    if code == 0:
+        table = _table(out)
+        assert np.all(np.isfinite(table)) and np.all(table[:, [2, 3, 5]] >= 0.0)  # variance, mse, se_mean

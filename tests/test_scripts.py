@@ -1,5 +1,6 @@
 """The experiment script runs end to end and rejects a bad flag before it writes a table."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -31,10 +32,20 @@ def reproduce(out_dir, *args):
                            *args], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300)
 
 
-def test_reproduce_writes_the_seven_tables(tmp_path):
-    proc = reproduce(tmp_path, "--reps", "20", "--seed", "5")
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """Runs ``reproduce`` once per distinct argument list, in a directory of its own; returns the directory and run."""
+    @functools.cache
+    def run(*args):
+        out_dir = tmp_path_factory.mktemp("tables")
+        return out_dir, reproduce(out_dir, *args)
+    return run
+
+
+def test_reproduce_writes_the_seven_tables(reproduced):
+    out_dir, proc = reproduced("--reps", "20", "--seed", "5")
     assert proc.returncode == 0, proc.stderr
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in out_dir.iterdir()}
     assert digests == TABLES
     assert "c_star = 0.3275" in proc.stdout and "c_star = 1.0\n" in proc.stdout
     assert "independent: exact mse at c*=0.3276 " in proc.stdout and ", at c=1.0000 " in proc.stdout
@@ -45,12 +56,12 @@ def test_reproduce_writes_the_seven_tables(tmp_path):
     ("mc_study.py", ["--reps", "20", "--seed", "5"], ["mc_independent.csv", "mc_gumbel.csv"]),
     ("practical_selection.py", ["--reps", "20", "--seed", "5"], ["g_curve.csv", "ecdf_lfc.csv", "ecdf_randomized.csv"]),
 ])
-def test_script_writes_its_tables(tmp_path, script, args, outputs):
+def test_script_writes_its_tables(reproduced, script, args, outputs):
     """Each replaced script's tables (named by `script`) are still written, byte for byte, with a header and rows."""
-    proc = reproduce(tmp_path, *args)
+    out_dir, proc = reproduced(*args)  # the run of test_reproduce_writes_the_seven_tables, shared
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
-        table = tmp_path / name
+        table = out_dir / name
         assert hashlib.sha256(table.read_bytes()).hexdigest()[:16] == TABLES[name], (script, name)
         lines = table.read_text().split("\n")
         assert len([ln for ln in lines if ln and not ln.startswith("#")]) >= 3  # a header and rows

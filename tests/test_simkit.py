@@ -351,10 +351,10 @@ class TestRunMc:
             self.small_plan(c_grid=(0.5, 0.2))
         with pytest.raises(ValueError):
             self.small_plan(lam=1.0)
-        # The last group, (reps - 1) // 32, draws its binomials from stream 2 * group + 1 < 2^64.
-        assert self.small_plan(replicates=2**68).replicates == 2**68
-        with pytest.raises(ValueError, match="stream id space"):
-            self.small_plan(replicates=2**68 + 1)
+        # Every count is at most 2**53, so the last group's binomial stream, 2 * ((reps - 1) // 32) + 1, is below 2**50.
+        assert self.small_plan(replicates=2**53).replicates == 2**53
+        with pytest.raises(ValueError, match=r"^replicates must be at most 2\*\*53, got 9007199254740993$"):
+            self.small_plan(replicates=2**53 + 1)
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
     def test_plan_rejects_bad_seed(self, bad):
@@ -607,17 +607,18 @@ class TestThresholdKernel:
         # range, at nextafter(low, +inf) and at up, gives the integers of _grid_counts' two searches.
         spec, c, big = _KERNEL_SPECS[name], np.array(self.GRID), np.finfo(float).max
         gen, rows = np.random.default_rng(4), np.empty((3, spec.m))
-        ranges = [(a, b, _grid_thresholds(0.5, c, from_p)) for a, b, _, from_p in simkit._count_maps(spec)]
-        for a, b, thresholds in ranges:
-            t = np.concatenate(thresholds)
+        ranges = [(a, b, *_grid_thresholds(0.5, c, from_p)) for a, b, _, from_p in simkit._count_maps(spec)]
+        for a, b, low, up in ranges:
+            t = np.concatenate([low, up])
             pool = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), [-np.inf, -big, big]])
             assert b - a >= pool.size  # every value is in every row, some more than once
             for row in rows:
                 row[a:b] = np.resize(gen.permutation(pool), b - a)
         monkeypatch.setattr(simkit, "_counted_rows", lambda spec, gen, k: rows[:k].copy())
-        expected = [sum(np.array(_grid_counts(np.sort(row[a:b]), *thresholds)) for a, b, thresholds in ranges)
+        expected = [sum(np.concatenate([n_low, b - a - n_up])  # #{x < up} = #{x in the range} - #{x >= up}
+                        for a, b, low, up in ranges for n_low, n_up in [_grid_counts(np.sort(row[a:b]), low, up)])
                     for row in rows]
-        counts = simkit._row_counter(spec, 0.5, c)(gen, 3)
+        counts = simkit._row_counter(spec, ranges)(gen, 3)
         assert counts.dtype == np.int64 and np.array_equal(counts, expected)
 
     def test_gumbel_frailties_stay_finite_as_nu_nears_one(self):

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import warnings
@@ -200,6 +201,25 @@ class TestGenLfcPvalues:
         a = gen_lfc_pvalues(spec, RngStream(35, 0))
         b = gen_lfc_pvalues(spec, RngStream(35, 0))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("z-gumbel", "266977fe106bb95f11a8a6e3c7e7ca324ba54dd85f2e38408ae73303123add41"),
+        ("two_sample-independent", "50fdb210cc4aaec9ccd56ee0e1bdf548b0b6c1b8ddba87f13eff018f56afdfa5"),
+        ("two_sample-gumbel", "e082f5ae6078488854dc6167500e79eb0158e7bef271d3a03dbc398228f160c7"),
+    ])
+    def test_keeps_its_bytes(self, name, digest):
+        # sha256 of three vectors drawn in turn from one stream (x86-64, numpy 2.4, scipy 1.17); the z independent
+        # bytes are pinned in test_acceptance.py. The two-sample independent spec adds a group at theta 1e308, whose
+        # statistics overflow for about half the draws and are clipped to the largest double.
+        groups = ((70, -0.3), (30, 0.8), (4, 1e308))
+        spec = {"z-gumbel": ModelSpec("z", groups[:2], n=50, dependence="gumbel", nu=2.0),
+                "two_sample-independent": ModelSpec("two_sample", groups, n1=5, n2=6),
+                "two_sample-gumbel": ModelSpec("two_sample", groups[:2], n1=5, n2=6, dependence="gumbel", nu=2.0)}[name]
+        rng = RngStream(2**63 + 17, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vectors = [gen_lfc_pvalues(spec, rng) for _ in range(3)]
+        assert hashlib.sha256(b"".join(p.tobytes() for p in vectors)).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")

@@ -10,14 +10,15 @@ Subcommands:
 * ``cstar``    - exact bias-minimizing threshold for a model configuration.
 
 Exit codes: 0 on success, 2 on usage or validation errors (a ``ValueError``
-from the library included) and on an unreadable input or unwritable output
-path, 1 on internal errors. Each input is checked once, where it enters: a
-flag value that a library object checks is checked only there, and ``main``
-names the flag in the library's message. A command reads its input and
-checks its flags (a cdf table, which is cheap, is built to check its labels)
-before it opens ``--out``, and opens ``--out`` before any other work or print:
-a bad flag leaves an existing file as it was, and an unwritable path fails
-before the work.
+from the library included), on an unreadable input or unwritable output
+path and on a size whose arrays do not fit in memory, 1 on internal errors.
+Each input is checked once, where it enters: a flag value that a library
+object checks is checked only there, and ``main`` names the flag in the
+library's message. A command reads its input and checks its flags (a cdf
+table, which is cheap, is built to check its labels) before it opens
+``--out``, and opens ``--out`` before any other work or print: a bad flag
+leaves an existing file as it was, and an unwritable path fails before the
+work.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = ["main"]
 
 # The flag of each library field the CLI passes through unchecked, by the first word of the library's message.
 _FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers", "c_list": "--c-grid",
-          "n": "--n", "n1": "--n1", "n2": "--n2", "sigma": "--sigma", "nu": "--nu"}
+          "n": "--n", "n1": "--n1", "n2": "--n2", "n1+n2-2": "--n1 + --n2 - 2", "sigma": "--sigma", "nu": "--nu"}
 
 
 def _parse_grid(text):
@@ -218,6 +219,9 @@ def main(argv=None) -> int:
         if rest.startswith("must "):
             field = _FLAGS.get(field, field)
         print(f"error: {field}{space}{rest}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a count within 2**53 whose arrays do not fit; numpy raises before it allocates
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         if isinstance(exc, OSError) and exc.filename is not None:  # an unreadable input or unwritable output path

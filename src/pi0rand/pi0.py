@@ -174,17 +174,21 @@ def _estimator_variance(spec: PopulationSpec, lam: float, c):
     return var_n / (spec.m * (1.0 - lam)) ** 2
 
 
+def _h(spec: PopulationSpec, lam: float, c):
+    """h(lambda, c) for a checked lambda and c, a float or an array; exactly 1 at c = 0, not a rounded 1 - E[Fhat]."""
+    return np.where(c == 0.0, 1.0, (1.0 - _expected_ecdf(spec, lam, c)) / (1.0 - lam))
+
+
 def h_value(spec: PopulationSpec, lam: float, c: float) -> float:
     """Exact expectation of the estimator at threshold c."""
-    return (1.0 - float(_expected_ecdf(spec, _check_lambda(lam), _probability(c, "c")))) / (1.0 - lam)
+    return float(_h(spec, _check_lambda(lam), _probability(c, "c")))
 
 
 def h_curve(spec: PopulationSpec, lam: float, c_grid) -> CurveTable:
     """Tabulate ``c -> h(lambda, c)`` over a strictly increasing grid."""
     grid, lam = _increasing_grid(c_grid, "c_grid"), _check_lambda(lam)
-    h = (1.0 - _expected_ecdf(spec, lam, grid)) / (1.0 - lam)
     meta = {"quantity": "h", "lambda": repr(float(lam)), "spec": spec.digest()}
-    return CurveTable(grid, {"value": h}, metadata=meta)
+    return CurveTable(grid, {"value": _h(spec, lam, grid)}, metadata=meta)
 
 
 class CStarResult(NamedTuple):

@@ -12,29 +12,27 @@ with a fixed replicate budget. Given the LFC vector p, the estimator sees the
 randomized vector only through N = #{p_rand <= lambda}, and exactly
 N = #{p <= lambda*c} + Binomial(#{p >= c}, lambda) (first term 0 at c = 0),
 so a replicate needs one binomial per grid point and these two counts. Every
-model counts a row x with p = P(x), P increasing: uniforms with P = Q_g on
-group g (the copula uniforms, or iid uniforms for an independent z model,
-whose p-values are iid with cdf F_g within group g and so have the law of
-Q_g(U)), or for an independent two-sample model its statistic with P the
-central t cdf. With P^-1 the inverse (the cdf F_g of Q_g; -inf at 0 and +inf
-at 1 for a statistic),
+model counts uniforms v with p = Q_g(v) on effect group g: the copula
+uniforms under a Gumbel copula, and iid uniforms under independence, where
+the p-values of group g are iid with cdf F_g and so have the law of Q_g(U).
+With F_g the inverse of Q_g,
 
-    #{P(x) <= t} = #{x <= P^-1(t)}    and    #{P(x) >= t} = #{x >= P^-1(t)},
+    #{Q_g(v) <= t} = #{v <= F_g(t)}    and    #{Q_g(v) >= t} = #{v >= F_g(t)},
 
-so a replicate counts x against P^-1(lambda*c) and P^-1(c), mapped once per
-block. It evaluates neither P nor a quantile, and counts the exact p-values
-also where P(x) rounds to 1.0 under a strongly conservative null. A row of
-iid uniforms (an independent z model) needs only the counts of each group's
-uniforms in the cells between its sorted thresholds, which are one
-Multinomial(m_g, cell widths) draw; a threshold's count is the cumulative cell
-count at its place, and the places of all groups, laid end to end, are one
-flat index gathered once per group of rows. Any other row is drawn and sorted
-(per group for the copula uniforms) and counted by one binary search per row
-and column range, on the left side, at nextafter(P^-1(lambda*c), +inf) and
-P^-1(c): for doubles, x <= t exactly when x < nextafter(t, +inf). Both counters
-take the column ranges (start, stop, low, up) and return per row #{x <= low}
-and then #{x < up}, summed over the ranges; ``_replicate_block`` alone maps a
-plan to those ranges and forms the binomial's trials m - #{x < up}.
+so a replicate counts v against F_g(lambda*c) and F_g(c), mapped once per
+block. It evaluates no quantile, and counts the exact p-values also where
+Q_g(v) rounds to 1.0 under a strongly conservative null. A row of iid
+uniforms needs only the counts of each group's uniforms in the cells between
+its sorted thresholds, which are one Multinomial(m_g, cell widths) draw; a
+threshold's count is the cumulative cell count at its place, and the places
+of all groups, laid end to end, are one flat index gathered once per group of
+rows. A row of copula uniforms is drawn, sorted per group and counted by one
+binary search per row and group, on the left side, at
+nextafter(F_g(lambda*c), +inf) and F_g(c): for doubles, v <= t exactly when
+v < nextafter(t, +inf). Both counters take the column ranges
+(start, stop, low, up) and return per row #{v <= low} and then #{v < up},
+summed over the ranges; ``_replicate_block`` alone maps a plan to those
+ranges and forms the binomial's trials m - #{v < up}.
 
 Replicates come in groups of ``GROUP`` = 32: group g = r // 32 draws its
 rows from the stream ``(seed, 2g)``, in replicate order, and all its
@@ -43,16 +41,13 @@ blocks are cut at multiples of 32, so results are bitwise identical for any
 worker count, and the replicates of a shorter run are the first ones of a
 longer run. One generator per block is re-keyed twice per group. The rows of
 iid uniforms of a group of replicates are one ``multinomial`` call, drawn
-row after row and, within a row, effect group after effect group. Other rows
-run in chunks of ``CHUNK_VALUES`` counted values, each row's values drawn in
-the order of one row drawn alone, with one sort per chunk. An independent
-two-sample row is drawn from the sufficient statistics of its law: its m
-standard normals Z, then its m chi-squares V = 2 * Gamma(df / 2), counted as
-x = -T = -(Z + ncp) / sqrt(V / df), formed once per chunk. A Gumbel row
-draws its frailty, then its exponentials, and log S and the copula uniforms
-are formed once per chunk. Each group's binomials are one ``binomial`` call.
-``gen_lfc_pvalues`` is the data-level sampler: it draws an independent z
-model's statistics, not the counts the kernel draws.
+row after row and, within a row, effect group after effect group. Rows of
+copula uniforms run in chunks of ``CHUNK_VALUES`` counted values, each row's
+values drawn in the order of one row drawn alone, with one sort per chunk: a
+row draws its frailty, then its exponentials, and log S and the copula
+uniforms are formed once per chunk. Each group's binomials are one
+``binomial`` call. ``gen_lfc_pvalues`` is the data-level sampler: it draws an
+independent model's statistics, not the counts the kernel draws.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ from . import _tableio
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _estimate_from_count, _grid_thresholds
 from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
-from .statdist import _positive_finite, _positive_int, _t_quantile
+from .statdist import _positive_finite, _positive_int
 
 __all__ = [
     "ModelSpec",
@@ -117,8 +112,7 @@ class ModelSpec:
         else:
             object.__setattr__(self, "n1", _positive_int(self.n1, "n1"))
             object.__setattr__(self, "n2", _positive_int(self.n2, "n2"))
-            if self.n1 + self.n2 < 3:
-                raise ValueError("need n1 + n2 - 2 >= 1")
+            _positive_int(self.n1 + self.n2 - 2, "n1+n2-2")  # the df of the laws
         _positive_finite(self.sigma, "sigma")
         if self.model == "z" and self.sigma != 1.0:
             raise ValueError(f"sigma must be 1 for the z model, got {self.sigma!r}")
@@ -206,45 +200,30 @@ def _gumbel_rows(m: int, nu: float, gen: np.random.Generator, rows: int) -> np.n
 
 
 def gen_lfc_pvalues(spec: ModelSpec, rng: RngStream) -> np.ndarray:
-    """Generate one LFC p-value vector from the model. An independent z model's comes from its statistics
-    -sqrt(n) * (theta + mean noise), where the Monte Carlo kernel draws cell counts instead; every other model's
-    maps one counted row to its p-values."""
-    if spec.model == "z" and spec.dependence == "independent":
-        counts, thetas = zip(*spec.groups)
-        noise = rng.generator.standard_normal(spec.m) / np.sqrt(spec.n)
-        return lfc_pvalue_z(np.repeat(thetas, counts) + noise, spec.n)
-    x = _counted_rows(spec, rng.generator, 1)[0]
-    return np.hstack([to_p(x[a:b]) for a, b, to_p, _ in _count_maps(spec)])
-
-
-def _counted_rows(spec: ModelSpec, gen: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` rows, drawn from ``gen`` one after another, of the values a Gumbel or two-sample replicate counts: a
-    Gumbel model's copula uniforms, and x = -T for an independent two-sample model. T is drawn from its sufficient
-    statistics, T = (Z + ncp) / sqrt(V / df), with a row's m standard normals Z drawn first, then its m chi-squares
-    V = 2 * Gamma(df / 2). An x that overflows is clipped to the largest double of its sign, beyond every finite
-    threshold, so it counts as +-inf would while the +-inf thresholds count no x."""
+    """Generate one LFC p-value vector from the model. An independent model's comes from its statistics, where the
+    Monte Carlo kernel draws cell counts instead: for the z model -sqrt(n) * (theta + mean noise), for the two-sample
+    model T = (Z + ncp) / sqrt(V / df) from m standard normals Z and then m chi-squares V = 2 * Gamma(df / 2), a T
+    that overflows clipped to the largest double of its sign. A Gumbel model maps one row of copula uniforms through
+    each group's quantile."""
+    gen, (counts, laws) = rng.generator, zip(*spec.population().groups)
     if spec.dependence == "gumbel":
-        return _gumbel_rows(spec.m, spec.nu, gen, rows)
-    counts, laws = zip(*spec.population().groups)
-    ncp, df = np.repeat([law.ncp for law in laws], counts), laws[0].df
-    z, v = np.empty((2, rows, spec.m))
-    for i in range(rows):
-        gen.standard_normal(out=z[i])
-        gen.standard_gamma(df / 2.0, out=v[i])
+        v = _gumbel_rows(spec.m, spec.nu, gen, 1)[0]
+        return np.hstack([law.quantile(v[a:b]) for a, b, law in _group_ranges(spec)])
+    if spec.model == "z":
+        noise = gen.standard_normal(spec.m) / np.sqrt(spec.n)
+        return lfc_pvalue_z(np.repeat([theta for _, theta in spec.groups], counts) + noise, spec.n)
+    df = laws[0].df
+    z, v = gen.standard_normal(spec.m), gen.standard_gamma(df / 2.0, spec.m)
     with np.errstate(over="ignore", divide="ignore"):
-        x = -(z + ncp) / np.sqrt(2.0 * v / df)
-    return np.clip(x, -np.finfo(float).max, np.finfo(float).max, out=x)
+        t = (z + np.repeat([law.ncp for law in laws], counts)) / np.sqrt(2.0 * v / df)
+    return lfc_pvalue_t(np.clip(t, -np.finfo(float).max, np.finfo(float).max, out=t), df)
 
 
-def _count_maps(spec: ModelSpec) -> list:
-    """``(start, stop, to_p, from_p)`` per column range of a counted row: ``to_p`` maps its values to their
-    p-values, increasing, and ``from_p`` maps a p-value threshold back to the counted scale."""
+def _group_ranges(spec: ModelSpec) -> list:
+    """``(start, stop, law)`` per effect group: its columns of a row and its marginal law."""
     groups = spec.population().groups
-    if spec.model == "two_sample" and spec.dependence == "independent":
-        df = groups[0][1].df
-        return [(0, spec.m, lambda x: lfc_pvalue_t(-x, df), lambda p: _t_quantile(p, df))]
     stops = np.cumsum([count for count, _ in groups])
-    return [(int(b - count), int(b), law.quantile, law.cdf) for b, (count, law) in zip(stops, groups)]
+    return [(int(b - count), int(b), law) for b, (count, law) in zip(stops, groups)]
 
 
 def _cell_counter(ranges: list):
@@ -268,23 +247,23 @@ def _cell_counter(ranges: list):
 
 
 def _row_counter(spec: ModelSpec, ranges: list):
-    """Per row of ``_counted_rows``, #{x <= low} and then #{x < up} summed over the column ranges: each range sorted
-    and counted against its thresholds, in chunks of ``CHUNK_VALUES`` counted values.
+    """Per row of Gumbel copula uniforms, #{v <= low} and then #{v < up} summed over the column ranges: each range
+    sorted and counted against its thresholds, in chunks of ``CHUNK_VALUES`` counted values.
 
-    A row and range take one binary search for keys built once per block: for doubles, x <= t exactly when
-    x < nextafter(t, +inf), also at a low of -inf and for x at the largest double of either sign, so a search on the
-    left side counts #{x <= low} at nextafter(low, +inf) and #{x < up} at up.
+    A row and range take one binary search for keys built once per block: for doubles, v <= t exactly when
+    v < nextafter(t, +inf), also at a low of -inf, so a search on the left side counts #{v <= low} at
+    nextafter(low, +inf) and #{v < up} at up.
     """
     keys = [(a, b, np.concatenate([np.nextafter(low, np.inf), up])) for a, b, low, up in ranges]
     chunk = max(1, CHUNK_VALUES // spec.m)
 
     def count(gen: np.random.Generator, rows: int) -> np.ndarray:
-        n = np.zeros((rows, keys[0][2].size), dtype=np.int64)  # per row, #{x <= low} then #{x < up}
+        n = np.zeros((rows, keys[0][2].size), dtype=np.int64)  # per row, #{v <= low} then #{v < up}
         for lo in range(0, rows, chunk):
-            x = _counted_rows(spec, gen, min(chunk, rows - lo))
+            v = _gumbel_rows(spec.m, spec.nu, gen, min(chunk, rows - lo))
             for a, b, k in keys:
-                x[:, a:b].sort(axis=1)
-                for i, row in enumerate(x[:, a:b], lo):
+                v[:, a:b].sort(axis=1)
+                for i, row in enumerate(v[:, a:b], lo):
                     n[i] += row.searchsorted(k)
         return n
 
@@ -294,17 +273,16 @@ def _row_counter(spec: ModelSpec, ranges: list):
 def _replicate_block(plan: SimulationPlan, start: int, stop: int) -> np.ndarray:
     """Estimates of replicates start..stop - 1, a row each. A block that starts inside a group runs the group from
     its first row, since its streams are read in replicate order. Only here does the plan become counting inputs:
-    ``ranges`` of ``(start, stop, low, up)``, and per row N = #{x <= low} + Binomial(m - #{x < up}, lambda)."""
+    ``ranges`` of ``(start, stop, low, up)``, and per row N = #{v <= low} + Binomial(m - #{v < up}, lambda)."""
     spec, c, first = plan.spec, np.asarray(plan.c_grid), start - start % GROUP
-    ranges = [(a, b, *_grid_thresholds(plan.lam, c, from_p)) for a, b, _, from_p in _count_maps(spec)]
-    iid = spec.model == "z" and spec.dependence == "independent"  # rows of iid uniforms
-    count = _cell_counter(ranges) if iid else _row_counter(spec, ranges)
+    ranges = [(a, b, *_grid_thresholds(plan.lam, c, law.cdf)) for a, b, law in _group_ranges(spec)]
+    count = _cell_counter(ranges) if spec.dependence == "independent" else _row_counter(spec, ranges)
     n = np.empty((stop - first, c.size), dtype=np.int64)  # N per replicate
     rng = RngStream(plan.seed)
     for g in range(first // GROUP, -(-stop // GROUP)):
         a0, b0 = GROUP * g - first, min(GROUP * (g + 1), stop) - first
         rng.rekey(2 * g)
-        below = count(rng.generator, b0 - a0)  # per row, #{x <= low} then #{x < up}
+        below = count(rng.generator, b0 - a0)  # per row, #{v <= low} then #{v < up}
         rng.rekey(2 * g + 1)
         n[a0:b0] = below[:, : c.size] + rng.generator.binomial(spec.m - below[:, c.size :], plan.lam)
     return _estimate_from_count(n[start - first :], spec.m, plan.lam, plan.estimator_variant)
@@ -323,8 +301,8 @@ def run_mc(plan: SimulationPlan, workers: int = 1) -> McSummary:
     """Replay the estimator across the threshold grid.
 
     Every replicate draws the counts of its LFC p-values below each grid
-    point's two thresholds (the cell counts of iid uniforms for an
-    independent z model, else one counted row; see the module docstring)
+    point's two thresholds (the cell counts of iid uniforms under
+    independence, else a row of copula uniforms; see the module docstring)
     and then the count of randomized p-values at or below lambda for each
     grid point. The per-replicate estimates land in a matrix indexed
     by (replicate, grid point) in replicate order, so the aggregation (and

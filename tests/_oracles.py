@@ -176,29 +176,23 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
     per replicate, in the same order. A group is run from its first
     replicate, whether or not ``start`` is.
 
-    A replicate of iid uniforms (an independent z model) draws, group after
+    A replicate of iid uniforms (an independent model) draws, group after
     group, one multinomial of the group's m_g uniforms over the cells between
     its sorted thresholds {0, F_g(lambda c) for c > 0, F_g(c), 1};
     #{V <= F_g(t)} is then the count of the cells whose upper edge is at most
     F_g(t). A Gumbel vector (every Gumbel spec has nu > 1) maps its copula
-    uniforms through each group's quantile, and a two-sample vector without a
-    copula comes from its sufficient statistics, m standard normals Z and
-    then m chi-squares V = 2 Gamma(df/2), as
-    T = (Z + ncp) / sqrt(V/df) with each group's ncp and df read from its law;
-    both are counted as p-values. The marginal laws, with their cdfs and
-    quantiles, and the copula uniforms are the library's; everything else is
-    written out here.
+    uniforms through each group's quantile and is counted as p-values. The
+    marginal laws, with their cdfs and quantiles, and the copula uniforms are
+    the library's; everything else is written out here.
     """
-    from scipy import special
-
     from pi0rand.simkit import _gumbel_rows
 
     def stream(stream_id):
         return np.random.Generator(np.random.Philox(key=np.array([plan.seed, stream_id], dtype=np.uint64)))
 
     spec, c, lam, m = plan.spec, np.asarray(plan.c_grid), plan.lam, plan.spec.m
-    iid = spec.model == "z" and spec.dependence == "independent"
-    counts, laws = zip(*spec.population().groups)
+    iid = spec.dependence == "independent"
+    laws = [law for _, law in spec.population().groups]
     low, up = [law.cdf(lam * c) for law in laws], [law.cdf(c) for law in laws]
     cuts = [np.sort(np.concatenate([[0.0], lo[c > 0.0], hi, [1.0]])) for lo, hi in zip(low, up)]
     out = np.empty((stop - start, c.size))
@@ -214,19 +208,12 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
                         n_low[k] += cells[edges[1:] <= lo[k]].sum()
                     n_up_trials[k] -= cells[edges[1:] <= hi[k]].sum()
         else:
-            if spec.dependence == "gumbel":
-                v = _gumbel_rows(m, spec.nu, gen, 1)[0]
-                p = np.empty(m)
-                offset = 0
-                for count, theta in spec.groups:
-                    p[offset : offset + count] = spec.marginal_law(theta).quantile(v[offset : offset + count])
-                    offset += count
-            else:
-                df = laws[0].df
-                ncp = np.concatenate([np.full(count, law.ncp) for count, law in zip(counts, laws)])
-                z = gen.standard_normal(m)
-                v = 2.0 * gen.standard_gamma(df / 2.0, m)
-                p = special.stdtr(df, (z + ncp) / -np.sqrt(v / df))
+            v = _gumbel_rows(m, spec.nu, gen, 1)[0]
+            p = np.empty(m)
+            offset = 0
+            for count, theta in spec.groups:
+                p[offset : offset + count] = spec.marginal_law(theta).quantile(v[offset : offset + count])
+                offset += count
             p = np.sort(p)
             n_low = np.where(c > 0.0, np.searchsorted(p, lam * c, side="right"), 0)
             n_up_trials = m - np.searchsorted(p, c, side="left")
@@ -241,8 +228,8 @@ def replicate_block_per_replicate(plan, start: int, stop: int) -> np.ndarray:
 
 def two_sample_t_per_observation(gen, theta: float, n1: int, n2: int, sigma: float, size: int) -> np.ndarray:
     """``size`` pooled two-sample t statistics, each from its own raw data: n1 normals of mean theta and n2 of mean 0,
-    all of standard deviation sigma, reduced to the two means and the pooled variance. The Monte Carlo kernel drew
-    its two-sample rows this way before it drew T from its sufficient statistics."""
+    all of standard deviation sigma, reduced to the two means and the pooled variance. The Monte Carlo kernel once
+    drew its two-sample rows this way; ``gen_lfc_pvalues`` draws T from its sufficient statistics."""
     x = theta + sigma * gen.standard_normal((size, n1))
     y = sigma * gen.standard_normal((size, n2))
     xbar, ybar, df = x.mean(axis=1), y.mean(axis=1), n1 + n2 - 2

@@ -701,14 +701,15 @@ def test_non_finite_model_flag_exits_2(capsys, command, flags):
 # its replicates draw the counts of their uniforms as one multinomial of the
 # threshold cells; both independent models since their `# nu=` line names the
 # product copula that ran, 1.0, not the --nu given; two-sample independent
-# since its rows draw T from its sufficient statistics. Any change to the
+# since its rows draw T from its sufficient statistics, and again since they
+# draw the cell counts of its uniforms, as z independent does. Any change to the
 # stream layout or to the p-value arithmetic shows up here. All four since
 # the laws keep their effects as plain floats, which changed the `# spec=`
 # line only.
 _FROZEN_SIMULATE_SHA256 = {
     ("z", "independent"): "5f4a657a587c66a334f28a8a457714df749f91302bbb6e03c392cfe0a0a0a4d6",
     ("z", "gumbel"): "46f1a21b7310070cb895501775193cee0b0f327de6067a9a54efff3f2af13d3b",
-    ("two-sample", "independent"): "bd3ce8165d6379ff014588db6f838055b91ed1c8318a811d0350711b0a68e17d",
+    ("two-sample", "independent"): "e22dd96848371ac7664352322d844d0e23829db6348e79dc04a077e4fe949590",
     ("two-sample", "gumbel"): "37e5d430e606f00372f5e8aeb90faf8d06767c64601248aafda8d2524df071ec",
 }
 
@@ -882,6 +883,11 @@ _SINGLE_BAD_FLAG = [
      "--c-grid must have distinct labels, but thresholds [0.1, 0.1000001] share one"),
     (["cstar", "--model", "two-sample", "--n1", "0"], "--n1 must be a positive integer, got 0"),
     (["simulate", "--model", "two-sample", "--n2", "-4"], "--n2 must be a positive integer, got -4"),
+    # Each size within the bound, the laws' df past it or below 1: the message names both flags.
+    (["cstar", "--model", "two-sample", f"--n1={2**53}", f"--n2={2**53}"],
+     f"--n1 + --n2 - 2 must be at most 2**53, got {2**54 - 2}"),
+    (["curves", "--model", "two-sample", "--n1", "1", "--n2", "1"],
+     "--n1 + --n2 - 2 must be a positive integer, got 0"),
 ]
 
 
@@ -930,6 +936,26 @@ def test_bad_flag_leaves_an_existing_out_alone(capsys, hand_file, tmp_path, comm
     code, stdout, err = run_cli(capsys, command, *argv, *flags, "--out", str(out))
     assert (code, stdout) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", f"--reps={2**53}"],
+    ["simulate", "--model=two-sample", "--copula=gumbel", f"--m={2**53}", "--reps=1"],
+    ["curves", "--quantity=cdf", f"--t-points={2**53}"],
+], ids=["simulate-reps", "simulate-m", "curves-t-points"])
+def test_a_size_that_does_not_fit_in_memory_exits_2(capsys, argv):
+    # Each count is within 2**53, but the array it asks for is not within memory; numpy raises before it allocates.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: out of memory: Unable to allocate ")
+
+
+@pytest.mark.parametrize("model", ["z", "two-sample"])
+def test_an_independent_model_allocates_nothing_of_size_m(capsys, model):
+    # Under independence a replicate draws cell counts, not m values: --m 2**53 runs.
+    code, out, err = run_cli(capsys, "simulate", f"--model={model}", f"--m={2**53}", "--reps=2", "--c-grid=0,0.5,1")
+    assert (code, err) == (0, "")
+    assert np.all(np.isfinite([[float(v) for v in ln.split(",")] for ln in out.split("\n")[-4:-1]]))
 
 
 def test_missing_input_names_its_path(capsys, tmp_path):

@@ -13,7 +13,7 @@ from _oracles import replicate_block_per_replicate, two_sample_t_per_observation
 from pi0rand import _tableio, cli, pi0, simkit
 from pi0rand._tableio import _csv_text, _usable_cpus
 from pi0rand.pi0 import _estimate_from_count, _grid_counts, _grid_thresholds, h_curve
-from pi0rand.pvalues import MarginalLaw, RandomizationRule, ZTestLaw, randomize_vector
+from pi0rand.pvalues import MarginalLaw, RandomizationRule, ZTestLaw, lfc_pvalue_t, randomize_vector
 from pi0rand.simkit import (
     ModelSpec,
     SimulationPlan,
@@ -173,15 +173,17 @@ class TestGenLfcPvalues:
 
     @pytest.mark.parametrize("n1, n2", [(1, 2), (10, 10), (51, 51)], ids=["df1", "df18", "df100"])
     def test_two_sample_t_has_the_law_of_its_raw_data_statistic(self, n1, n2):
-        # The kernel draws T from its sufficient statistics (Z, V) and the ncp of its law; the oracle draws it from
-        # n1 + n2 normals of standard deviation sigma. A two-sample KS test of 10^6 draws each, at a false-alarm
-        # rate of 1e-3 over the three dfs, drawn in chunks.
+        # The generator draws T from its sufficient statistics (Z, V) and the ncp of its law; the oracle draws it
+        # from n1 + n2 normals of standard deviation sigma. A two-sample KS test of 10^6 draws each, at a false-alarm
+        # rate of 1e-3 over the three dfs, drawn in chunks. Both sides are compared as p-values, a decreasing map of T
+        # that leaves the KS statistic as it is.
         theta, sigma, size = 1.5, 1.3, 10**6
         spec = ModelSpec("two_sample", ((10_000, theta),), n1=n1, n2=n2, sigma=sigma)
-        new = -simkit._counted_rows(spec, RngStream(606, n1).generator, size // spec.m).ravel()
+        rng = RngStream(606, n1)
+        new = np.concatenate([gen_lfc_pvalues(spec, rng) for _ in range(size // spec.m)])
         gen = np.random.default_rng([606, n1])
         old = np.concatenate([two_sample_t_per_observation(gen, theta, n1, n2, sigma, 20_000) for _ in range(50)])
-        assert ks_2samp(new, old).pvalue > 1e-3 / 3
+        assert ks_2samp(new, lfc_pvalue_t(old, n1 + n2 - 2)).pvalue > 1e-3 / 3
 
     def test_dependent_marginals_match_laws(self):
         # The copula construction must preserve the exact marginals. A whole
@@ -524,16 +526,17 @@ class TestChunkedKernel:
         assert serial.to_csv_string() == parallel.to_csv_string()
 
     def test_gen_lfc_pvalues_is_one_row(self):
-        # The public generator maps one counted row of a chunk to its p-values, drawn from the stream as it stands:
-        # the copula uniforms of both Gumbel specs and the -T of two-sample independent. Not z independent, whose
-        # kernel draws cell counts while the generator draws its z statistics (pinned in test_acceptance.py).
-        for spec in (spec for name, spec in _KERNEL_SPECS.items() if name != "z-independent"):
+        # The public generator maps one row of a chunk's copula uniforms to its p-values, through each group's
+        # quantile, drawn from the stream as it stands. Not the independent models, whose kernel draws cell counts
+        # while the generator draws their statistics (pinned in TestGenLfcPvalues and test_acceptance.py).
+        for spec in (spec for name, spec in _KERNEL_SPECS.items() if name.endswith("gumbel")):
             # A chunk's rows are the rows that calls on the same stream draw one at a time.
-            chunk = simkit._counted_rows(spec, RngStream(81, 6).generator, 3)
+            chunk = _gumbel_rows(spec.m, spec.nu, RngStream(81, 6).generator, 3)
             rng = RngStream(81, 6)
             p = [gen_lfc_pvalues(spec, rng) for _ in chunk]
             for row, p_row in zip(chunk, p):
-                assert all(np.array_equal(p_row[a:b], to_p(row[a:b])) for a, b, to_p, _ in simkit._count_maps(spec))
+                for a, b, law in simkit._group_ranges(spec):
+                    assert np.array_equal(p_row[a:b], law.quantile(row[a:b]))
             advanced = RngStream(81, 6)
             advanced.generator.random(3)
             assert not np.array_equal(gen_lfc_pvalues(spec, advanced), p[0])
@@ -620,21 +623,21 @@ class TestThresholdKernel:
             warnings.simplefilter("error")
             assert np.array_equal(_replicate_block(plan, 3, 70), replicate_block_per_replicate(plan, 3, 70))
 
-    @pytest.mark.parametrize("name", ["z-gumbel", "two_sample-independent", "two_sample-gumbel"])
+    @pytest.mark.parametrize("name", ["z-gumbel", "two_sample-gumbel"])
     def test_one_search_counts_ties_as_two_searches_do(self, name, monkeypatch):
         # Rows that hold each mapped threshold, its neighbours on both sides, the -inf low at c = 0 and the largest
-        # doubles of both signs, where an overflowing two-sample x is clipped. The kernel's one search per row and
-        # range, at nextafter(low, +inf) and at up, gives the integers of _grid_counts' two searches.
+        # doubles of both signs. The kernel's one search per row and range, at nextafter(low, +inf) and at up, gives
+        # the integers of _grid_counts' two searches. Only copula uniforms are searched: independent rows are cells.
         spec, c, big = _KERNEL_SPECS[name], np.array(self.GRID), np.finfo(float).max
         gen, rows = np.random.default_rng(4), np.empty((3, spec.m))
-        ranges = [(a, b, *_grid_thresholds(0.5, c, from_p)) for a, b, _, from_p in simkit._count_maps(spec)]
+        ranges = [(a, b, *_grid_thresholds(0.5, c, law.cdf)) for a, b, law in simkit._group_ranges(spec)]
         for a, b, low, up in ranges:
             t = np.concatenate([low, up])
             pool = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), [-np.inf, -big, big]])
             assert b - a >= pool.size  # every value is in every row, some more than once
             for row in rows:
                 row[a:b] = np.resize(gen.permutation(pool), b - a)
-        monkeypatch.setattr(simkit, "_counted_rows", lambda spec, gen, k: rows[:k].copy())
+        monkeypatch.setattr(simkit, "_gumbel_rows", lambda m, nu, gen, k: rows[:k].copy())
         expected = [sum(np.concatenate([n_low, b - a - n_up])  # #{x < up} = #{x in the range} - #{x >= up}
                         for a, b, low, up in ranges for n_low, n_up in [_grid_counts(np.sort(row[a:b]), low, up)])
                     for row in rows]

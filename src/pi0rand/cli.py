@@ -41,7 +41,7 @@ __all__ = ["main"]
 
 # The flag of each library field the CLI passes through unchecked, by the first word of the library's message.
 _FLAGS = {"lambda": "--lambda", "seed": "--seed", "replicates": "--reps", "workers": "--workers", "c_list": "--c-grid",
-          "n": "--n", "n1": "--n1", "n2": "--n2", "n1+n2-2": "--n1 + --n2 - 2", "sigma": "--sigma", "nu": "--nu"}
+          "n": "--n", "n1": "--n1", "n2": "--n2", "n1+n2-2": "--n1 + --n2 - 2", "nu": "--nu"}
 
 
 def _parse_grid(text):
@@ -69,7 +69,7 @@ def _parse_grid(text):
 
 
 def _model_spec(args, **dependence):
-    """The ModelSpec of the model flags, independent unless given; it checks n, n1, n2, sigma and nu."""
+    """The ModelSpec of the model flags, independent unless given; it checks n, n1, n2 and nu."""
     _probability(args.pi0, "--pi0")
     if args.m < 2:  # ModelSpec would only see the groups
         raise ValueError(f"--m must be >= 2, got {args.m}")
@@ -79,7 +79,7 @@ def _model_spec(args, **dependence):
     n_null = int(round(args.pi0 * m))
     groups = tuple(g for g in ((n_null, args.theta_null), (m - n_null, args.theta_alt)) if g[0] > 0)
     design = {"model": "z", "n": args.n} if args.model == "z" else {"model": "two_sample", "n1": args.n1, "n2": args.n2}
-    return ModelSpec(groups=groups, sigma=args.sigma, **design, **dependence)
+    return ModelSpec(groups=groups, **design, **dependence)
 
 
 _DEFAULT_GRID = {"h": "0:0.05:1", "cdf": "0,0.25,0.5,0.75,1"}  # by --quantity; simulate takes h's
@@ -158,15 +158,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     spec = _Parser(add_help=False)  # simulate alone adds the dependence: h and c* read the marginals
+    unit = " (z: the mean of unit-variance observations; two-sample: the mean difference in standard deviations)"
     spec.add_argument("--model", choices=("z", "two-sample"), default="z", help="one-sided Z-test or two-sample t-test")
     spec.add_argument("--m", type=int, default=1000, help="number of hypotheses")
     spec.add_argument("--n", type=int, default=50, help="Z model sample size")
     spec.add_argument("--n1", type=int, default=10, help="two-sample model: size of the first sample")
     spec.add_argument("--n2", type=int, default=10, help="two-sample model: size of the second sample")
-    spec.add_argument("--sigma", type=float, default=1.0, help="two-sample model: standard deviation (z model: 1 only)")
     spec.add_argument("--pi0", type=float, default=0.7, help="fraction of true nulls")
-    spec.add_argument("--theta-null", type=float, default=0.0, help="effect of the null group")
-    spec.add_argument("--theta-alt", type=float, default=0.5, help="effect of the alternative group")
+    spec.add_argument("--theta-null", type=float, default=0.0, help=f"effect of the null group{unit}")
+    spec.add_argument("--theta-alt", type=float, default=0.5, help=f"effect of the alternative group{unit}")
     lam, variant = _Parser(add_help=False), _Parser(add_help=False)
     lam.add_argument("--lambda", dest="lam", type=float, default=0.5,
                      help="the estimator's tuning parameter lambda, in (0, 1)")

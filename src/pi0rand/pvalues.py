@@ -127,7 +127,8 @@ class TwoSampleTLaw(MarginalLaw):
     """Marginal law of the pooled two-sample t-test LFC p-value.
 
     Under the true parameter the statistic T is non-central t with
-    ``ncp = sqrt(n1*n2/(n1+n2)) * theta / sigma``, and ``p = F_t(-T)``.
+    ``ncp = sqrt(n1*n2/(n1+n2)) * theta``, theta in units of the common
+    standard deviation, and ``p = F_t(-T)``.
     Since -T is non-central t with ``-ncp``, the cdf is
     ``u -> F_nct(F_t^{-1}(u); -ncp)`` and the quantile
     ``v -> F_t(F_nct^{-1}(v; -ncp))``: neither forms ``1 - u``, so both

@@ -61,7 +61,7 @@ from . import _tableio
 from .pi0 import CurveTable, EstimatorConfig, PopulationSpec, _estimate_from_count, _grid_thresholds
 from .pvalues import MarginalLaw, TwoSampleTLaw, ZTestLaw, lfc_pvalue_t, lfc_pvalue_z, randomized_cdf
 from .statdist import RngStream, _checked_uint64, _finite_array, _increasing_grid, _kanter_log_stable
-from .statdist import _positive_finite, _positive_int
+from .statdist import _positive_int
 
 __all__ = [
     "ModelSpec",
@@ -84,10 +84,12 @@ class ModelSpec:
 
     ``groups`` lists ``(count, theta)`` pairs; hypotheses with theta <= 0
     are true nulls. For the Z model ``n`` is the per-hypothesis sample
-    size, and ``n1``, ``n2`` and ``sigma`` must keep their defaults 0, 0 and
-    1; for the two-sample model ``n1``/``n2``/``sigma`` parameterize the
-    two normal samples. A two-sample spec keeps ``n`` unread and unchecked:
-    a 50 passed on purpose cannot be told apart from its default of 50.
+    size, and ``n1`` and ``n2`` must keep their default 0; for the
+    two-sample model they are the sizes of the two normal samples, and
+    theta is their mean difference in units of the common standard
+    deviation, which the t statistic does not see. A two-sample spec keeps
+    ``n`` unread and unchecked: a 50 passed on purpose cannot be told apart
+    from its default of 50.
     nu is checked; then an independent spec, or one at nu = 1 (the product
     copula), is stored as independent at nu = 1.
     """
@@ -97,7 +99,6 @@ class ModelSpec:
     n: int = 50
     n1: int = 0
     n2: int = 0
-    sigma: float = 1.0
     dependence: str = "independent"
     nu: float = 1.0
     _population: PopulationSpec = field(init=False, repr=False, compare=False)
@@ -113,9 +114,6 @@ class ModelSpec:
             object.__setattr__(self, "n1", _positive_int(self.n1, "n1"))
             object.__setattr__(self, "n2", _positive_int(self.n2, "n2"))
             _positive_int(self.n1 + self.n2 - 2, "n1+n2-2")  # the df of the laws
-        _positive_finite(self.sigma, "sigma")
-        if self.model == "z" and self.sigma != 1.0:
-            raise ValueError(f"sigma must be 1 for the z model, got {self.sigma!r}")
         if self.dependence not in DEPENDENCE:
             raise ValueError(f"dependence must be one of {DEPENDENCE}")
         if not 1.0 <= self.nu < np.inf:
@@ -134,13 +132,13 @@ class ModelSpec:
         return self._population.m
 
     @property
-    def pi0(self) -> float:  # from theta <= 0: a two-sample theta > 0 whose ncp underflows to 0 has a null law
+    def pi0(self) -> float:
         return sum(count for count, theta in self.groups if theta <= 0.0) / self.m
 
     def marginal_law(self, theta: float) -> MarginalLaw:
         if self.model == "z":
             return ZTestLaw(theta * np.sqrt(self.n))
-        ncp = np.sqrt(self.n1 * self.n2 / (self.n1 + self.n2)) * theta / self.sigma
+        ncp = np.sqrt(self.n1 * self.n2 / (self.n1 + self.n2)) * theta
         return TwoSampleTLaw(ncp, self.n1 + self.n2 - 2)
 
     def population(self) -> PopulationSpec:

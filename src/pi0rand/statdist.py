@@ -82,11 +82,6 @@ def _positive_int(value, name):
     return iv
 
 
-def _positive_finite(x, name):
-    if not 0.0 < x < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {x!r}")
-
-
 def _probabilities(x, name):
     """``x`` as a float array (0-d for a scalar) with every entry in [0, 1]."""
     arr = np.asarray(x, dtype=float)

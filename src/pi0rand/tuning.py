@@ -53,7 +53,8 @@ def _g_values(x_sorted: np.ndarray, lam: float, cs) -> np.ndarray:
 
 def _candidate_points(x_sorted: np.ndarray, lam: float) -> np.ndarray:
     """Sorted, deduplicated {0, 1} U {p_j} U {p_j / lambda <= 1}, from the sorted p-values."""
-    q = x_sorted / lam
+    with np.errstate(over="ignore"):  # at a subnormal lambda p / lambda can be inf, which the cut below drops
+        q = x_sorted / lam
     runs = [[0.0], x_sorted, [1.0], q[: q.searchsorted(1.0, side="right")]]
     points = np.sort(np.concatenate(runs), kind="stable")  # two sorted runs: one merge
     points = points[np.append(True, points[1:] != points[:-1])]  # the first of each run of equal points

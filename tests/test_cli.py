@@ -47,6 +47,13 @@ class TestAnalyze:
         assert float(report["pi0_hat_lfc"]) == 1.0
         assert float(report["conditional_expectation_at_c0"]) == 0.5
 
+    def test_subnormal_lambda(self, capsys, tmp_path):
+        # p / lambda overflows at lambda = 5e-324; under warnings-as-errors that exited 1 with "internal error".
+        path = tmp_path / "p.csv"
+        path.write_text("p_lfc\n0.1\n1\n0.5\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--lambda=5e-324")
+        assert (code, err) == (0, "") and "\nlambda = 5e-324\n" in out
+
     def test_deterministic_output(self, capsys, hand_file, tmp_path):
         out1 = tmp_path / "r1.csv"
         out2 = tmp_path / "r2.csv"
@@ -602,15 +609,14 @@ class TestSimulate:
     @pytest.mark.parametrize("copula", [[], ["--copula", "gumbel", "--nu", "1"], ["--copula", "gumbel", "--nu", "2"]],
                              ids=["independent", "gumbel-nu1", "gumbel-nu2"])
     def test_two_sample_is_exact_at_extreme_ncp(self, capsys, tmp_path, copula):
-        # At --sigma 1e-10 the ncps are -+2.2e10: the null p-values are 1 and the alternative ones 0 to the last bit,
-        # so the means at c = 0, 0.5 and 1 are 1, 0.7 and 1.4, the last with zero variance. The independent kernel
-        # counts T against central t quantiles; the Gumbel kernel counts its copula uniforms against the law's cdf,
-        # where scipy's nctdtr gives NaN at every threshold. Read as the side of 0 rather than of the law's location,
+        # At theta -+1e10 the ncps are -+2.2e10: the null p-values are 1 and the alternative ones 0 to the last bit,
+        # so the means at c = 0, 0.5 and 1 are 1, 0.7 and 1.4, the last with zero variance. Both kernels count
+        # against the law's cdf, the independent one its multinomial cells and the Gumbel one its copula uniforms,
+        # and scipy's nctdtr gives NaN at every threshold. Read as the side of 0 rather than of the law's location,
         # that NaN inverted the law, and the Gumbel copula printed 1, 1, 2.
         out = tmp_path / "mc.csv"
-        code, _, err = run_cli(capsys, "simulate", "--model", "two-sample", "--sigma", "1e-10", "--theta-null", "-1",
-                               "--theta-alt", "1", "--c-grid", "0,0.5,1", "--reps", "2000", "--seed", "4",
-                               *copula, "--out", str(out))
+        code, _, err = run_cli(capsys, "simulate", "--model", "two-sample", "--theta-null=-1e10", "--theta-alt=1e10",
+                               "--c-grid", "0,0.5,1", "--reps", "2000", "--seed", "4", *copula, "--out", str(out))
         assert code == 0, err
         rows = np.array([[float(v) for v in ln.split(",")] for ln in out.read_text().strip().split("\n")
                          if not ln.startswith(("#", "c,"))])
@@ -679,9 +685,10 @@ def test_grid_flag_values(text, grid):
     assert np.array_equal(got.view(np.uint64), np.asarray(grid, dtype=float).view(np.uint64))
 
 
-@pytest.mark.parametrize("flags", [["--sigma", "inf"], ["--model", "two-sample", "--sigma", "nan"],
+@pytest.mark.parametrize("flags", [["--pi0", "nan"], ["--model", "two-sample", "--theta-alt", "nan"],
                                    ["--copula", "gumbel", "--nu", "inf"], ["--nu", "nan"],
-                                   ["--theta-null", "nan"], ["--theta-alt", "inf"], ["--sigma", "0"], ["--n", "0"],
+                                   ["--theta-null", "nan"], ["--theta-alt", "inf"],
+                                   ["--model", "two-sample", "--n2", "0"], ["--n", "0"],
                                    ["--model", "two-sample", "--n1", "0"], ["--m", "1"]])
 @pytest.mark.parametrize("command", ["simulate", "curves", "cstar"])
 def test_non_finite_model_flag_exits_2(capsys, command, flags):
@@ -746,9 +753,9 @@ class TestCurvesAndCstar:
         assert float(report["c_star"]) == 1.0
 
     def test_two_sample_is_exact_at_extreme_ncp(self, capsys):
-        # As for simulate: at --sigma 1e-10 the p-values are 1 and 0 to the last bit, so h is 1, 0.7 and 1.4 at
+        # As for simulate: at theta -+1e10 the p-values are 1 and 0 to the last bit, so h is 1, 0.7 and 1.4 at
         # c = 0, 0.5 and 1, and its minimum over c is 0.7 (an inverted law gave 1, 1, 2 and h_min 1).
-        extreme = ("--model", "two-sample", "--theta-null=-1", "--theta-alt=1", "--sigma=1e-10")
+        extreme = ("--model", "two-sample", "--theta-null=-1e10", "--theta-alt=1e10")
         rows = ["0.0,1.0", "0.5,0.7", "1.0,1.4"]
         code, out, err = run_cli(capsys, "curves", *extreme, "--c-grid", "0,0.5,1")
         assert (code, err) == (0, "")
@@ -872,9 +879,7 @@ _SINGLE_BAD_FLAG = [
     (["simulate", "--seed", str(2**70)], f"--seed must be an unsigned 64-bit integer, got {2**70}"),
     (["simulate", "--reps", "0"], "--reps must be a positive integer, got 0"),
     (["simulate", "--workers", "-5"], "--workers must be a positive integer, got -5"),
-    (["simulate", "--sigma", "inf"], "--sigma must be positive and finite, got inf"),
-    (["curves", "--model", "two-sample", "--sigma", "0"], "--sigma must be positive and finite, got 0.0"),
-    (["cstar", "--sigma", "5"], "--sigma must be 1 for the z model, got 5.0"),  # the z model used to ignore it
+    (["cstar", "--model=two-sample", "--sigma=2"], "unrecognized arguments: --sigma=2"),  # effects are in units of it
     (["cstar", "--nu", "0.5"], "unrecognized arguments: --nu 0.5"),
     (["simulate", "--nu", "0.5"], "--nu must be finite and >= 1, got 0.5"),  # checked for the independent model too
     (["simulate", "--copula", "gumbel", "--nu", "nan"], "--nu must be finite and >= 1, got nan"),

@@ -1,15 +1,18 @@
-"""An edge sweep of `curves` (h and cdf), `cstar` and `simulate` over each flag's valid range and its extremes.
+"""An edge sweep of `curves` (h and cdf), `cstar`, `simulate` and `analyze` over each flag's valid range and its
+extremes.
 
 Each flag is left at its default or set to a value drawn from its valid range, its extremes, or just past them;
-the effects and --sigma lie on a signed log scale up to 1e300. Flags are passed as --flag=value, since argparse
-reads a value such as -1e6 as a flag. The properties: exit 0 or 2; on 2, one `error:` line on stderr and nothing
-on stdout; on 0, every printed number finite; `cstar`'s h_min at most the smallest h of the 1001-point grid that
-`curves` prints for the same flags, and that grid's h(lambda, 0) exactly 1; `simulate`'s
-variance, mse and se_mean at least 0.
+the effects lie on a signed log scale up to 1e300. Flags are passed as --flag=value, since argparse reads a value
+such as -1e6 as a flag. The properties: exit 0 or 2; on 2, one `error:` line on stderr and nothing on stdout; on 0,
+every printed number finite; `cstar`'s h_min at most the smallest h of the 1001-point grid that `curves` prints for
+the same flags, and that grid's h(lambda, 0) exactly 1; `simulate`'s variance, mse and se_mean at least 0;
+`analyze`'s c0 in [0, 1], and its `--out` file m values in [0, 1] that are p / c0 exactly where p < c0.
 """
 
 import contextlib
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -29,7 +32,6 @@ _MODEL_FLAGS = {
     "--n": st.integers(1, 10**6) | st.sampled_from(_INT_EXTREMES),
     "--n1": st.integers(1, 100) | st.sampled_from(_INT_EXTREMES),
     "--n2": st.integers(1, 100) | st.sampled_from(_INT_EXTREMES),
-    "--sigma": _SIGNED_LOG,
     "--pi0": st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1.0 - _EPS / 2, -0.1, 1.5]),
     "--theta-null": _SIGNED_LOG,
     "--theta-alt": _SIGNED_LOG,
@@ -44,8 +46,8 @@ _GRIDS = st.one_of(
 
 
 @st.composite
-def _flags(draw, extra=()):
-    flags = dict(_MODEL_FLAGS, **dict(extra))
+def _flags(draw, extra=(), base=_MODEL_FLAGS):
+    flags = dict(base, **dict(extra))
     return [f"{name}={draw(values)}" for name, values in flags.items() if draw(st.booleans())]
 
 
@@ -127,3 +129,53 @@ def test_simulate_exits_0_or_2_and_prints_finite_moments(model, copula, flags, r
     if code == 0:
         table = _table(out)
         assert np.all(np.isfinite(table)) and np.all(table[:, [2, 3, 5]] >= 0.0)  # variance, mse, se_mean
+
+
+# analyze reads a CSV, so its sweep draws the file too: m up to 10**4 p-values, uniform or raised to a power up to
+# 1e4 (which reaches the subnormals and 0), with ties, exact 0 and 1 and the smallest and largest doubles below 1
+# put in, each written at 17 significant digits, as its shortest repr or as a short decimal, in a file with or
+# without an id column and with blank and `#` lines among the rows.
+_P_EXTREMES = [0.0, 1.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-16, 0.5, 1.0 - _EPS, 1.0 - _EPS / 2]
+_ANALYZE_FLAGS = {
+    "--lambda": _MODEL_FLAGS["--lambda"],
+    "--seed": _SIMULATE_FLAGS["--seed"],
+    "--variant": _SIMULATE_FLAGS["--variant"],
+}
+
+
+@st.composite
+def _pvalue_csv(draw):
+    m = draw(st.integers(2, 40) | st.integers(2, 10**4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = gen.random(m) ** draw(st.sampled_from([1.0, 0.1, 10.0, 1e4]))
+    for value in draw(st.lists(st.sampled_from(_P_EXTREMES) | st.floats(0.0, 1.0), max_size=8)):
+        p[gen.integers(m, size=draw(st.integers(1, m)))] = value
+    text = [draw(st.sampled_from(["%.17g", "%r", "%.3g", "%.2e"])) % v for v in p[:40].tolist()]
+    text += ["%.17g" % v for v in p[40:].tolist()]
+    lines = ["id,p_lfc", *(f"{i},{t}" for i, t in enumerate(text))] if draw(st.booleans()) else ["p_lfc", *text]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(int(gen.integers(len(lines) + 1)), draw(st.sampled_from(["", "# a comment", "#"])))
+    return np.array([float(t) for t in text]), "\n".join(lines) + "\n"
+
+
+@given(csv=_pvalue_csv(), flags=_flags(base=_ANALYZE_FLAGS))
+@settings(max_examples=100, deadline=None)
+def test_analyze_exits_0_or_2_and_randomizes_below_c0(csv, flags):
+    p, text = csv
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "p.csv"), os.path.join(tmp, "r.csv")
+        with open(src, "w") as fh:
+            fh.write(text)
+        code, report = _run("analyze", src, *flags, f"--out={out}")
+        if code != 0:
+            return
+        with open(out) as fh:
+            lines = [ln for ln in fh.read().split("\n") if ln and not ln.startswith("#")]
+    values = dict(line.split(" = ") for line in report.strip().split("\n"))
+    numbers = np.array([float(v) for k, v in values.items() if k != "variant"])
+    c0 = float(values["c0"])
+    assert np.all(np.isfinite(numbers)) and 0.0 <= c0 <= 1.0
+    assert lines[0] == "p_lfc"
+    prand = np.array([float(v) for v in lines[1:]])
+    assert prand.size == p.size and np.all((prand >= 0.0) & (prand <= 1.0))
+    assert np.array_equal(prand[p < c0], p[p < c0] / c0)

@@ -59,7 +59,7 @@ class TestModelSpec:
         assert pop.groups[1][1].theta_scaled == pytest.approx(2.5)
 
     def test_two_sample_ncp(self):
-        spec = ModelSpec("two_sample", ((5, 0.5),), n1=10, n2=15, sigma=2.0)
+        spec = ModelSpec("two_sample", ((5, 0.5 / 2.0),), n1=10, n2=15)  # a mean difference 0.5 at sigma 2
         law = spec.population().groups[0][1]
         assert law.df == 23
         assert law.ncp == pytest.approx(np.sqrt(10 * 15 / 25) * 0.5 / 2.0)
@@ -73,9 +73,6 @@ class TestModelSpec:
             ModelSpec("z", ((5, 0.0),), dependence="gumbel", nu=0.5)
         with pytest.raises(ValueError):
             ModelSpec("z", ((1, 0.0),))
-        for bad in (np.inf, np.nan, 0.0):
-            with pytest.raises(ValueError, match="sigma"):
-                ModelSpec("two_sample", ((5, 0.0),), n1=5, n2=5, sigma=bad)
         with pytest.raises(ValueError, match="nu"):
             ModelSpec("z", ((5, 0.0),), dependence="gumbel", nu=np.inf)
         with pytest.raises(ValueError, match="model"):
@@ -96,7 +93,7 @@ class TestModelSpec:
         assert ModelSpec("z", ((5, 0.0),), n1=0, n2=0) == ModelSpec("z", ((5, 0.0),))
 
     def test_effect_that_overflows_once_scaled_rejected_at_construction(self):
-        # A finite theta whose theta * sqrt(n), or sqrt(n1 n2 / (n1 + n2)) theta / sigma, overflows used to pass
+        # A finite theta whose theta * sqrt(n), or sqrt(n1 n2 / (n1 + n2)) theta, overflows used to pass
         # here and fail only after every replicate had run.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -104,8 +101,6 @@ class TestModelSpec:
                 ModelSpec("z", ((5, 0.0), (5, 1e308)), n=50)
             with pytest.raises(ValueError, match="ncp must be finite"):
                 ModelSpec("two_sample", ((5, -1e308), (5, 0.5)), n1=10, n2=10)
-            with pytest.raises(ValueError, match="ncp must be finite"):
-                ModelSpec("two_sample", ((5, 0.0), (5, 1.0)), n1=10, n2=10, sigma=1e-308)
 
     def test_population_is_built_once(self, monkeypatch):
         # The laws are built and the groups checked at construction; run_mc reads them and builds no law.
@@ -124,7 +119,7 @@ class TestModelSpec:
 
     def test_gumbel_at_nu_one_is_the_independent_spec(self):
         # At nu = 1 the Gumbel copula is the product copula: one law, one spec, one kernel and one stream layout.
-        for model, design in (("z", dict(n=40)), ("two_sample", dict(n1=4, n2=7, sigma=1.5))):
+        for model, design in (("z", dict(n=40)), ("two_sample", dict(n1=4, n2=7))):
             indep = ModelSpec(model, ((6, -0.2), (4, 0.7)), **design)
             for nu in (1, 1.0, np.float64(1.0)):
                 gumbel = ModelSpec(model, ((6, -0.2), (4, 0.7)), **design, dependence="gumbel", nu=nu)
@@ -132,9 +127,10 @@ class TestModelSpec:
             assert ModelSpec(model, ((6, -0.2), (4, 0.7)), **design, dependence="gumbel", nu=1.001) != indep
 
     def test_pi0_counts_nonpositive_effects(self):
-        # An effect of 5e-324 is an alternative, though its ncp underflows to 0 and its law is the null law.
-        spec = ModelSpec("two_sample", ((6, 0.0), (4, 5e-324)), n1=5, n2=5, sigma=4.0)
-        assert spec.population().groups[1][1].ncp == 0.0
+        # theta <= 0, -0.0 included, is a null. The smallest positive theta is an alternative with an alternative
+        # law: sqrt(n1 n2 / (n1 + n2)) is at least sqrt(2/3) > 1/2, so its ncp does not round to 0 at any sizes.
+        spec = ModelSpec("two_sample", ((3, -0.0), (3, 0.0), (4, 5e-324)), n1=1, n2=2)
+        assert spec.population().groups[2][1].ncp == 5e-324
         assert spec.pi0 == 0.6
 
     def test_fractional_group_count_rejected(self):
@@ -165,7 +161,7 @@ class TestGenLfcPvalues:
             assert np.max(np.abs(emp - ZTestLaw(theta_scaled).cdf(t))) <= dkw_band(pooled.size)
 
     def test_lfc_two_sample_is_uniform(self):
-        spec = ModelSpec("two_sample", ((200, 0.0),), n1=6, n2=8, sigma=1.7)
+        spec = ModelSpec("two_sample", ((200, 0.0),), n1=6, n2=8)
         pooled = np.concatenate(
             [gen_lfc_pvalues(spec, RngStream(33, i)) for i in range(100)]
         )
@@ -174,11 +170,12 @@ class TestGenLfcPvalues:
     @pytest.mark.parametrize("n1, n2", [(1, 2), (10, 10), (51, 51)], ids=["df1", "df18", "df100"])
     def test_two_sample_t_has_the_law_of_its_raw_data_statistic(self, n1, n2):
         # The generator draws T from its sufficient statistics (Z, V) and the ncp of its law; the oracle draws it
-        # from n1 + n2 normals of standard deviation sigma. A two-sample KS test of 10^6 draws each, at a false-alarm
-        # rate of 1e-3 over the three dfs, drawn in chunks. Both sides are compared as p-values, a decreasing map of T
-        # that leaves the KS statistic as it is.
+        # from n1 + n2 normals of mean difference theta and standard deviation sigma, which the spec sees as one
+        # effect theta / sigma. A two-sample KS test of 10^6 draws each, at a false-alarm rate of 1e-3 over the three
+        # dfs, drawn in chunks. Both sides are compared as p-values, a decreasing map of T that leaves the KS
+        # statistic as it is.
         theta, sigma, size = 1.5, 1.3, 10**6
-        spec = ModelSpec("two_sample", ((10_000, theta),), n1=n1, n2=n2, sigma=sigma)
+        spec = ModelSpec("two_sample", ((10_000, theta / sigma),), n1=n1, n2=n2)
         rng = RngStream(606, n1)
         new = np.concatenate([gen_lfc_pvalues(spec, rng) for _ in range(size // spec.m)])
         gen = np.random.default_rng([606, n1])
@@ -664,9 +661,9 @@ class TestExactCountLaw:
         (ModelSpec("two_sample", ((70, -1.0 / np.sqrt(5.0)), (30, 2.5 / np.sqrt(5.0))), n1=10, n2=10), 10_000, 2719),
     ], ids=["z", "two_sample-df18"])
     def test_replicate_histogram_fits_the_exact_pmf(self, spec, replicates, seed):
-        # z counts uniforms against each group's cdf; two-sample counts its raw-data statistics, so its histogram
-        # is checked against TwoSampleTLaw.cdf. Per threshold a Pearson chi-square over cells pooled to >= 5
-        # expected, at the Sidak level of a family false-alarm rate of 1e-4 over the 21 thresholds.
+        # Both models count cells against each group's cdf, ZTestLaw.cdf and TwoSampleTLaw.cdf, so this checks the
+        # cell counts and the binomial draw against the pmf that cdf gives. Per threshold a Pearson chi-square over
+        # cells pooled to >= 5 expected, at the Sidak level of a family false-alarm rate of 1e-4 over the 21 thresholds.
         plan = SimulationPlan(spec=spec, replicates=replicates, seed=seed)
         c = np.asarray(plan.c_grid)
         n = np.rint(spec.m * (1.0 - (1.0 - plan.lam) * _replicate_block(plan, 0, plan.replicates))).astype(int)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +336,15 @@ class TestCandidateEdgeCases:
         p = np.array([0.1, 0.2, 0.2, 0.6])
         cands = candidate_set(p, 0.5)
         assert cands.tolist() == [0.0, 0.1, 0.2, 0.4, 0.6, 1.0]
+
+    def test_subnormal_lambda_drops_the_overflowing_quotients(self):
+        # At lambda = 5e-324 every p above ~8.9e-16 gives p / lambda = inf, past 1 and so no candidate; the overflow
+        # used to raise under warnings-as-errors, and `analyze --lambda=5e-324` exited 1.
+        p = np.array([1.0, 0.5, 1e-320, 5e-324, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert candidate_set(p, 5e-324).tolist() == [0.0, 5e-324, 1e-320, 0.5, 1.0]
+            assert select_c0(p, 5e-324).candidates == 5
 
     def test_selection_counts_candidates_at_scale(self):
         p = RngStream(26, 0).generator.random(5000)
